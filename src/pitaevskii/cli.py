@@ -11,7 +11,8 @@ Subcommands (each takes one config file):
     oracle       reduced plane-wave ODE reference trajectory
 
 Exit codes: 0 = every asserted invariant passed; 1 = a physics event ended
-the run (density floor, blow-up, CFL) or an asserted verdict failed;
+the run (density floor, blow-up, CFL, a pressure projection that missed its
+tolerance) or an asserted verdict failed;
 2 = usage or configuration error.
 """
 

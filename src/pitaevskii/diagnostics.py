@@ -70,20 +70,22 @@ def measure(state, params, prev_state=None):
     """
     g = state.grid
     plan = plan_for(g)
-    coupling = coupling_term(state, params)
+    psi_hat = plan.fft(state.psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
+    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
     vol = g.volume
-    k2 = g.k2_mesh
 
-    # one spectrum per field serves every Sobolev-type entry (Parseval)
-    psi_hat = plan.fft(state.psi) / g.num_points
-    psi_dens = np.abs(psi_hat) ** 2
-    u_dens = np.sum(np.abs(plan.fft(state.u)) ** 2, axis=0) / g.num_points ** 2
-    c_dens = np.abs(plan.fft(coupling)) ** 2 / g.num_points ** 2
+    # one spectrum per field serves every Sobolev-type entry (Parseval); the
+    # real velocity's half spectrum carries the Hermitian weights
+    k2 = plan.tables(psi_hat).k2
+    psi_dens = np.abs(psi_hat / g.num_points) ** 2
+    c_dens, _ = norms.spectral_density(g, coupling)
+    u_dens, k2_u = norms.spectral_density(g, state.u)
 
     grad_psi_sq = vol * float(np.sum(k2 * psi_dens))
-    grad_u_sq = vol * float(np.sum(k2 * u_dens))
+    grad_u_sq = vol * float(np.sum(k2_u * u_dens))
     lap_psi_sq = vol * float(np.sum(k2 ** 2 * psi_dens))
-    lap_u_sq = vol * float(np.sum(k2 ** 2 * u_dens))
+    lap_u_sq = vol * float(np.sum(k2_u ** 2 * u_dens))
     grad_coupling_sq = vol * float(np.sum(k2 * c_dens))
     coupling_l2_sq = vol * float(np.sum(c_dens))
 
@@ -91,7 +93,7 @@ def measure(state, params, prev_state=None):
     w_wave = (1.0 + k2) ** (2.5 + sdelta)
     w_mid = (1.0 + k2) ** (1.5 + sdelta)
     sob_wave = math.sqrt(vol * float(np.sum(w_wave * psi_dens)))
-    sob_vel = math.sqrt(vol * float(np.sum(w_mid * u_dens)))
+    sob_vel = math.sqrt(vol * float(np.sum((1.0 + k2_u) ** (1.5 + sdelta) * u_dens)))
     sob_coupling = math.sqrt(vol * float(np.sum(w_mid * c_dens)))
 
     kinetic = 0.5 * float(np.sum(state.rho * np.sum(state.u ** 2, axis=0))) * g.cell_volume
@@ -110,7 +112,6 @@ def measure(state, params, prev_state=None):
         dt_rho = norms.sobolev_norm(g, drho, -1.0)
         ud_term = float(np.sum(state.rho * np.sum(du ** 2, axis=0))) * g.cell_volume
 
-    grad_psi = np.stack([plan.ifft(1j * km * psi_hat, state.psi) for km in plan.k]) * g.num_points
     mom = norms.vector_integral(g, state.rho * state.u)
     mom = mom + np.array([norms.integral(g, (np.conj(state.psi) * grad_psi[i]).imag) for i in range(g.d)])
 
@@ -271,7 +272,7 @@ def _inequality_ratios(grid, f):
     l2 = norms.lp_norm(grid, f, 2)
     if l2 == 0.0:
         return None
-    grad = norms.gradient_raw(grid, f)
+    grad = plan_for(grid).gradient(f)
     grad_l2 = norms.lp_norm(grid, grad, 2)
     if grad_l2 == 0.0:
         return None

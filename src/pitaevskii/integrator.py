@@ -19,7 +19,9 @@ One step of size dt is the composition
 Each piece has local error O(dt^3), so the composition is second order.
 A step that would drag the density below the configured floor raises
 DensityFloorViolation; non-finite values raise BlowUp with the last valid
-time.  run() converts both into a structured event on the trajectory.
+time; a pressure projection that misses its tolerance raises
+ProjectionNotConverged.  run() converts each into a structured event on the
+trajectory.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from .model import (
     momentum_source,
 )
 from .norms import lp_norm
-from .spectral import plan_for
+from .spectral import ProjectionNotConverged, plan_for
 
 WAVE_SCHEMES = ("strang-rk2",)
 FLUID_SCHEMES = ("imex-cn",)
@@ -86,7 +88,7 @@ class CflViolation(Exception):
 
 @dataclass
 class PhysicsEvent:
-    kind: str                 # "density-floor" or "blow-up" or "cfl"
+    kind: str                 # "density-floor", "blow-up", "cfl" or "projection"
     time: float
     message: str
     location: Optional[tuple] = None
@@ -105,56 +107,53 @@ class Trajectory:
         return np.array([r.t for r in self.records])
 
 
-def _wave_nonlinear(plan, psi, u, params):
-    # explicit remainder of the wave equation after removing (lam+i)/2 * lap
-    psi_hat = plan.fft(psi)
-    grad_psi = np.stack([plan.ifft(1j * km * psi_hat, psi) for km in plan.k])
+def _wave_nonlinear(plan, psi, psi_hat, u, params):
+    """Spectrum of the explicit remainder of the wave equation after
+    removing (lam+i)/2 * lap, dealiased."""
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     u_dot_grad = np.sum(u * grad_psi, axis=0)
     speed2 = np.sum(u * u, axis=0)
     cubic = (psi.real ** 2 + psi.imag ** 2) * psi
-    return plan.dealias(
+    return plan.dealias_hat(plan.fft(
         (-1j * params.lam) * u_dot_grad
         - 0.5 * params.lam * speed2 * psi
         - (params.lam + 1j) * params.mu * cubic
-    )
+    ))
 
 
-def _wave_substep(plan, psi, u, params, tau):
+def _wave_substep(plan, psi, psi_hat, u, params, tau):
     """Advance the wavefunction by tau with u frozen: exact linear flow
-    bracketed around an explicit midpoint stage for the rest."""
-    lin = np.exp(-(params.lam + 1j) * 0.5 * plan.k2 * (0.5 * tau))
-    psi = plan.ifft(lin * plan.fft(psi), psi)
-    k1 = _wave_nonlinear(plan, psi, u, params)
-    mid = psi + 0.5 * tau * k1
-    k2 = _wave_nonlinear(plan, mid, u, params)
-    psi = psi + tau * k2
-    psi = plan.ifft(lin * plan.fft(psi), psi)
-    return psi
+    bracketed around an explicit midpoint stage for the rest.  Takes and
+    returns psi together with its spectrum psi_hat."""
+    lin = np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
+    psi_hat = lin * psi_hat
+    psi = plan.ifft(psi_hat, psi)
+    k1_hat = _wave_nonlinear(plan, psi, psi_hat, u, params)
+    mid_hat = psi_hat + 0.5 * tau * k1_hat
+    k2_hat = _wave_nonlinear(plan, plan.ifft(mid_hat, psi), mid_hat, u, params)
+    psi_hat = lin * (psi_hat + tau * k2_hat)
+    return plan.ifft(psi_hat, psi), psi_hat
 
 
-def _fluid_explicit_accel(plan, psi, u, rho, params, rho_bar):
-    """Acceleration minus the implicit (nu/rho_bar) lap(u) part."""
-    d = plan.grid.d
+def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, rho_bar):
+    """Acceleration minus the implicit (nu/rho_bar) lap(u) part; u_hat is
+    the spectrum of u, psi_hat and grad_psi those of the frozen psi."""
     state = State(0.0, psi, u, rho, plan.grid)
-    coupling = coupling_term(state, params, plan)
-    source = momentum_source(state, params, coupling, plan)
-    u_hat = plan.fft(u)
-    lap_u = plan.ifft(-plan.k2 * u_hat, u)
-    inv_rho = 1.0 / rho
-    combined = np.empty_like(u)
-    for i in range(d):
-        advect = sum(u[j] * plan.ifft(1j * plan.k[j] * u_hat[i], u[i]) for j in range(d))
-        combined[i] = -advect + (params.nu * lap_u[i] + source[i]) * inv_rho
-    accel = plan.dealias(combined) - (params.nu / rho_bar) * lap_u
-    return accel, coupling
+    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
+    source = momentum_source(state, params, coupling, plan, grad_psi=grad_psi)
+    tab = plan.tables(u_hat)
+    lap_u = plan.ifft(-tab.k2 * u_hat, u)
+    grad_u = plan.ifft(tab.ik[:, None] * u_hat, u)      # [j, i] = d_j u_i
+    advect = np.sum(u[:, None] * grad_u, axis=0)
+    combined = -advect + (params.nu * lap_u + source) / rho
+    accel_hat = plan.dealias_hat(plan.fft(combined)) + (params.nu / rho_bar) * tab.k2 * u_hat
+    return plan.ifft(accel_hat, u), coupling
 
 
 def _density_rhs(plan, psi, u, rho, params, coupling):
     # divergence of the dealiased flux, fused in spectral space
     state = State(0.0, psi, u, rho, plan.grid)
-    flux_hat = plan.fft(rho * u)
-    div_hat = sum(1j * plan.k[i] * (plan.dealias_mask * flux_hat[i] if plan.truncate else flux_hat[i])
-                  for i in range(plan.grid.d))
+    div_hat = plan.div_hat(plan.dealias_hat(plan.fft(rho * u)))
     return -plan.ifft(div_hat, rho) + mass_exchange(state, params, coupling)
 
 
@@ -166,28 +165,35 @@ def _floor_check(rho, params, time):
         raise DensityFloorViolation(time, loc, val, params.eps)
 
 
-def _fluid_substep(plan, psi, u, rho, params, dt, t0):
+def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0):
     """Midpoint IMEX step for (u, rho) with psi frozen.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
     the gradient stays energy-orthogonal to the velocity and u remains
     divergence-free.  With uniform density this is the plain Leray
-    projection.
+    projection.  The Helmholtz solves act on spectra: the predictor's u_hat
+    also serves the corrector's lap(u), and the midpoint velocity's spectrum
+    feeds the corrector's acceleration.
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    u_hat = plan.fft(u)
+    alpha_k2 = alpha * plan.tables(u_hat).k2
 
-    accel0, coupling0 = _fluid_explicit_accel(plan, psi, u, rho, params, rho_bar)
+    accel0, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
+                                              params, rho_bar)
     accel0, pressure = plan.weighted_leray_project(accel0, rho)
-    u_half = plan.helmholtz_solve(u + 0.5 * dt * accel0, alpha)
+    u_half_hat = (u_hat + 0.5 * dt * plan.fft(accel0)) / (1.0 + alpha_k2)
+    u_half = plan.ifft(u_half_hat, u)
     rho_half = rho + 0.5 * dt * _density_rhs(plan, psi, u, rho, params, coupling0)
     _floor_check(rho_half, params, t0 + 0.5 * dt)
 
-    accel1, coupling1 = _fluid_explicit_accel(plan, psi, u_half, rho_half, params, rho_bar)
+    accel1, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
+                                              rho_half, params, rho_bar)
     accel1, _ = plan.weighted_leray_project(accel1, rho_half, initial_pressure=pressure)
-    lap_u = plan.laplacian(u)
-    u_new = plan.helmholtz_solve(u + alpha * lap_u + dt * accel1, alpha)
+    u_new = plan.ifft(((1.0 - alpha_k2) * u_hat + dt * plan.fft(accel1)) / (1.0 + alpha_k2), u)
     rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
     _floor_check(rho_new, params, t0 + dt)
     return u_new, rho_new
@@ -201,9 +207,9 @@ def step(state, params, dt, config=None):
     truncate = config.dealias if config is not None else True
     plan = plan_for(state.grid, truncate=truncate)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = _wave_substep(plan, state.psi, state.u, params, 0.5 * dt)
-        u, rho = _fluid_substep(plan, psi, state.u, state.rho, params, dt, state.t)
-        psi = _wave_substep(plan, psi, u, params, 0.5 * dt)
+        psi, psi_hat = _wave_substep(plan, state.psi, plan.fft(state.psi), state.u, params, 0.5 * dt)
+        u, rho = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params, dt, state.t)
+        psi, _ = _wave_substep(plan, psi, psi_hat, u, params, 0.5 * dt)
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
@@ -251,7 +257,8 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
     every that many steps (plus the initial and final states); store_states
     stores every step, which the stability harness uses at desk scales.
 
-    Density-floor violations and blow-ups end the run early with a structured
+    Density-floor violations, blow-ups, CFL failures and a pressure
+    projection that misses its tolerance end the run early with a structured
     event on the trajectory; the records collected so far are kept.
     """
     if horizon < 0:
@@ -278,6 +285,9 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
             break
         except CflViolation as exc:
             event = PhysicsEvent("cfl", exc.time, str(exc))
+            break
+        except ProjectionNotConverged as exc:
+            event = PhysicsEvent("projection", state.t, str(exc))
             break
         rec = measure(new_state, params, prev_state=state)
         records.append(rec)

@@ -129,26 +129,31 @@ class BlowUp(Exception):
         super().__init__(f"non-finite values in {where}; last valid time t={last_valid_time:.6g}")
 
 
-def coupling_term(state, params, plan=None):
+def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
     """Apply the coupling operator to the wavefunction.
 
     Returns -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
     each nonlinear product dealiased.  The associated quadratic form
     Re<psi, C[psi]> equals 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4 and
     is nonnegative.
+
+    psi_hat (the spectrum plan.fft(psi)) and grad_psi (the gradient of psi)
+    may be passed in by a caller that already holds them.
     """
     if plan is None:
         plan = plan_for(state.grid)
     psi, u = state.psi, state.u
-    psi_hat = plan.fft(psi)
-    grad_psi = np.stack([plan.ifft(1j * km * psi_hat, psi) for km in plan.k])
-    lap_psi = plan.ifft(-plan.k2 * psi_hat, psi)
+    if psi_hat is None:
+        psi_hat = plan.fft(psi)
+    if grad_psi is None:
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     nonlinear = (
         1j * np.sum(u * grad_psi, axis=0)
         + 0.5 * np.sum(u * u, axis=0) * psi
         + params.mu * (psi.real ** 2 + psi.imag ** 2) * psi
     )
-    return -0.5 * lap_psi + plan.dealias(nonlinear)
+    lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
+    return plan.ifft(lap_term + plan.dealias_hat(plan.fft(nonlinear)), psi)
 
 
 def coupling_quadratic_form(state, params):
@@ -179,28 +184,26 @@ def mass_exchange(state, params, coupling=None):
     return 2.0 * params.lam * (np.conj(state.psi) * coupling).real
 
 
-def _wave_momentum_flux(state, params, coupling, plan=None):
-    """Shared vector term -2 lam Im(grad(conj(psi)) C[psi]), dealiased."""
-    if plan is None:
-        plan = plan_for(state.grid)
-    grad_psi = plan.gradient(state.psi)
-    comps = [plan.dealias((np.conj(g) * coupling).imag) for g in grad_psi]
-    return -2.0 * params.lam * np.stack(comps)
+def _wave_momentum_flux(state, coupling, plan, grad_psi=None):
+    """Im(grad(conj(psi)) C[psi]) per component, not yet dealiased."""
+    if grad_psi is None:
+        grad_psi = plan.gradient(state.psi)
+    return (np.conj(grad_psi) * coupling).imag
 
 
-def momentum_source(state, params, coupling=None, plan=None):
+def momentum_source(state, params, coupling=None, plan=None, grad_psi=None):
     """Non-conservative momentum source; drives the integrator.
 
-    -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]).
+    -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
+    dealiased.  grad_psi may be passed in by a caller that holds it.
     """
     if plan is None:
         plan = plan_for(state.grid)
     if coupling is None:
-        coupling = coupling_term(state, params, plan)
-    flux = _wave_momentum_flux(state, params, coupling, plan)
-    drag_scalar = (np.conj(state.psi) * coupling).real
-    drag = np.stack([plan.dealias(state.u[i] * drag_scalar) for i in range(state.grid.d)])
-    return flux - 2.0 * params.lam * drag
+        coupling = coupling_term(state, params, plan, grad_psi=grad_psi)
+    flux = _wave_momentum_flux(state, coupling, plan, grad_psi)
+    drag = state.u * (np.conj(state.psi) * coupling).real
+    return -2.0 * params.lam * plan.dealias(flux + drag)
 
 
 def momentum_source_conservative(state, params, coupling=None, plan=None):
@@ -216,7 +219,7 @@ def momentum_source_conservative(state, params, coupling=None, plan=None):
     psi = state.psi
     if coupling is None:
         coupling = coupling_term(state, params, plan)
-    flux = _wave_momentum_flux(state, params, coupling, plan)
+    flux = -2.0 * params.lam * plan.dealias(_wave_momentum_flux(state, coupling, plan))
     imag_pair = plan.dealias((np.conj(psi) * coupling).imag)
     quartic = plan.dealias((psi.real ** 2 + psi.imag ** 2) ** 2)
     return flux + params.lam * plan.gradient(imag_pair) + 0.5 * params.mu * plan.gradient(quartic)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridError
+from .spectral import plan_for
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,20 @@ def _pointwise_magnitude(grid, f):
     raise GridError(f"field with shape {f.shape} does not live on grid {grid.shape}")
 
 
-def _spectral_density(grid, f):
-    """Squared modulus of the Fourier coefficients, summed over components."""
+def spectral_density(grid, f):
+    """Parseval-weighted squared modulus of the Fourier coefficients, summed
+    over components, on the spectrum layout of f (the half spectrum for a
+    real field), with the |k|^2 table of that layout."""
     f = np.asarray(f)
-    axes = tuple(range(-grid.d, 0))
-    fhat = np.fft.fftn(f, axes=axes) / grid.num_points
-    dens = np.abs(fhat) ** 2
+    if not (grid.is_vector(f) or grid.is_scalar(f)):
+        raise GridError(f"field with shape {f.shape} does not live on grid {grid.shape}")
+    plan = plan_for(grid)
+    fhat = plan.fft(f)
+    tab = plan.tables(fhat)
+    dens = tab.weight * np.abs(fhat / grid.num_points) ** 2
     if grid.is_vector(f):
         dens = dens.sum(axis=0)
-    elif not grid.is_scalar(f):
-        raise GridError(f"field with shape {f.shape} does not live on grid {grid.shape}")
-    return dens
+    return dens, tab.k2
 
 
 def lp_norm(grid, f, p):
@@ -73,37 +77,21 @@ def lp_norm(grid, f, p):
 
 
 def sobolev_norm(grid, f, s, homogeneous=False):
-    dens = _spectral_density(grid, f)
+    dens, k2 = spectral_density(grid, f)
     if homogeneous:
-        weight = np.zeros_like(grid.k2_mesh)
-        nz = grid.k2_mesh > 0
-        weight[nz] = grid.k2_mesh[nz] ** s
+        weight = np.zeros_like(k2)
+        nz = k2 > 0
+        weight[nz] = k2[nz] ** s
     else:
-        weight = (1.0 + grid.k2_mesh) ** s
+        weight = (1.0 + k2) ** s
     total = float(np.sum(weight * dens)) * grid.volume
     return float(np.sqrt(max(total, 0.0)))
-
-
-def gradient_raw(grid, f):
-    """Spectral gradient without plan caching; shape (d, ...) per component.
-
-    norms needs derivatives for W^{1,p} but must stay importable below the
-    operator layer, hence this small standalone version.
-    """
-    f = np.asarray(f)
-    axes = tuple(range(-grid.d, 0))
-    fhat = np.fft.fftn(f, axes=axes)
-    comps = [np.fft.ifftn(1j * km * fhat, axes=axes) for km in grid.k_mesh]
-    out = np.stack(comps)
-    if not np.iscomplexobj(f):
-        out = out.real
-    return out
 
 
 def w1p_norm(grid, f, p):
     if not grid.is_scalar(np.asarray(f)):
         raise GridError("W^{1,p} norm implemented for scalar fields")
-    g = gradient_raw(grid, f)
+    g = plan_for(grid).gradient(f)
     if np.isinf(p):
         return max(lp_norm(grid, f, p), lp_norm(grid, g, p))
     return float((lp_norm(grid, f, p) ** p + lp_norm(grid, g, p) ** p) ** (1.0 / p))

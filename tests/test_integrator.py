@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from pitaevskii.cli import main as cli_main
 from pitaevskii.grid import make_grid
 from pitaevskii.integrator import CflViolation, StepConfig, adaptive_dt, ingest, run, step
 from pitaevskii.model import Params, State
 from pitaevskii.snapshot_io import record_row
-from pitaevskii.spectral import plan_for
+from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import plane_wave_state, reduced_ode_oracle
 
 from conftest import random_state_fields
@@ -206,6 +207,37 @@ def test_density_floor_event(grid1d):
     assert 0 < traj.event.time < 0.5
     assert traj.event.value < params.eps
     assert traj.event.location is not None
+
+
+@pytest.fixture
+def one_iteration_projection(monkeypatch):
+    """Cap every density-weighted projection at a single iteration."""
+    solve = SpectralPlan.weighted_leray_project
+
+    def capped(self, v, weight, **kwargs):
+        return solve(self, v, weight, **{**kwargs, "max_iter": 1})
+
+    monkeypatch.setattr(SpectralPlan, "weighted_leray_project", capped)
+
+
+def test_projection_failure_event(grid2d, one_iteration_projection):
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+    st = smooth_2d_state(grid2d, m=params.m, M=params.M)
+    traj = run(st, params, StepConfig(dt_init=1e-3), 0.01)
+    assert traj.event is not None
+    assert traj.event.kind == "projection"
+    assert traj.event.time == 0.0
+    assert "did not converge" in traj.event.message
+    assert len(traj.records) == 1
+
+
+def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection):
+    cfg = tmp_path / "contrast.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nparams.m = 0.1\nparams.M = 10.0\n"
+                   "params.epsilon = 0.05\nintegrator.dt_init = 1e-3\nic.family = smooth\n"
+                   f"experiment.T = 0.002\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == 1
+    assert "physics event [projection]" in capsys.readouterr().out
 
 
 def test_dealias_flag_off_smoke(grid2d):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pitaevskii.norms import inner_product, lp_norm
-from pitaevskii.spectral import plan_for
+from pitaevskii.spectral import ProjectionNotConverged, plan_for
 
 from conftest import gaussian_random_field, random_vector_field
 
@@ -155,3 +155,56 @@ def test_real_fields_stay_real(grid2d, rng):
     v = random_vector_field(grid2d, rng)
     w, pot = plan.leray_project(v)
     assert not np.iscomplexobj(w) and not np.iscomplexobj(pot)
+
+
+def high_contrast_density(grid, rng):
+    """Smooth density spanning [0.1, 10], both ends attained."""
+    g = gaussian_random_field(grid, rng, kc=4.0)
+    g = 2.0 * (g - g.min()) / (g.max() - g.min()) - 1.0
+    return 10.0 ** g
+
+
+def pressure_residual(plan, v, weight, p):
+    """max |div((1/weight) grad p) - div v| / max |div v|."""
+    div_v = plan.divergence(v)
+    lhs = plan.divergence(plan.gradient(p) / weight)
+    return float(np.abs(lhs - div_v).max()) / float(np.abs(div_v).max())
+
+
+def test_weighted_projection_solenoidal_high_contrast(grid2d, rng):
+    plan = plan_for(grid2d)
+    rho = high_contrast_density(grid2d, rng)
+    v = random_vector_field(grid2d, rng, kc=8.0, band_limit=False)
+    w, _ = plan.weighted_leray_project(v, rho)
+    assert np.abs(plan.divergence(w)).max() <= 1e-12 * grid2d.k_max * np.abs(w).max()
+
+
+def test_weighted_projection_converges_high_contrast(grid2d, rng):
+    # a fixed-point iteration stalls here at max_iter with a residual ~1e-2
+    plan = plan_for(grid2d)
+    rho = high_contrast_density(grid2d, rng)
+    v = random_vector_field(grid2d, rng)
+    w, p = plan.weighted_leray_project(v, rho)
+    assert pressure_residual(plan, v, rho, p) <= 1e-8
+    # w = v - (1/rho) grad p up to the exact Leray clean-up of the residual
+    assert np.abs(w - (v - plan.gradient(p) / rho)).max() <= 1e-8 * np.abs(v).max()
+
+
+def test_weighted_projection_warm_start_reaches_the_same_pressure(grid2d, rng):
+    plan = plan_for(grid2d)
+    rho = high_contrast_density(grid2d, rng)
+    v = random_vector_field(grid2d, rng)
+    w, p = plan.weighted_leray_project(v, rho)
+    w2, p2 = plan.weighted_leray_project(v, rho, initial_pressure=p + 0.1 * np.sin(grid2d.meshes()[0]))
+    assert np.abs(p2 - p).max() <= 1e-8 * np.abs(p).max()
+    assert np.abs(w2 - w).max() <= 1e-8 * np.abs(w).max()
+
+
+def test_weighted_projection_not_converged_is_loud(grid2d, rng):
+    plan = plan_for(grid2d)
+    rho = high_contrast_density(grid2d, rng)
+    v = random_vector_field(grid2d, rng)
+    with pytest.raises(ProjectionNotConverged) as err:
+        plan.weighted_leray_project(v, rho, max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.residual > 1e-10
