@@ -10,8 +10,7 @@ Sections:
 
 * ``grid``        -- d, n, len
 * ``params``      -- lambda, mu, nu, m, M, epsilon, delta, gamma
-* ``integrator``  -- dt_init, dt_min, dt_max, cfl, adaptive, scheme_wave,
-                     scheme_fluid, scheme_density, dealias
+* ``integrator``  -- dt_init, dt_min, dt_max, cfl, adaptive, dealias
 * ``ic``          -- family, amplitude, seed, mode, wave_amp, wave_phase,
                      velocity, rho0, path
 * ``output``      -- dir, timeseries, snapshot_every, csv_every
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import make_grid
-from .integrator import DENSITY_SCHEMES, FLUID_SCHEMES, WAVE_SCHEMES, StepConfig
+from .integrator import StepConfig
 from .model import Params
 
 IC_FAMILIES = ("smooth", "plane-wave", "random-smooth", "floor-breach", "snapshot")
@@ -151,9 +150,6 @@ SCHEMA = {
     "integrator.dt_max": ("integrator", "dt_max", _parse_float),
     "integrator.cfl": ("integrator", "cfl", _parse_float),
     "integrator.adaptive": ("integrator", "adaptive", _parse_bool),
-    "integrator.scheme_wave": ("integrator", "scheme_wave", _parse_str),
-    "integrator.scheme_fluid": ("integrator", "scheme_fluid", _parse_str),
-    "integrator.scheme_density": ("integrator", "scheme_density", _parse_str),
     "integrator.dealias": ("integrator", "dealias", _parse_bool),
     "ic.family": ("ic", "family", _parse_str),
     "ic.amplitude": ("ic", "amplitude", _parse_float),
@@ -236,12 +232,6 @@ def _cross_validate(raw, lines):
                        "need 0 < dt_min <= dt_init <= dt_max"))
     if not 0 < it.get("cfl", 0.4) <= 1:
         errors.append((line_of("integrator.cfl"), "cfl must lie in (0, 1]"))
-    for key, known in (("scheme_wave", WAVE_SCHEMES), ("scheme_fluid", FLUID_SCHEMES),
-                       ("scheme_density", DENSITY_SCHEMES)):
-        val = it.get(key)
-        if val is not None and val not in known:
-            errors.append((line_of(f"integrator.{key}"),
-                           f"{key} must be one of {', '.join(known)}"))
 
     ic = raw["ic"]
     fam = ic.get("family", "smooth")

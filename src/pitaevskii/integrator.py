@@ -13,6 +13,16 @@ One step of size dt is the composition
 * The fluid substep is a midpoint predictor-corrector with Crank-Nicolson
   viscosity at a constant reference density rho_bar = (m+M)/2 (the
   variable-density remainder is explicit), followed by Leray projection.
+  Each stage's acceleration stays a spectrum through the density-weighted
+  pressure projection and into its Helmholtz solve, and the pressures are
+  kept as spectra.
+* Pressure warm starts: run() carries a PressureHistory, the pressure
+  spectra of the last two steps.  The predictor's solve starts from their
+  linear extrapolation in time, the corrector's from this step's predictor
+  pressure plus the last step's corrector - predictor offset.  step() on its
+  own starts the predictor cold and the corrector from the predictor.  Both
+  solve to the same tolerance, so the trajectories agree to round-off times
+  that tolerance.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source.
 
@@ -35,15 +45,12 @@ from .model import (
     DensityFloorViolation,
     State,
     coupling_term,
+    density_floor_check,
     mass_exchange,
     momentum_source,
 )
 from .norms import lp_norm
 from .spectral import ProjectionNotConverged, plan_for
-
-WAVE_SCHEMES = ("strang-rk2",)
-FLUID_SCHEMES = ("imex-cn",)
-DENSITY_SCHEMES = ("explicit-rk2",)
 
 
 @dataclass(frozen=True)
@@ -53,9 +60,6 @@ class StepConfig:
     dt_max: float = 1.0
     cfl: float = 0.4
     adaptive: bool = False
-    scheme_wave: str = "strang-rk2"
-    scheme_fluid: str = "imex-cn"
-    scheme_density: str = "explicit-rk2"
     dealias: bool = True
 
     def __post_init__(self):
@@ -66,12 +70,6 @@ class StepConfig:
             )
         if not 0 < self.cfl <= 1:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.scheme_wave not in WAVE_SCHEMES:
-            raise ValueError(f"unknown wave scheme {self.scheme_wave!r}")
-        if self.scheme_fluid not in FLUID_SCHEMES:
-            raise ValueError(f"unknown fluid scheme {self.scheme_fluid!r}")
-        if self.scheme_density not in DENSITY_SCHEMES:
-            raise ValueError(f"unknown density scheme {self.scheme_density!r}")
 
 
 class CflViolation(Exception):
@@ -136,8 +134,9 @@ def _wave_substep(plan, psi, psi_hat, u, params, tau):
 
 
 def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, rho_bar):
-    """Acceleration minus the implicit (nu/rho_bar) lap(u) part; u_hat is
-    the spectrum of u, psi_hat and grad_psi those of the frozen psi."""
+    """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
+    part, and the coupling field; u_hat is the spectrum of u, psi_hat and
+    grad_psi those of the frozen psi."""
     state = State(0.0, psi, u, rho, plan.grid)
     coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
     source = momentum_source(state, params, coupling, plan, grad_psi=grad_psi)
@@ -147,7 +146,7 @@ def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, r
     advect = np.sum(u[:, None] * grad_u, axis=0)
     combined = -advect + (params.nu * lap_u + source) / rho
     accel_hat = plan.dealias_hat(plan.fft(combined)) + (params.nu / rho_bar) * tab.k2 * u_hat
-    return plan.ifft(accel_hat, u), coupling
+    return accel_hat, coupling
 
 
 def _density_rhs(plan, psi, u, rho, params, coupling):
@@ -157,24 +156,53 @@ def _density_rhs(plan, psi, u, rho, params, coupling):
     return -plan.ifft(div_hat, rho) + mass_exchange(state, params, coupling)
 
 
-def _floor_check(rho, params, time):
-    idx = int(np.argmin(rho))
-    val = float(rho.flat[idx])
-    if val < params.eps:
-        loc = np.unravel_index(idx, rho.shape)
-        raise DensityFloorViolation(time, loc, val, params.eps)
+class PressureHistory:
+    """Pressure spectra of the last two accepted steps, which run() carries
+    from step to step to warm-start both projections of the next one.
+
+    The predictor's guess extrapolates the predictor pressures of the last
+    two steps linearly to the start of this step,
+    P_-1 + (dt_-1 / dt_-2) (P_-1 - P_-2), which is 2 P_-1 - P_-2 at fixed dt;
+    the corrector's guess is this step's predictor pressure plus the last
+    step's corrector - predictor offset.  An empty history is a cold start:
+    no guess for the predictor, the predictor's pressure for the corrector.
+    Memory is O(1) in the horizon.
+    """
+
+    def __init__(self):
+        self._steps = []      # (dt, predictor pressure, corrector - predictor), newest last
+
+    def predictor_guess(self):
+        if not self._steps:
+            return None
+        if len(self._steps) == 1:
+            return self._steps[0][1]
+        (dt_2, p_2, _), (dt_1, p_1, _) = self._steps
+        return p_1 + (dt_1 / dt_2) * (p_1 - p_2)
+
+    def corrector_guess(self, predictor):
+        if not self._steps:
+            return predictor
+        return predictor + self._steps[-1][2]
+
+    def push(self, dt, predictor, corrector):
+        self._steps = self._steps[-1:] + [(dt, predictor, corrector - predictor)]
 
 
-def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0):
+def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
     """Midpoint IMEX step for (u, rho) with psi frozen.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
     the gradient stays energy-orthogonal to the velocity and u remains
     divergence-free.  With uniform density this is the plain Leray
-    projection.  The Helmholtz solves act on spectra: the predictor's u_hat
-    also serves the corrector's lap(u), and the midpoint velocity's spectrum
-    feeds the corrector's acceleration.
+    projection.  The projections and the Helmholtz solves act on spectra:
+    each projected acceleration spectrum feeds its Helmholtz solve directly,
+    the predictor's u_hat also serves the corrector's lap(u), and the
+    midpoint velocity's spectrum feeds the corrector's acceleration.
+    Both projections start from the guesses of the PressureHistory.
+    Returns (u, rho, predictor pressure spectrum, corrector pressure
+    spectrum).
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)
@@ -182,37 +210,47 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0):
     u_hat = plan.fft(u)
     alpha_k2 = alpha * plan.tables(u_hat).k2
 
-    accel0, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
-                                              params, rho_bar)
-    accel0, pressure = plan.weighted_leray_project(accel0, rho)
-    u_half_hat = (u_hat + 0.5 * dt * plan.fft(accel0)) / (1.0 + alpha_k2)
+    accel0_hat, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
+                                                  params, rho_bar)
+    accel0_hat, p_pred = plan.weighted_leray_hat(accel0_hat, rho,
+                                                 initial_pressure_hat=history.predictor_guess())
+    u_half_hat = (u_hat + 0.5 * dt * accel0_hat) / (1.0 + alpha_k2)
     u_half = plan.ifft(u_half_hat, u)
     rho_half = rho + 0.5 * dt * _density_rhs(plan, psi, u, rho, params, coupling0)
-    _floor_check(rho_half, params, t0 + 0.5 * dt)
+    density_floor_check(rho_half, params, t0 + 0.5 * dt)
 
-    accel1, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
-                                              rho_half, params, rho_bar)
-    accel1, _ = plan.weighted_leray_project(accel1, rho_half, initial_pressure=pressure)
-    u_new = plan.ifft(((1.0 - alpha_k2) * u_hat + dt * plan.fft(accel1)) / (1.0 + alpha_k2), u)
+    accel1_hat, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
+                                                  rho_half, params, rho_bar)
+    accel1_hat, p_corr = plan.weighted_leray_hat(accel1_hat, rho_half,
+                                                 initial_pressure_hat=history.corrector_guess(p_pred))
+    u_new = plan.ifft(((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2), u)
     rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
-    _floor_check(rho_new, params, t0 + dt)
-    return u_new, rho_new
+    density_floor_check(rho_new, params, t0 + dt)
+    return u_new, rho_new, p_pred, p_corr
 
 
-def step(state, params, dt, config=None):
+def step(state, params, dt, config=None, *, history=None):
     """Advance one Strang step of size dt (dt < 0 is allowed for reversal
-    experiments with the dissipative constants set to zero)."""
+    experiments with the dissipative constants set to zero).
+
+    The pressure projections start cold unless a PressureHistory is passed;
+    run() passes its own, and an accepted step is pushed onto it.
+    """
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if history is None:
+        history = PressureHistory()
     truncate = config.dealias if config is not None else True
     plan = plan_for(state.grid, truncate=truncate)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi, psi_hat = _wave_substep(plan, state.psi, plan.fft(state.psi), state.u, params, 0.5 * dt)
-        u, rho = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params, dt, state.t)
+        u, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params,
+                                                dt, state.t, history)
         psi, _ = _wave_substep(plan, psi, psi_hat, u, params, 0.5 * dt)
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
+    history.push(dt, p_pred, p_corr)
     return new
 
 
@@ -271,12 +309,13 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         snapshots.append((state.t, state.copy()))
     event = None
     n_steps = 0
+    history = PressureHistory()
     tiny = 1e-12 * max(1.0, horizon)
     while state.t < horizon - tiny:
         try:
             dt = adaptive_dt(state, config) if config.adaptive else config.dt_init
             dt = min(dt, horizon - state.t)
-            new_state = step(state, params, dt, config)
+            new_state = step(state, params, dt, config, history=history)
         except DensityFloorViolation as exc:
             event = PhysicsEvent("density-floor", exc.time, str(exc), exc.location, exc.value)
             break

@@ -225,14 +225,14 @@ def momentum_source_conservative(state, params, coupling=None, plan=None):
     return flux + params.lam * plan.gradient(imag_pair) + 0.5 * params.mu * plan.gradient(quartic)
 
 
-def density_floor_check(state, params, time=None):
-    """Raise DensityFloorViolation if rho dips to the floor anywhere."""
-    rho = state.rho
+def density_floor_check(rho, params, time):
+    """Raise DensityFloorViolation, stamped with time, if the density rho
+    dips below the floor anywhere."""
     idx_flat = int(np.argmin(rho))
     value = float(rho.flat[idx_flat])
     if value < params.eps:
         loc = np.unravel_index(idx_flat, rho.shape)
-        raise DensityFloorViolation(state.t if time is None else time, loc, value, params.eps)
+        raise DensityFloorViolation(time, loc, value, params.eps)
 
 
 def velocity_rhs(state, params, coupling=None, plan=None):
@@ -244,7 +244,7 @@ def velocity_rhs(state, params, coupling=None, plan=None):
     """
     if plan is None:
         plan = plan_for(state.grid)
-    density_floor_check(state, params)
+    density_floor_check(state.rho, params, state.t)
     if coupling is None:
         coupling = coupling_term(state, params, plan)
     u, rho = state.u, state.rho

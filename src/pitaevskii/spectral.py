@@ -28,11 +28,16 @@ Conventions:
   weight * Re(conj(fhat) ghat), with weight 1 on the planes m_last = 0 and
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,
   and 2 elsewhere.  The full layout has weight 1 everywhere.
-* Pressure: weighted_leray_project solves -div((1/rho) grad p) = -div v by
-  preconditioned conjugate gradients in spectral space, preconditioned by the
-  constant-coefficient inverse 1/(r_bar |k'|^2).  It either meets its
-  tolerance or raises ProjectionNotConverged; it never returns a pressure
-  that missed it.
+* Pressure: weighted_leray_hat solves -div((1/rho) grad p) = -div v by
+  preconditioned conjugate gradients, preconditioned by the
+  constant-coefficient inverse 1/(r_bar |k'|^2).  It takes the velocity's
+  half spectrum and an optional pressure spectrum as initial guess, and
+  returns the spectra of the projected velocity and of the pressure, so a
+  caller that holds spectra pays only the d inverse and d forward
+  transforms of each iteration.  weighted_leray_project is its physical
+  wrapper: it transforms v in and (w, p) back out.  The solve either
+  meets its tolerance or raises ProjectionNotConverged; it never returns a
+  pressure that missed it.
 """
 
 import numpy as np
@@ -198,8 +203,24 @@ class SpectralPlan:
 
     def weighted_leray_project(self, v, weight, tol=1e-10, max_iter=200,
                                initial_pressure=None):
-        """Project v onto divergence-free fields, orthogonally in the
-        weight-ed L^2 metric: returns (w, p) with
+        """Physical-space form of weighted_leray_hat: returns (w, p) with
+
+            w = v - (1/weight) grad(p),   div(w) = 0 (to round-off),
+
+        for a real vector field v; initial_pressure (a physical field)
+        warm-starts the solve.  Transforms v in and (w, p) back out around
+        the one spectral solver.
+        """
+        v = self._check(v, vector=True)
+        guess = None if initial_pressure is None else self.fft(np.asarray(initial_pressure, dtype=float))
+        what, phat = self.weighted_leray_hat(self.fft(v), weight, tol, max_iter, guess)
+        return self.ifft(what, v), self.ifft(phat, v[0])
+
+    def weighted_leray_hat(self, vhat, weight, tol=1e-10, max_iter=200,
+                           initial_pressure_hat=None):
+        """Project the spectrum vhat = fft(v) of a real vector field onto
+        divergence-free fields, orthogonally in the weight-ed L^2 metric:
+        returns the spectra (what, phat) of (w, p) with
 
             w = v - (1/weight) grad(p),   div(w) = 0 (to round-off).
 
@@ -212,15 +233,20 @@ class SpectralPlan:
         positive system -div(r grad p) = -div(v), r = 1/weight, with the
         constant-coefficient inverse 1/(r_bar |k'|^2), r_bar the midrange of
         r, as preconditioner; iterations grow with the square root of the
-        condition number max r / min r.  initial_pressure warm-starts the
-        iteration (the integrator reuses the previous stage's pressure).
-        The solve stops once the L^2 norm of the pressure-equation residual
-        is at most tol times that of div(v); after max_iter iterations above
-        it, ProjectionNotConverged is raised.  The divergence of w is exact
-        to round-off regardless of tol: the final correction passes through
-        the exact Leray projection.
+        condition number max r / min r.  Each iteration applies r in
+        physical space: d inverse and d forward transforms.
+        initial_pressure_hat, a pressure spectrum, warm-starts the
+        iteration.  The solve stops once the L^2 norm of the
+        pressure-equation residual is at most tol times that of div(v);
+        after max_iter iterations above it, ProjectionNotConverged is
+        raised.  The divergence of w is exact to round-off regardless of
+        tol: the final correction passes through the exact Leray projection.
         """
-        v = self._check(v, vector=True)
+        tab = self._half
+        vhat = np.asarray(vhat)
+        if vhat.shape != (self.grid.d,) + tab.k2.shape:
+            raise GridError(f"expected the half spectrum of a vector field on grid "
+                            f"{self.grid.shape}, got shape {vhat.shape}")
         weight = np.asarray(weight)
         if not self.grid.is_scalar(weight):
             raise GridError("projection weight must be a scalar field")
@@ -231,28 +257,26 @@ class SpectralPlan:
         r_lo, r_hi = float(r.min()), float(r.max())
         r_bar = 0.5 * (r_lo + r_hi)
 
-        vhat = self.fft(v)
-        tab = self.tables(vhat)
         rhs = -self.div_hat(vhat)
         rhs_norm = np.sqrt(tab.dot(rhs, rhs))
         if rhs_norm == 0.0:
-            return v.copy(), np.zeros(self.grid.shape)
+            return vhat.copy(), np.zeros_like(rhs)
 
         def flux(phat):
             # spectrum of r grad(p): d inverse and d forward transforms
-            return self.fft(r * self.ifft(tab.ik * phat, v))
+            return self.fft(r * self.ifft(tab.ik * phat, weight))
 
         precondition = tab.inv_kk / r_bar
         if r_hi - r_lo <= 1e-14 * r_bar:
             # uniform weight: the preconditioner is the exact inverse, and
             # r grad(p) is a pure gradient, which the Leray projection removes
-            return self._project_result(v, vhat, rhs * precondition, 0.0)
-        if initial_pressure is None:
+            return self._leray_hat(vhat)[0], rhs * precondition
+        if initial_pressure_hat is None:
             phat = np.zeros_like(rhs)
             flux_p = np.zeros_like(vhat)
             res = rhs
         else:
-            phat = np.where(tab.inv_kk > 0, self.fft(np.asarray(initial_pressure, dtype=float)), 0.0)
+            phat = np.where(tab.inv_kk > 0, initial_pressure_hat, 0.0)
             flux_p = flux(phat)
             res = rhs + self.div_hat(flux_p)
         z = res * precondition
@@ -274,12 +298,7 @@ class SpectralPlan:
             direction = z + (rz / rz_old) * direction
             iterations += 1
             res_norm = np.sqrt(tab.dot(res, res))
-        return self._project_result(v, vhat, phat, flux_p)
-
-    def _project_result(self, v, vhat, phat, flux_p):
-        """(w, p) from the pressure spectrum and that of r grad(p)."""
-        what, _ = self._leray_hat(vhat - flux_p)
-        return self.ifft(what, v), self.ifft(phat, v[0])
+        return self._leray_hat(vhat - flux_p)[0], phat
 
     def dealias(self, f):
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""

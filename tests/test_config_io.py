@@ -87,9 +87,12 @@ experiment.bundle = core
 
 
 def test_config_scheme_validation():
+    # the single-valued scheme keys are gone: each is an unknown key
+    names = ("scheme_wave", "scheme_fluid", "scheme_density")
     with pytest.raises(ConfigError) as err:
-        parse_config("integrator.scheme_fluid = leapfrog\n")
-    assert any("scheme_fluid" in msg for _, msg in err.value.errors)
+        parse_config("".join(f"integrator.{name} = x\n" for name in names))
+    assert err.value.errors == [(i + 1, f"unknown key 'integrator.{name}'")
+                                for i, name in enumerate(names)]
 
 
 # -- snapshots ---------------------------------------------------------------

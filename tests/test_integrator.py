@@ -3,7 +3,15 @@ import pytest
 
 from pitaevskii.cli import main as cli_main
 from pitaevskii.grid import make_grid
-from pitaevskii.integrator import CflViolation, StepConfig, adaptive_dt, ingest, run, step
+from pitaevskii.integrator import (
+    CflViolation,
+    PressureHistory,
+    StepConfig,
+    adaptive_dt,
+    ingest,
+    run,
+    step,
+)
 from pitaevskii.model import Params, State
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
@@ -27,8 +35,6 @@ def test_step_config_invariants():
         StepConfig(dt_init=1e-3, dt_min=1e-2)
     with pytest.raises(ValueError):
         StepConfig(dt_init=1e-3, cfl=1.5)
-    with pytest.raises(ValueError):
-        StepConfig(dt_init=1e-3, scheme_wave="leapfrog")
 
 
 def test_constant_field_one_step_closed_form():
@@ -212,12 +218,12 @@ def test_density_floor_event(grid1d):
 @pytest.fixture
 def one_iteration_projection(monkeypatch):
     """Cap every density-weighted projection at a single iteration."""
-    solve = SpectralPlan.weighted_leray_project
+    solve = SpectralPlan.weighted_leray_hat
 
-    def capped(self, v, weight, **kwargs):
-        return solve(self, v, weight, **{**kwargs, "max_iter": 1})
+    def capped(self, vhat, weight, **kwargs):
+        return solve(self, vhat, weight, **{**kwargs, "max_iter": 1})
 
-    monkeypatch.setattr(SpectralPlan, "weighted_leray_project", capped)
+    monkeypatch.setattr(SpectralPlan, "weighted_leray_hat", capped)
 
 
 def test_projection_failure_event(grid2d, one_iteration_projection):
@@ -238,6 +244,37 @@ def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection
                    f"experiment.T = 0.002\noutput.dir = {tmp_path / 'out'}\n")
     assert cli_main(["simulate", str(cfg)]) == 1
     assert "physics event [projection]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m, M, eps", [(0.8, 1.2, 0.4), (0.1, 10.0, 0.05)])
+def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps):
+    # run() warm-starts every projection from its pressure history; a loop of
+    # step() calls starts each step cold.  Both solve to the same tolerance.
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
+    cfg = StepConfig(dt_init=2.0 ** -10)
+    initial = smooth_2d_state(grid2d, m=m, M=M)
+    warm = run(initial, params, cfg, 10 * cfg.dt_init).final_state
+    cold = ingest(initial, params)
+    for _ in range(10):
+        cold = step(cold, params, cfg.dt_init, cfg)
+    assert warm.t == cold.t
+    for a, b in ((warm.psi, cold.psi), (warm.u, cold.u), (warm.rho, cold.rho)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_pressure_history_extrapolates_in_time():
+    history = PressureHistory()
+    assert history.predictor_guess() is None            # cold start
+    assert history.corrector_guess(3.0) == 3.0
+    history.push(0.1, 1.0, 1.5)                          # step at t = 0
+    assert history.predictor_guess() == 1.0
+    assert history.corrector_guess(2.0) == 2.5
+    history.push(0.2, 2.0, 2.25)                         # step at t = 0.1
+    # the line through (0, 1) and (0.1, 2) at the next step's start, t = 0.3
+    assert history.predictor_guess() == pytest.approx(4.0, rel=1e-15)
+    assert history.corrector_guess(4.0) == 4.25
+    history.push(0.2, 4.0, 4.0)                          # only two steps kept
+    assert history.predictor_guess() == pytest.approx(6.0, rel=1e-15)
 
 
 def test_dealias_flag_off_smoke(grid2d):

@@ -200,6 +200,19 @@ def test_weighted_projection_warm_start_reaches_the_same_pressure(grid2d, rng):
     assert np.abs(w2 - w).max() <= 1e-8 * np.abs(w).max()
 
 
+def test_weighted_projection_warm_start_at_the_solution_takes_no_iteration(grid2d, rng):
+    plan = plan_for(grid2d)
+    rho = high_contrast_density(grid2d, rng)
+    vhat = plan.fft(random_vector_field(grid2d, rng))
+    what, phat = plan.weighted_leray_hat(vhat, rho, tol=1e-12)
+    # max_iter=0 raises unless the initial guess already meets the tolerance
+    what2, phat2 = plan.weighted_leray_hat(vhat, rho, max_iter=0, initial_pressure_hat=phat)
+    assert np.array_equal(phat2, phat)
+    assert np.abs(what2 - what).max() <= 1e-12 * np.abs(what).max()
+    with pytest.raises(ProjectionNotConverged):
+        plan.weighted_leray_hat(vhat, rho, max_iter=0)
+
+
 def test_weighted_projection_not_converged_is_loud(grid2d, rng):
     plan = plan_for(grid2d)
     rho = high_contrast_density(grid2d, rng)

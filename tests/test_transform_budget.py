@@ -1,7 +1,8 @@
-"""Transform budget of one integrator step.
+"""Transform budget of the integrator's steps.
 
 Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
-counting wrapper around one fixed-dt step of a seeded 2D 32^2 state.  A
+counting wrapper around fixed-dt steps of a seeded 2D 32^2 state: one cold
+step(), and the steps of a run(), which warm-start their pressure solves.  A
 stacked vector field counts as its components, so the totals are field
 transforms whatever the batching.
 """
@@ -12,18 +13,24 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from pitaevskii import integrator
 from pitaevskii.grid import make_grid
-from pitaevskii.integrator import StepConfig, ingest, step
+from pitaevskii.integrator import StepConfig, ingest, run, step
 from pitaevskii.model import Params, State
 
 from conftest import random_state_fields
 
 ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 
-# Field transforms (forward and inverse, real and complex) in the step below:
-# 7 + 18 complex and 53 + 62 real.  The complex numpy.fft implementation
-# this replaced issued 181 complex ones (81 forward, 100 inverse).
-MAX_FIELD_TRANSFORMS = 140
+# Field transforms (forward and inverse, real and complex) in one cold step
+# of the state below: 7 + 18 complex and 44 + 52 real, 60 of them in the
+# pressure solves (9 + 5 iterations of 2 inverse and 2 forward each, and the
+# corrector's warm start).  Handing the projections physical fields cost 19
+# more (140); the complex numpy.fft implementation before that issued 181.
+MAX_FIELD_TRANSFORMS = 121
+# The same per step of a run() from its third step on, measure() excluded:
+# warm-started from the pressure history, the solves take 5 + 3 iterations.
+MAX_RUN_STEP_TRANSFORMS = 101
 
 
 @pytest.fixture
@@ -58,3 +65,24 @@ def test_step_transform_budget(counted):
     print(f"field transforms in one step: {counted}")
     assert counted["numpy.fft"] == 0
     assert 0 < counted["scipy.fft"] <= MAX_FIELD_TRANSFORMS
+
+
+def test_run_steady_state_transform_budget(counted, monkeypatch):
+    state, params = seeded_state()
+    per_step = []
+    inner = integrator.step
+
+    def counting_step(*args, **kwargs):
+        before = counted["scipy.fft"]
+        out = inner(*args, **kwargs)
+        per_step.append(counted["scipy.fft"] - before)
+        return out
+
+    monkeypatch.setattr(integrator, "step", counting_step)
+    counted.update({"numpy.fft": 0, "scipy.fft": 0})
+    dt = 2.0 ** -11
+    traj = run(state, params, StepConfig(dt_init=dt), 8 * dt)
+    print(f"field transforms per step of a run: {per_step}")
+    assert traj.event is None and len(per_step) == 8
+    assert counted["numpy.fft"] == 0
+    assert 0 < max(per_step[2:]) <= MAX_RUN_STEP_TRANSFORMS
