@@ -30,9 +30,14 @@ from .diagnostics import (
     inequality_validator,
     time_derivative_report,
 )
-from .initial_conditions import build_initial_state
+from .initial_conditions import (
+    build_initial_state,
+    gaussian_random_field,
+    plane_wave_parameters,
+    random_smooth_state,
+)
 from .integrator import run
-from .model import State, coupling_term, momentum_source, momentum_source_conservative, schrodinger_rhs, mass_exchange
+from .model import coupling_term, mass_exchange, momentum_source, momentum_source_conservative, schrodinger_rhs
 from .norms import inner_product, integral, lp_norm
 from .snapshot_io import write_difference_series, write_snapshot, write_timeseries
 from .spectral import plan_for
@@ -182,35 +187,17 @@ def cmd_convergence(cfg):
     return 0 if ok else 1
 
 
-def _random_states(grid, params, seed, count, amp=0.5):
-    rng = np.random.default_rng(seed)
-    plan = plan_for(grid)
-    mask = plan.dealias_mask
-    out = []
-    for _ in range(count):
-        def draw(complex_out=False):
-            coeff = (rng.standard_normal(grid.shape)
-                     + 1j * rng.standard_normal(grid.shape)) * np.exp(-grid.k2_mesh / 9.0) * mask
-            f = np.fft.ifftn(coeff) * grid.num_points ** 0.5
-            return f if complex_out else f.real
-        psi = amp * draw(complex_out=True)
-        u, _ = plan.leray_project(amp * np.stack([draw() for _ in range(grid.d)]))
-        raw = draw()
-        scale = float(np.abs(raw).max()) or 1.0
-        rho = 0.5 * (params.m + params.M) + 0.4 * (params.M - params.m) * raw / scale
-        out.append(State(0.0, psi, u, rho, grid))
-    return out
-
-
 def cmd_validate(cfg):
     grid = cfg.grid.build()
     params = cfg.params
     plan = plan_for(grid)
-    states = _random_states(grid, params, cfg.ic.seed, 100)
+    rng = np.random.default_rng(cfg.ic.seed)
     checks = []
 
     worst_quad = worst_form = worst_exchange = worst_div = 0.0
-    for st in states:
+    for _ in range(100):
+        st = random_smooth_state(grid, params, 0.5, rng)
+        st.u, _ = plan.leray_project(st.u)
         coupling = coupling_term(st, params)
         lhs = inner_product(grid, st.psi, coupling).real
         psi_hat = np.fft.fftn(st.psi)
@@ -229,7 +216,7 @@ def cmd_validate(cfg):
         worst_form = max(worst_form, float(np.abs(projected).max() / scale))
 
         src = integral(grid, mass_exchange(st, params, coupling))
-        dmass = 2.0 * inner_product(grid, st.psi, schrodinger_rhs(st, params, coupling)).real
+        dmass = 2.0 * inner_product(grid, st.psi, schrodinger_rhs(st, params)).real
         worst_exchange = max(worst_exchange, abs(src + dmass) / max(abs(src), 1e-300))
 
         w, _ = plan.leray_project(st.u)
@@ -241,10 +228,7 @@ def cmd_validate(cfg):
     checks.append(("mass-exchange antisymmetry", worst_exchange, 1e-10))
     checks.append(("projector divergence", worst_div, 1e-12))
 
-    rng = np.random.default_rng(cfg.ic.seed + 1)
-    f = np.fft.ifftn((rng.standard_normal(grid.shape)
-                      + 1j * rng.standard_normal(grid.shape))
-                     * np.exp(-grid.k2_mesh / 9.0)).real * grid.num_points ** 0.5
+    f = gaussian_random_field(grid, np.random.default_rng(cfg.ic.seed + 1), band_limit=False)
     hs = plan.helmholtz_solve(f, 0.7)
     checks.append(("helmholtz residual",
                    float(np.abs(hs - 0.7 * plan.laplacian(hs) - f).max()
@@ -261,12 +245,7 @@ def cmd_validate(cfg):
 
     def sample_fields(seed, count):
         r = np.random.default_rng(seed)
-        fields = []
-        for _ in range(count):
-            coeff = (r.standard_normal(grid.shape)
-                     + 1j * r.standard_normal(grid.shape)) * np.exp(-grid.k2_mesh / 9.0)
-            fields.append(np.fft.ifftn(coeff).real * grid.num_points ** 0.5)
-        return fields
+        return [gaussian_random_field(grid, r, band_limit=False) for _ in range(count)]
 
     rep_a = inequality_validator(grid, sample_fields(cfg.ic.seed + 10, 100))
     rep_b = inequality_validator(grid, sample_fields(cfg.ic.seed + 11, 100))
@@ -287,13 +266,9 @@ def cmd_validate(cfg):
 
 def cmd_oracle(cfg):
     os.makedirs(cfg.output.dir, exist_ok=True)
-    ic = cfg.ic
     grid_d = cfg.grid.d
-    mode = tuple(ic.mode) + (0,) * (grid_d - len(ic.mode))
-    k = [2 * np.pi / L * m for m, L in zip(mode, cfg.grid.lengths)]
-    vel = tuple(ic.velocity) + (0.0,) * (grid_d - len(ic.velocity))
-    a0 = ic.wave_amp * np.exp(1j * ic.wave_phase)
-    traj = reduced_ode_oracle(cfg.params, k, a0, vel, ic.rho0,
+    k, a0, vel = plane_wave_parameters(cfg.ic, cfg.grid.lengths)
+    traj = reduced_ode_oracle(cfg.params, k, a0, vel, cfg.ic.rho0,
                               cfg.experiment.horizon, tol=1e-12)
     path = os.path.join(cfg.output.dir, "oracle.csv")
     header = ["t", "re_a", "im_a", "abs_a", *(f"u_{i}" for i in range(grid_d)), "rho",

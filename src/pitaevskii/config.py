@@ -14,7 +14,7 @@ Sections:
 * ``ic``          -- family, amplitude, seed, mode, wave_amp, wave_phase,
                      velocity, rho0, path
 * ``output``      -- dir, timeseries, snapshot_every, csv_every
-* ``experiment``  -- T, target, mode, delta_p, bundle, sync_every
+* ``experiment``  -- T, target, mode, delta_p, bundle
 """
 
 from dataclasses import dataclass, field, replace
@@ -77,7 +77,6 @@ class ExperimentConfig:
     mode: tuple = (1,)
     delta_p: float = 1e-6
     bundle: str = "full"
-    sync_every: int = 1
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,6 @@ SCHEMA = {
     "experiment.mode": ("experiment", "mode", _parse_int_list),
     "experiment.delta_p": ("experiment", "delta_p", _parse_float),
     "experiment.bundle": ("experiment", "bundle", _parse_str),
-    "experiment.sync_every": ("experiment", "sync_every", _parse_int),
 }
 
 _SECTION_TYPES = {
@@ -263,8 +261,6 @@ def _cross_validate(raw, lines):
     if ex.get("bundle", "full") not in BUNDLE_NAMES:
         errors.append((line_of("experiment.bundle"),
                        f"bundle must be one of {', '.join(BUNDLE_NAMES)}"))
-    if ex.get("sync_every", 1) < 1:
-        errors.append((line_of("experiment.sync_every"), "sync_every must be >= 1"))
     return errors
 
 

@@ -53,15 +53,6 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in RECORD_SCALARS]
 
 
-def energy(state, params):
-    """Total energy 0.5 ||sqrt(rho) u||^2 + 0.5 ||grad psi||^2 + (mu/2) ||psi||_L4^4."""
-    g = state.grid
-    kinetic = 0.5 * float(np.sum(state.rho * np.sum(state.u ** 2, axis=0))) * g.cell_volume
-    grad_sq = norms.sobolev_norm(g, state.psi, 1.0, homogeneous=True) ** 2
-    quartic = 0.5 * params.mu * norms.lp_norm(g, state.psi, 4) ** 4
-    return kinetic + 0.5 * grad_sq + quartic
-
-
 def measure(state, params, prev_state=None):
     """Build the diagnostics record for one accepted step.
 

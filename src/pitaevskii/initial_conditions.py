@@ -45,33 +45,58 @@ def smooth_state(grid, params, amplitude):
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
-def plane_wave_state_from_ic(grid, ic):
-    """Single-mode wavefunction with uniform velocity and density."""
+def plane_wave_state(grid, k, a0, u0, rho0):
+    """psi = a0 exp(i k.x) with uniform velocity u0 and density rho0: the
+    PDE-side state of the reduced plane-wave oracle.  k is a wavevector, so
+    the state is periodic only for k in the lattice 2 pi m / L."""
     mesh = grid.meshes()
-    mode = tuple(ic.mode) + (0,) * (grid.d - len(ic.mode))
-    phase = sum(mi * xi for mi, xi in zip(mode, mesh))
-    a0 = ic.wave_amp * np.exp(1j * ic.wave_phase)
+    k = tuple(k)
+    phase = sum(ki * xi for ki, xi in zip(k, mesh))
     psi = a0 * np.exp(1j * phase)
-    vel = tuple(ic.velocity) + (0.0,) * (grid.d - len(ic.velocity))
-    u = np.stack([np.full(grid.shape, v) for v in vel])
-    rho = np.full(grid.shape, ic.rho0)
+    u = np.stack([np.full(grid.shape, float(v)) for v in np.atleast_1d(u0)])
+    rho = np.full(grid.shape, float(rho0))
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
+def plane_wave_parameters(ic, lengths):
+    """(k, a0, u0) of the plane-wave family on a box with these axis
+    lengths: the lattice mode m becomes the wavevector k = 2 pi m / L, and
+    mode and velocity are padded with zeros to the dimension."""
+    d = len(lengths)
+    mode = tuple(ic.mode) + (0,) * (d - len(ic.mode))
+    k = [2 * np.pi / L * m for m, L in zip(mode, lengths)]
+    vel = tuple(ic.velocity) + (0.0,) * (d - len(ic.velocity))
+    return k, ic.wave_amp * np.exp(1j * ic.wave_phase), vel
+
+
+def plane_wave_state_from_ic(grid, ic):
+    """Single-mode wavefunction with uniform velocity and density."""
+    k, a0, vel = plane_wave_parameters(ic, grid.lengths)
+    return plane_wave_state(grid, k, a0, vel, ic.rho0)
+
+
+def gaussian_random_field(grid, rng, kc=3.0, complex_field=False, band_limit=True):
+    """Smooth random field: Gaussian spectrum exp(-|k|^2/kc^2), random phases.
+
+    band_limit keeps the spectrum inside the 2/3 dealias ball so truncation
+    inside the model is invisible (the identity tests rely on that).
+    """
+    shape = grid.shape
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeff *= np.exp(-grid.k2_mesh / kc ** 2)
+    if band_limit:
+        coeff *= plan_for(grid).dealias_mask
+    f = np.fft.ifftn(coeff) * grid.num_points ** 0.5
+    return f if complex_field else f.real
+
+
 def random_smooth_state(grid, params, amplitude, seed, kc=3.0):
-    """Seeded Gaussian-spectrum draw, band-limited by construction."""
+    """Seeded Gaussian-spectrum draw, band-limited by construction; seed may
+    also be a numpy Generator, which is drawn from in place."""
     rng = np.random.default_rng(seed)
-    mask = plan_for(grid).dealias_mask
-    decay = np.exp(-grid.k2_mesh / kc ** 2) * mask
-
-    def draw(complex_out=False):
-        coeff = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * decay
-        f = np.fft.ifftn(coeff) * grid.num_points ** 0.5
-        return f if complex_out else f.real
-
-    psi = amplitude * draw(complex_out=True)
-    u = amplitude * np.stack([draw() for _ in range(grid.d)])
-    raw = draw()
+    psi = amplitude * gaussian_random_field(grid, rng, kc, complex_field=True)
+    u = amplitude * np.stack([gaussian_random_field(grid, rng, kc) for _ in range(grid.d)])
+    raw = gaussian_random_field(grid, rng, kc)
     scale = float(np.abs(raw).max()) or 1.0
     rho = 0.5 * (params.m + params.M) + 0.4 * (params.M - params.m) * raw / scale
     return State(0.0, psi, u, rho, grid)

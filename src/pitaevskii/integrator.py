@@ -44,10 +44,10 @@ from .model import (
     BlowUp,
     DensityFloorViolation,
     State,
-    coupling_term,
     density_floor_check,
     mass_exchange,
-    momentum_source,
+    velocity_rhs_hat,
+    wave_nonlinear_hat,
 )
 from .norms import lp_norm
 from .spectral import ProjectionNotConverged, plan_for
@@ -105,20 +105,6 @@ class Trajectory:
         return np.array([r.t for r in self.records])
 
 
-def _wave_nonlinear(plan, psi, psi_hat, u, params):
-    """Spectrum of the explicit remainder of the wave equation after
-    removing (lam+i)/2 * lap, dealiased."""
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    u_dot_grad = np.sum(u * grad_psi, axis=0)
-    speed2 = np.sum(u * u, axis=0)
-    cubic = (psi.real ** 2 + psi.imag ** 2) * psi
-    return plan.dealias_hat(plan.fft(
-        (-1j * params.lam) * u_dot_grad
-        - 0.5 * params.lam * speed2 * psi
-        - (params.lam + 1j) * params.mu * cubic
-    ))
-
-
 def _wave_substep(plan, psi, psi_hat, u, params, tau):
     """Advance the wavefunction by tau with u frozen: exact linear flow
     bracketed around an explicit midpoint stage for the rest.  Takes and
@@ -126,9 +112,9 @@ def _wave_substep(plan, psi, psi_hat, u, params, tau):
     lin = np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
     psi_hat = lin * psi_hat
     psi = plan.ifft(psi_hat, psi)
-    k1_hat = _wave_nonlinear(plan, psi, psi_hat, u, params)
+    k1_hat = wave_nonlinear_hat(plan, psi, psi_hat, u, params)
     mid_hat = psi_hat + 0.5 * tau * k1_hat
-    k2_hat = _wave_nonlinear(plan, plan.ifft(mid_hat, psi), mid_hat, u, params)
+    k2_hat = wave_nonlinear_hat(plan, plan.ifft(mid_hat, psi), mid_hat, u, params)
     psi_hat = lin * (psi_hat + tau * k2_hat)
     return plan.ifft(psi_hat, psi), psi_hat
 
@@ -137,16 +123,8 @@ def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, r
     """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
     part, and the coupling field; u_hat is the spectrum of u, psi_hat and
     grad_psi those of the frozen psi."""
-    state = State(0.0, psi, u, rho, plan.grid)
-    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
-    source = momentum_source(state, params, coupling, plan, grad_psi=grad_psi)
-    tab = plan.tables(u_hat)
-    lap_u = plan.ifft(-tab.k2 * u_hat, u)
-    grad_u = plan.ifft(tab.ik[:, None] * u_hat, u)      # [j, i] = d_j u_i
-    advect = np.sum(u[:, None] * grad_u, axis=0)
-    combined = -advect + (params.nu * lap_u + source) / rho
-    accel_hat = plan.dealias_hat(plan.fft(combined)) + (params.nu / rho_bar) * tab.k2 * u_hat
-    return accel_hat, coupling
+    accel_hat, coupling = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params)
+    return accel_hat + (params.nu / rho_bar) * plan.tables(u_hat).k2 * u_hat, coupling
 
 
 def _density_rhs(plan, psi, u, rho, params, coupling):
@@ -281,8 +259,7 @@ def ingest(state, params):
     plan = plan_for(state.grid)
     psi = plan.dealias(state.psi)
     rho = plan.dealias(state.rho)
-    u = np.stack([plan.dealias(state.u[i]) for i in range(state.grid.d)])
-    u, _ = plan.leray_project(u)
+    u, _ = plan.leray_project(plan.dealias(state.u))
     return State(0.0, psi, u, rho, state.grid)
 
 

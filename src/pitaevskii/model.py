@@ -14,9 +14,14 @@ operator
     rho (dt u + u.grad u) + grad(ptilde) - nu lap(u)
         = -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi])
 
-with the pressure eliminated by Leray projection.  A conservative form of the
-momentum source exists for cross-validation: it differs from the
-non-conservative one by a pure gradient plus the mass-exchange drag term.
+with the pressure eliminated by Leray projection.  Each right-hand side has
+one body, in the spectral form the integrator composes: wave_nonlinear_hat
+(the wave equation beyond its linear (lam+i)/2 lap part) and
+velocity_rhs_hat (the pre-projection acceleration).  schrodinger_rhs and
+velocity_rhs are their physical-space wrappers, so checks of the wrappers
+check the integrator's arithmetic.  A conservative form of the momentum
+source exists for cross-validation: it differs from the non-conservative one
+by a pure gradient plus the mass-exchange drag term.
 
 Every nonlinear product is truncated by the 2/3 rule, and initial data is
 ingested band-limited, so fields stay inside the dealias ball for all time.
@@ -29,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, require_finite
-from .norms import inner_product
 from .spectral import plan_for
 
 
@@ -156,20 +160,29 @@ def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
     return plan.ifft(lap_term + plan.dealias_hat(plan.fft(nonlinear)), psi)
 
 
-def coupling_quadratic_form(state, params):
-    """Re<psi, C[psi]>, evaluated from the coupling field."""
-    return inner_product(state.grid, state.psi, coupling_term(state, params)).real
+def wave_nonlinear_hat(plan, psi, psi_hat, u, params):
+    """Spectrum of the explicit remainder of the wave equation after
+    removing (lam+i)/2 * lap, dealiased:
+    -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi."""
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    u_dot_grad = np.sum(u * grad_psi, axis=0)
+    speed2 = np.sum(u * u, axis=0)
+    cubic = (psi.real ** 2 + psi.imag ** 2) * psi
+    return plan.dealias_hat(plan.fft(
+        (-1j * params.lam) * u_dot_grad
+        - 0.5 * params.lam * speed2 * psi
+        - (params.lam + 1j) * params.mu * cubic
+    ))
 
 
-def schrodinger_rhs(state, params, coupling=None, plan=None):
-    """dt psi = -lam C[psi] + (i/2) lap(psi) - i mu |psi|^2 psi (dealiased)."""
-    if plan is None:
-        plan = plan_for(state.grid)
-    psi = state.psi
-    if coupling is None:
-        coupling = coupling_term(state, params, plan)
-    cubic = plan.dealias((psi.real ** 2 + psi.imag ** 2) * psi)
-    return -params.lam * coupling + 0.5j * plan.laplacian(psi) - 1j * params.mu * cubic
+def schrodinger_rhs(state, params):
+    """dt psi = -lam C[psi] + (i/2) lap(psi) - i mu |psi|^2 psi: the linear
+    part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat, back in physical
+    space."""
+    plan = plan_for(state.grid)
+    psi_hat = plan.fft(state.psi)
+    linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
+    return plan.ifft(linear + wave_nonlinear_hat(plan, state.psi, psi_hat, state.u, params), state.psi)
 
 
 def mass_exchange(state, params, coupling=None):
@@ -235,25 +248,32 @@ def density_floor_check(rho, params, time):
         raise DensityFloorViolation(time, loc, value, params.eps)
 
 
-def velocity_rhs(state, params, coupling=None, plan=None):
-    """Pre-projection acceleration of the non-conservative momentum equation.
+def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params):
+    """Spectrum of the pre-projection acceleration of the non-conservative
+    momentum equation, -u.grad(u) + (nu lap(u) + momentum source) / rho,
+    dealiased, and the coupling field.  psi_hat and grad_psi are the
+    spectrum and gradient of psi, u_hat the spectrum of u."""
+    state = State(0.0, psi, u, rho, plan.grid)
+    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
+    source = momentum_source(state, params, coupling, plan, grad_psi=grad_psi)
+    tab = plan.tables(u_hat)
+    lap_u = plan.ifft(-tab.k2 * u_hat, u)
+    grad_u = plan.ifft(tab.ik[:, None] * u_hat, u)      # [j, i] = d_j u_i
+    advect = np.sum(u[:, None] * grad_u, axis=0)
+    combined = -advect + (params.nu * lap_u + source) / rho
+    return plan.dealias_hat(plan.fft(combined)), coupling
 
-    Returns -u.grad(u) + (nu lap(u) + momentum source) / rho.  The Leray
+
+def velocity_rhs(state, params):
+    """Pre-projection acceleration -u.grad(u) + (nu lap(u) + momentum
+    source) / rho in physical space (velocity_rhs_hat).  The Leray
     projection is the integrator's job, not done here.  Requires rho >= eps
     pointwise.
     """
-    if plan is None:
-        plan = plan_for(state.grid)
+    plan = plan_for(state.grid)
     density_floor_check(state.rho, params, state.t)
-    if coupling is None:
-        coupling = coupling_term(state, params, plan)
-    u, rho = state.u, state.rho
-    grad_u = [plan.gradient(u[i]) for i in range(state.grid.d)]
-    advect = np.stack([
-        plan.dealias(sum(u[j] * grad_u[i][j] for j in range(state.grid.d)))
-        for i in range(state.grid.d)
-    ])
-    source = momentum_source(state, params, coupling, plan)
-    visc = params.nu * plan.laplacian(u)
-    accel = -advect + np.stack([plan.dealias((visc[i] + source[i]) / rho) for i in range(state.grid.d)])
-    return accel
+    psi_hat = plan.fft(state.psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
+    accel_hat, _ = velocity_rhs_hat(plan, state.psi, psi_hat, grad_psi, state.u, plan.fft(state.u),
+                                    state.rho, params)
+    return plan.ifft(accel_hat, state.u)

@@ -18,12 +18,14 @@ that reparses to the identical double, so rereading a file reproduces the
 in-memory values bit for bit and identical runs produce identical bytes.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
 
 from .diagnostics import RECORD_SCALARS
-from .grid import make_grid
+from .grid import GridError, make_grid
 from .model import State
 
 MAGIC = b"PITV"
@@ -58,8 +60,17 @@ def _read_exact(fh, count, what):
     return buf
 
 
+def _header_size(d):
+    return 6 + 4 * d + 8 * d + 8 + 8 * len(_ECHO_FIELDS)
+
+
 def read_snapshot_meta(path):
-    """Header only: returns (grid, time, constants dict)."""
+    """Header only: returns (grid, time, constants dict).
+
+    The header must describe the file: the axis sizes are checked, and the
+    file size they imply is compared with the real one, before any grid is
+    built, so a corrupt header cannot make the reader allocate.
+    """
     with open(path, "rb") as fh:
         magic, version, d = struct.unpack("<4sBB", _read_exact(fh, 6, "header"))
         if magic != MAGIC:
@@ -68,11 +79,23 @@ def read_snapshot_meta(path):
             raise SnapshotError(f"unsupported snapshot version {version}")
         if d not in (1, 2, 3):
             raise SnapshotError(f"corrupt snapshot: dimension {d}")
-        n = np.frombuffer(_read_exact(fh, 4 * d, "axis sizes"), dtype="<u4")
+        n = [int(v) for v in np.frombuffer(_read_exact(fh, 4 * d, "axis sizes"), dtype="<u4")]
         lens = np.frombuffer(_read_exact(fh, 8 * d, "axis lengths"), dtype="<f8")
         (t,) = struct.unpack("<d", _read_exact(fh, 8, "time"))
         echo = np.frombuffer(_read_exact(fh, 8 * len(_ECHO_FIELDS), "constants"), dtype="<f8")
-    grid = make_grid(int(d), [int(v) for v in n], [float(v) for v in lens])
+        size = os.fstat(fh.fileno()).st_size
+    if any(v < 4 or v % 2 for v in n):
+        raise SnapshotError(f"corrupt snapshot: axis sizes {tuple(n)} are not all even and >= 4")
+    expected = _header_size(d) + math.prod(n) * (8 + 8 * d + 16)
+    if size < expected:
+        raise SnapshotError(f"corrupt snapshot: truncated, {size} bytes where the header "
+                            f"implies {expected}")
+    if size > expected:
+        raise SnapshotError("corrupt snapshot: trailing bytes")
+    try:
+        grid = make_grid(d, n, [float(v) for v in lens])
+    except GridError as exc:
+        raise SnapshotError(f"corrupt snapshot: {exc}") from None
     constants = dict(zip(_ECHO_FIELDS, (float(v) for v in echo)))
     return grid, float(t), constants
 
@@ -87,15 +110,12 @@ def read_snapshot(path, expected_grid=None):
                 f"snapshot grid {grid!r} does not match the expected {expected_grid!r}"
             )
         grid = expected_grid
-    header = 6 + 4 * grid.d + 8 * grid.d + 8 + 8 * len(_ECHO_FIELDS)
     npts = grid.num_points
     with open(path, "rb") as fh:
-        fh.seek(header)
+        fh.seek(_header_size(grid.d))
         rho = np.frombuffer(_read_exact(fh, 8 * npts, "rho"), dtype="<f8")
         u = np.frombuffer(_read_exact(fh, 8 * npts * grid.d, "u"), dtype="<f8")
         psi = np.frombuffer(_read_exact(fh, 16 * npts, "psi"), dtype="<c16")
-        if fh.read(1):
-            raise SnapshotError("corrupt snapshot: trailing bytes")
     state = State(
         t=t,
         psi=psi.reshape(grid.shape).copy(),

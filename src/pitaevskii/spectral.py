@@ -308,10 +308,6 @@ class SpectralPlan:
             return f
         return self.ifft(self.dealias_hat(self.fft(f)), f)
 
-    def dealias_product(self, a, b):
-        """Pointwise product followed by 2/3-rule truncation."""
-        return self.dealias(np.asarray(a) * np.asarray(b))
-
     def helmholtz_solve(self, f, alpha):
         """Invert (I - alpha * Laplacian); alpha = 0 is the identity."""
         if alpha < 0:

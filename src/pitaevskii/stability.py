@@ -27,7 +27,7 @@ from scipy.integrate import solve_ivp
 
 from . import norms
 from .integrator import run
-from .model import State, coupling_term
+from .model import coupling_term
 from .spectral import plan_for
 
 BUNDLES = ("full", "core")
@@ -363,13 +363,3 @@ def reduced_ode_oracle(params, k, a0, u0, rho0, horizon, tol=1e-10, n_samples=40
         )
     return OracleTrajectory(ts=ts, amp=amp, vel=vel, rho=rho, mode=k)
 
-
-def plane_wave_state(grid, k, a0, u0, rho0):
-    """The PDE-side initial state matching the oracle's reduction."""
-    mesh = grid.meshes()
-    k = tuple(k)
-    phase = sum(ki * xi for ki, xi in zip(k, mesh))
-    psi = a0 * np.exp(1j * phase)
-    u = np.stack([np.full(grid.shape, float(v)) for v in np.atleast_1d(u0)])
-    rho = np.full(grid.shape, float(rho0))
-    return State(0.0, psi.astype(complex), u, rho, grid)

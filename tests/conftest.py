@@ -2,22 +2,7 @@ import numpy as np
 import pytest
 
 from pitaevskii.grid import make_grid
-from pitaevskii.spectral import plan_for
-
-
-def gaussian_random_field(grid, rng, kc=3.0, complex_field=False, band_limit=True):
-    """Smooth random field: Gaussian spectrum exp(-|k|^2/kc^2), random phases.
-
-    band_limit keeps the spectrum inside the 2/3 dealias ball so truncation
-    inside the model is invisible (the identity tests rely on that).
-    """
-    shape = grid.shape
-    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeff *= np.exp(-grid.k2_mesh / kc ** 2)
-    if band_limit:
-        coeff *= plan_for(grid).dealias_mask
-    f = np.fft.ifftn(coeff) * grid.num_points ** 0.5
-    return f if complex_field else f.real
+from pitaevskii.initial_conditions import gaussian_random_field
 
 
 def random_vector_field(grid, rng, kc=3.0, band_limit=True):

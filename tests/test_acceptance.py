@@ -14,7 +14,7 @@ from pitaevskii.cli import main as cli_main
 from pitaevskii.config import Config, parse_config, serialize_config
 from pitaevskii.diagnostics import energy_budget, inequality_validator
 from pitaevskii.grid import make_grid
-from pitaevskii.initial_conditions import smooth_state
+from pitaevskii.initial_conditions import plane_wave_state, smooth_state
 from pitaevskii.integrator import StepConfig, run, step
 from pitaevskii.model import (
     Params,
@@ -29,7 +29,6 @@ from pitaevskii.spectral import plan_for
 from pitaevskii.stability import (
     PerturbationSpec,
     perturb_state,
-    plane_wave_state,
     reduced_ode_oracle,
     stability_experiment,
 )

@@ -93,6 +93,10 @@ def test_config_scheme_validation():
         parse_config("".join(f"integrator.{name} = x\n" for name in names))
     assert err.value.errors == [(i + 1, f"unknown key 'integrator.{name}'")
                                 for i, name in enumerate(names)]
+    # so is experiment.sync_every, which nothing read
+    with pytest.raises(ConfigError) as err:
+        parse_config("grid.d = 2\nexperiment.sync_every = 1\n")
+    assert err.value.errors == [(2, "unknown key 'experiment.sync_every'")]
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -141,6 +145,44 @@ def test_snapshot_bad_magic_and_version(tmp_path, grid2d, rng):
     data[4] = 9
     bad.write_bytes(bytes(data))
     with pytest.raises(SnapshotError, match="version"):
+        read_snapshot(bad)
+
+
+def test_snapshot_oversized_header_rejected_before_any_grid(tmp_path, grid2d, rng, monkeypatch):
+    # axis sizes 2^31 x 2^31 in the header of a small file: the size check
+    # must reject it without building (allocating) the grid
+    import struct
+
+    from pitaevskii import snapshot_io
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("make_grid called for a header that does not match the file")
+
+    st = random_state(grid2d, rng)
+    path = tmp_path / "state.pitv"
+    write_snapshot(st, PARAMS, path)
+    data = bytearray(path.read_bytes())
+    data[6:14] = struct.pack("<2I", 2 ** 31, 2 ** 31)
+    bad = tmp_path / "huge.pitv"
+    bad.write_bytes(bytes(data))
+    monkeypatch.setattr(snapshot_io, "make_grid", no_grid)
+    with pytest.raises(SnapshotError, match="truncated"):
+        read_snapshot_meta(bad)
+    with pytest.raises(SnapshotError, match="truncated"):
+        read_snapshot(bad)
+
+
+def test_snapshot_odd_axis_size_is_a_snapshot_error(tmp_path, grid2d, rng):
+    import struct
+
+    st = random_state(grid2d, rng)
+    path = tmp_path / "state.pitv"
+    write_snapshot(st, PARAMS, path)
+    data = bytearray(path.read_bytes())
+    data[6:10] = struct.pack("<I", 31)
+    bad = tmp_path / "odd.pitv"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match="axis sizes"):
         read_snapshot(bad)
 
 

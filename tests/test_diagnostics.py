@@ -3,7 +3,6 @@ import pytest
 
 from pitaevskii.diagnostics import (
     bounds_report,
-    energy,
     energy_budget,
     growth_budget,
     inequality_validator,
@@ -11,10 +10,10 @@ from pitaevskii.diagnostics import (
     time_derivative_report,
 )
 from pitaevskii.grid import make_grid
+from pitaevskii.initial_conditions import plane_wave_state
 from pitaevskii.integrator import StepConfig, run
 from pitaevskii.model import Params, State
 from pitaevskii.norms import lp_norm
-from pitaevskii.stability import plane_wave_state
 
 from conftest import gaussian_random_field
 
@@ -25,18 +24,18 @@ def test_energy_closed_forms(grid2d):
     v = grid2d.volume
     zero = State(0.0, np.zeros(grid2d.shape, complex), np.zeros((2,) + grid2d.shape),
                  np.ones(grid2d.shape), grid2d)
-    assert energy(zero, PARAMS) == 0.0
+    assert measure(zero, PARAMS).energy == 0.0
 
     c = 0.7 + 0.4j
     st = plane_wave_state(grid2d, (0, 0), c, (0.0, 0.0), 1.0)
-    assert energy(st, PARAMS) == pytest.approx(0.5 * PARAMS.mu * abs(c) ** 4 * v, rel=1e-12)
+    assert measure(st, PARAMS).energy == pytest.approx(0.5 * PARAMS.mu * abs(c) ** 4 * v, rel=1e-12)
 
     a, k, vel, rho0 = 0.6, (2, 1), (0.3, -0.2), 1.1
     st = plane_wave_state(grid2d, k, a, vel, rho0)
     expect = (0.5 * rho0 * (vel[0] ** 2 + vel[1] ** 2) * v
               + 0.5 * a ** 2 * (k[0] ** 2 + k[1] ** 2) * v
               + 0.5 * PARAMS.mu * a ** 4 * v)
-    assert energy(st, PARAMS) == pytest.approx(expect, rel=1e-12)
+    assert measure(st, PARAMS).energy == pytest.approx(expect, rel=1e-12)
 
 
 def test_budget_zero_state(grid2d):

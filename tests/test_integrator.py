@@ -3,6 +3,7 @@ import pytest
 
 from pitaevskii.cli import main as cli_main
 from pitaevskii.grid import make_grid
+from pitaevskii.initial_conditions import build_initial_state, plane_wave_state
 from pitaevskii.integrator import (
     CflViolation,
     PressureHistory,
@@ -15,7 +16,7 @@ from pitaevskii.integrator import (
 from pitaevskii.model import Params, State
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
-from pitaevskii.stability import plane_wave_state, reduced_ode_oracle
+from pitaevskii.stability import reduced_ode_oracle
 
 from conftest import random_state_fields
 
@@ -84,6 +85,24 @@ def test_plane_wave_matches_oracle_second_order():
     e1, e2 = pde_error(4e-3), pde_error(2e-3)
     assert e1 <= 1e-6
     assert 3.0 <= e1 / e2 <= 5.5  # ratio ~4 for a second-order method
+
+
+def test_plane_wave_family_off_2pi_box_matches_oracle_state():
+    # the family's lattice mode m is the wavevector 2 pi m / L on any box,
+    # the one the oracle integrates, so the state is periodic and inside the
+    # dealias ball
+    from dataclasses import replace
+
+    from pitaevskii.config import IcConfig
+
+    g = make_grid(2, [16, 16], [3.0, 3.0])
+    ic = replace(IcConfig(), family="plane-wave", mode=(1,), velocity=(0.3,),
+                 wave_amp=0.5, wave_phase=0.2, rho0=1.1)
+    st = build_initial_state(g, PARAMS, ic)
+    ref = plane_wave_state(g, (2 * np.pi / 3.0, 0.0), 0.5 * np.exp(0.2j), (0.3, 0.0), 1.1)
+    assert np.array_equal(st.psi, ref.psi)
+    assert np.array_equal(st.u, ref.u) and np.array_equal(st.rho, ref.rho)
+    assert np.abs(plan_for(g).dealias(st.psi) - st.psi).max() <= 1e-12
 
 
 def test_adaptive_dt_formula(grid2d):

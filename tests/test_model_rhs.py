@@ -115,7 +115,7 @@ def test_mass_transfer_identity(grid2d, rng):
     for _ in range(20):
         st = random_state(grid2d, rng)
         coupling = coupling_term(st, PARAMS)
-        lhs = inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS, coupling)).real
+        lhs = inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS)).real
         rhs = -PARAMS.lam * inner_product(grid2d, st.psi, coupling).real
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-12)
 
@@ -138,7 +138,7 @@ def test_exchange_antisymmetry(grid2d, rng):
         st = random_state(grid2d, rng)
         coupling = coupling_term(st, PARAMS)
         src = integral(grid2d, mass_exchange(st, PARAMS, coupling))
-        dmass = 2.0 * inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS, coupling)).real
+        dmass = 2.0 * inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS)).real
         assert abs(src + dmass) <= 1e-10 * max(abs(src), 1e-12)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pitaevskii.grid import make_grid
+from pitaevskii.initial_conditions import plane_wave_state
 from pitaevskii.integrator import StepConfig, run
 from pitaevskii.model import Params, State
 from pitaevskii.norms import lp_norm, sobolev_norm
@@ -12,7 +13,6 @@ from pitaevskii.stability import (
     fit_envelope,
     gronwall_bundle,
     perturb_state,
-    plane_wave_state,
     reduced_ode_oracle,
     stability_experiment,
 )
