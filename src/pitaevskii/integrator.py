@@ -17,9 +17,10 @@ One step of size dt is the composition
   pressure projection and into its Helmholtz solve, and the pressures are
   kept as spectra.
 * Pressure warm starts: run() carries a PressureHistory, the pressure
-  spectra of the last two steps.  The predictor's solve starts from their
-  linear extrapolation in time, the corrector's from this step's predictor
-  pressure plus the last step's corrector - predictor offset.  step() on its
+  spectra of the last four steps.  The predictor's solve starts from their
+  cubic extrapolation in time, the corrector's from this step's predictor
+  pressure plus the quadratic extrapolation of the last three corrector -
+  predictor offsets (lower orders while fewer steps exist).  step() on its
   own starts the predictor cold and the corrector from the predictor.  Both
   solve to the same tolerance, so the trajectories agree to round-off times
   that tolerance.
@@ -105,11 +106,11 @@ class Trajectory:
         return np.array([r.t for r in self.records])
 
 
-def _wave_substep(plan, psi, psi_hat, u, params, tau):
+def _wave_substep(plan, psi, psi_hat, u, params, tau, lin):
     """Advance the wavefunction by tau with u frozen: exact linear flow
-    bracketed around an explicit midpoint stage for the rest.  Takes and
-    returns psi together with its spectrum psi_hat."""
-    lin = np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
+    bracketed around an explicit midpoint stage for the rest; lin is that
+    flow over tau/2, exp(-(lam+i)/2 |k|^2 tau/2).  Takes and returns psi
+    together with its spectrum psi_hat."""
     psi_hat = lin * psi_hat
     psi = plan.ifft(psi_hat, psi)
     k1_hat = wave_nonlinear_hat(plan, psi, psi_hat, u, params)
@@ -134,37 +135,50 @@ def _density_rhs(plan, psi, u, rho, params, coupling):
     return -plan.ifft(div_hat, rho) + mass_exchange(state, params, coupling)
 
 
+def _lagrange(times, values, t):
+    """The polynomial through the points (times[i], values[i]) at t."""
+    total = 0.0
+    for i, (ti, vi) in enumerate(zip(times, values)):
+        weight = 1.0
+        for j, tj in enumerate(times):
+            if j != i:
+                weight *= (t - tj) / (ti - tj)
+        total = total + weight * vi
+    return total
+
+
 class PressureHistory:
-    """Pressure spectra of the last two accepted steps, which run() carries
+    """Pressure spectra of the last four accepted steps, which run() carries
     from step to step to warm-start both projections of the next one.
 
-    The predictor's guess extrapolates the predictor pressures of the last
-    two steps linearly to the start of this step,
-    P_-1 + (dt_-1 / dt_-2) (P_-1 - P_-2), which is 2 P_-1 - P_-2 at fixed dt;
-    the corrector's guess is this step's predictor pressure plus the last
-    step's corrector - predictor offset.  An empty history is a cold start:
-    no guess for the predictor, the predictor's pressure for the corrector.
-    Memory is O(1) in the horizon.
+    Each entry holds a step's start time, its predictor pressure and its
+    corrector - predictor offset.  The predictor's guess is the Lagrange
+    polynomial through the stored predictor pressures at the start t of the
+    new step: cubic once four steps exist, linear after two.  The
+    corrector's guess is this step's predictor pressure plus the Lagrange
+    extrapolation of the last three offsets to t, quadratic once three
+    exist.  The nodes must be start times: a node at each step's end is off
+    by that step's dt, which cancels only at fixed dt.  An empty history is
+    a cold start: no guess for the predictor, the predictor's pressure for
+    the corrector.  Memory is O(1) in the horizon.
     """
 
     def __init__(self):
-        self._steps = []      # (dt, predictor pressure, corrector - predictor), newest last
+        self._steps = []      # (start time, predictor, corrector - predictor), newest last
 
-    def predictor_guess(self):
+    def predictor_guess(self, t):
         if not self._steps:
             return None
-        if len(self._steps) == 1:
-            return self._steps[0][1]
-        (dt_2, p_2, _), (dt_1, p_1, _) = self._steps
-        return p_1 + (dt_1 / dt_2) * (p_1 - p_2)
+        return _lagrange([s[0] for s in self._steps], [s[1] for s in self._steps], t)
 
-    def corrector_guess(self, predictor):
+    def corrector_guess(self, t, predictor):
         if not self._steps:
             return predictor
-        return predictor + self._steps[-1][2]
+        recent = self._steps[-3:]
+        return predictor + _lagrange([s[0] for s in recent], [s[2] for s in recent], t)
 
-    def push(self, dt, predictor, corrector):
-        self._steps = self._steps[-1:] + [(dt, predictor, corrector - predictor)]
+    def push(self, t, predictor, corrector):
+        self._steps = self._steps[-3:] + [(t, predictor, corrector - predictor)]
 
 
 def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
@@ -191,7 +205,7 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
     accel0_hat, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
                                                   params, rho_bar)
     accel0_hat, p_pred = plan.weighted_leray_hat(accel0_hat, rho,
-                                                 initial_pressure_hat=history.predictor_guess())
+                                                 initial_pressure_hat=history.predictor_guess(t0))
     u_half_hat = (u_hat + 0.5 * dt * accel0_hat) / (1.0 + alpha_k2)
     u_half = plan.ifft(u_half_hat, u)
     rho_half = rho + 0.5 * dt * _density_rhs(plan, psi, u, rho, params, coupling0)
@@ -199,8 +213,8 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
 
     accel1_hat, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
                                                   rho_half, params, rho_bar)
-    accel1_hat, p_corr = plan.weighted_leray_hat(accel1_hat, rho_half,
-                                                 initial_pressure_hat=history.corrector_guess(p_pred))
+    accel1_hat, p_corr = plan.weighted_leray_hat(
+        accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
     u_new = plan.ifft(((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2), u)
     rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
     density_floor_check(rho_new, params, t0 + dt)
@@ -221,14 +235,18 @@ def step(state, params, dt, config=None, *, history=None):
     truncate = config.dealias if config is not None else True
     plan = plan_for(state.grid, truncate=truncate)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi, psi_hat = _wave_substep(plan, state.psi, plan.fft(state.psi), state.u, params, 0.5 * dt)
+        psi_hat = plan.fft(state.psi)
+        # both wave half-steps share tau = dt/2 and so their linear flow
+        tau = 0.5 * dt
+        lin = np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
+        psi, psi_hat = _wave_substep(plan, state.psi, psi_hat, state.u, params, tau, lin)
         u, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params,
                                                 dt, state.t, history)
-        psi, _ = _wave_substep(plan, psi, psi_hat, u, params, 0.5 * dt)
+        psi, _ = _wave_substep(plan, psi, psi_hat, u, params, tau, lin)
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
-    history.push(dt, p_pred, p_corr)
+    history.push(state.t, p_pred, p_corr)
     return new
 
 

@@ -51,7 +51,8 @@ class PerturbationSpec:
     """What to nudge in the initial data and by how much.
 
     target    -- 'psi', 'u', 'rho' or 'all'
-    mode      -- lattice mode of the cosine perturbation pattern
+    mode      -- lattice mode m of the cosine perturbation pattern, whose
+                 wavevector is k = 2 pi m / L
     amplitude -- relative size; 0 means an exact copy (bitwise)
     """
 
@@ -151,7 +152,8 @@ def perturb_state(state, spec, params):
     plan = plan_for(g)
     mesh = g.meshes()
     mode = tuple(spec.mode) + (0,) * (g.d - len(spec.mode))
-    phase = sum(mi * xi for mi, xi in zip(mode, mesh))
+    k = [2 * np.pi / L * m for m, L in zip(mode, g.lengths)]
+    phase = sum(ki * xi for ki, xi in zip(k, mesh))
     pattern = np.cos(phase)
     pattern_s = np.sin(phase)
     if spec.target in ("psi", "all"):

@@ -265,35 +265,84 @@ def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection
     assert "physics event [projection]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("m, M, eps", [(0.8, 1.2, 0.4), (0.1, 10.0, 0.05)])
-def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps):
+@pytest.mark.parametrize("m, M, eps, adaptive", [
+    pytest.param(0.8, 1.2, 0.4, False, id="0.8-1.2-0.4"),
+    pytest.param(0.1, 10.0, 0.05, False, id="0.1-10.0-0.05"),
+    pytest.param(0.1, 10.0, 0.05, True, id="0.1-10.0-0.05-adaptive"),
+])
+def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
     # run() warm-starts every projection from its pressure history; a loop of
     # step() calls starts each step cold.  Both solve to the same tolerance.
+    # Adaptive steps put the history's extrapolation nodes at unequal
+    # spacing (the CFL proposal drifts with max|u|, and the last step is cut
+    # to the horizon); the cold loop replays the run's accepted dt sequence.
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
-    cfg = StepConfig(dt_init=2.0 ** -10)
+    cfg = StepConfig(dt_init=2.0 ** -10, cfl=0.05, adaptive=adaptive)
     initial = smooth_2d_state(grid2d, m=m, M=M)
-    warm = run(initial, params, cfg, 10 * cfg.dt_init).final_state
+    traj = run(initial, params, cfg, 10 * cfg.dt_init)
+    dts = np.diff(traj.times)
+    assert traj.event is None and len(dts) >= 8
+    if adaptive:
+        assert len(np.unique(dts[:-1])) > 1
     cold = ingest(initial, params)
-    for _ in range(10):
-        cold = step(cold, params, cfg.dt_init, cfg)
-    assert warm.t == cold.t
+    for dt in dts:
+        cold = step(cold, params, dt, cfg)
+    warm = traj.final_state
+    assert warm.t == pytest.approx(cold.t, rel=1e-14)
     for a, b in ((warm.psi, cold.psi), (warm.u, cold.u), (warm.rho, cold.rho)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_pressure_history_extrapolates_in_time():
     history = PressureHistory()
-    assert history.predictor_guess() is None            # cold start
-    assert history.corrector_guess(3.0) == 3.0
-    history.push(0.1, 1.0, 1.5)                          # step at t = 0
-    assert history.predictor_guess() == 1.0
-    assert history.corrector_guess(2.0) == 2.5
-    history.push(0.2, 2.0, 2.25)                         # step at t = 0.1
-    # the line through (0, 1) and (0.1, 2) at the next step's start, t = 0.3
-    assert history.predictor_guess() == pytest.approx(4.0, rel=1e-15)
-    assert history.corrector_guess(4.0) == 4.25
-    history.push(0.2, 4.0, 4.0)                          # only two steps kept
-    assert history.predictor_guess() == pytest.approx(6.0, rel=1e-15)
+    assert history.predictor_guess(0.0) is None         # cold start
+    assert history.corrector_guess(0.0, 3.0) == 3.0
+    history.push(0.0, 1.0, 1.5)                          # step from t = 0
+    assert history.predictor_guess(0.1) == 1.0
+    assert history.corrector_guess(0.1, 2.0) == 2.5
+    history.push(0.1, 2.0, 2.25)                         # step from t = 0.1
+    # the lines through (0, 1), (0.1, 2) and (0, 0.5), (0.1, 0.25) at the
+    # next step's start, t = 0.3
+    assert history.predictor_guess(0.3) == pytest.approx(4.0, rel=1e-14)
+    assert history.corrector_guess(0.3, 4.0) == pytest.approx(4.0 - 0.25, rel=1e-14)
+
+    # pressures cubic and offsets quadratic in time are extrapolated exactly
+    # from four steps of unequal dt; a fifth step drops the oldest
+    def cubic(t):
+        return np.array([1.0 + 2.0 * t - 3.0 * t ** 2 + 5.0 * t ** 3, -0.5 * t ** 3 + t])
+
+    def quadratic(t):
+        return np.array([0.5 - t + 4.0 * t ** 2, 0.3 * t ** 2])
+
+    starts = [0.0, 0.05, 0.2, 0.23, 0.4]
+    history = PressureHistory()
+    history.push(starts[0], cubic(starts[0]) + 7.0, cubic(starts[0]) - 9.0)   # off both
+    for t in starts[1:4]:
+        history.push(t, cubic(t), cubic(t) + quadratic(t))
+    # four steps: the oldest, off the cubic, still bends the guess
+    assert np.abs(history.predictor_guess(starts[4]) - cubic(starts[4])).max() > 1.0
+    history.push(starts[4], cubic(starts[4]), cubic(starts[4]) + quadratic(starts[4]))
+    t = 0.5
+    np.testing.assert_allclose(history.predictor_guess(t), cubic(t), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(history.corrector_guess(t, cubic(t)), cubic(t) + quadratic(t),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_step_pushes_its_start_time(grid2d):
+    # the history's nodes are the steps' start times: at unequal dt an
+    # end-time node is off by that step's dt
+    pushed = []
+
+    class Recording(PressureHistory):
+        def push(self, t, predictor, corrector):
+            pushed.append(t)
+            super().push(t, predictor, corrector)
+
+    history = Recording()
+    st = ingest(smooth_2d_state(grid2d), PARAMS)
+    for dt in (1e-3, 5e-4, 2e-3):
+        st = step(st, PARAMS, dt, history=history)
+    assert pushed == [0.0, 1e-3, 1e-3 + 5e-4]
 
 
 def test_dealias_flag_off_smoke(grid2d):

@@ -146,6 +146,20 @@ def test_perturb_velocity_stays_divergence_free(grid2d):
     assert np.abs(plan.divergence(out.u)).max() <= base_div + 1e-12
 
 
+def test_perturbation_mode_is_a_wavevector_off_2pi_box():
+    # lattice mode (1, 0) on a 3 x 3 box is the wavevector (2 pi / 3, 0): a
+    # periodic pattern inside the dealias ball, which ingest keeps whole
+    from pitaevskii.spectral import plan_for
+    g = make_grid(2, [16, 16], [3.0, 3.0])
+    st = State(0.0, np.ones(g.shape, dtype=complex), np.zeros((2,) + g.shape), np.ones(g.shape), g)
+    out = perturb_state(st, PerturbationSpec(target="psi", mode=(1, 0), amplitude=5e-4), PARAMS)
+    bump = out.psi - st.psi
+    x, _ = g.meshes()
+    k = 2 * np.pi / 3.0
+    assert np.abs(bump - 5e-4 * (np.cos(k * x) + 0.5j * np.sin(k * x))).max() <= 1e-15
+    assert np.abs(plan_for(g).dealias(bump) - bump).max() <= 1e-15
+
+
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(target="vorticity")
