@@ -106,11 +106,17 @@ class Trajectory:
         return np.array([r.t for r in self.records])
 
 
+def _wave_propagator(plan, psi_hat, params, tau):
+    """Exact linear wave flow over tau/2, exp(-(lam+i)/2 |k|^2 tau/2), on
+    psi_hat's layout: the factor _wave_substep(..., tau, lin) applies."""
+    return np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
+
+
 def _wave_substep(plan, psi, psi_hat, u, params, tau, lin):
     """Advance the wavefunction by tau with u frozen: exact linear flow
     bracketed around an explicit midpoint stage for the rest; lin is that
-    flow over tau/2, exp(-(lam+i)/2 |k|^2 tau/2).  Takes and returns psi
-    together with its spectrum psi_hat."""
+    flow over tau/2, _wave_propagator(plan, psi_hat, params, tau).  Takes
+    and returns psi together with its spectrum psi_hat."""
     psi_hat = lin * psi_hat
     psi = plan.ifft(psi_hat, psi)
     k1_hat = wave_nonlinear_hat(plan, psi, psi_hat, u, params)
@@ -238,7 +244,7 @@ def step(state, params, dt, config=None, *, history=None):
         psi_hat = plan.fft(state.psi)
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
-        lin = np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
+        lin = _wave_propagator(plan, psi_hat, params, tau)
         psi, psi_hat = _wave_substep(plan, state.psi, psi_hat, state.u, params, tau, lin)
         u, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params,
                                                 dt, state.t, history)

@@ -88,3 +88,6 @@ def test_run_steady_state_transform_budget(counted, monkeypatch):
     assert traj.event is None and len(per_step) == 8
     assert counted["numpy.fft"] == 0
     assert 0 < max(per_step[4:]) <= MAX_RUN_STEP_TRANSFORMS
+    # the constant, linear and quadratic start-up guesses stay within the
+    # linear rule's steady budget
+    assert max(per_step[2:]) <= 101
