@@ -10,7 +10,7 @@ Sections:
 
 * ``grid``        -- d, n, len
 * ``params``      -- lambda, mu, nu, m, M, epsilon, delta, gamma
-* ``integrator``  -- dt_init, dt_min, dt_max, cfl, adaptive, dealias
+* ``integrator``  -- dt_init, dt_min, dt_max, cfl, adaptive
 * ``ic``          -- family, amplitude, seed, mode, wave_amp, wave_phase,
                      velocity, rho0, path
 * ``output``      -- dir, timeseries, snapshot_every, csv_every
@@ -24,10 +24,9 @@ import numpy as np
 from .grid import make_grid
 from .integrator import StepConfig
 from .model import Params
+from .stability import BUNDLES, TARGETS
 
 IC_FAMILIES = ("smooth", "plane-wave", "random-smooth", "floor-breach", "snapshot")
-TARGETS = ("psi", "u", "rho", "all")
-BUNDLE_NAMES = ("full", "core")
 
 
 class ConfigError(ValueError):
@@ -149,7 +148,6 @@ SCHEMA = {
     "integrator.dt_max": ("integrator", "dt_max", _parse_float),
     "integrator.cfl": ("integrator", "cfl", _parse_float),
     "integrator.adaptive": ("integrator", "adaptive", _parse_bool),
-    "integrator.dealias": ("integrator", "dealias", _parse_bool),
     "ic.family": ("ic", "family", _parse_str),
     "ic.amplitude": ("ic", "amplitude", _parse_float),
     "ic.seed": ("ic", "seed", _parse_int),
@@ -205,6 +203,11 @@ def _cross_validate(raw, lines):
             errors.append((line_of("grid.len"), f"grid.len needs {d} entries, got {len(lens)}"))
         elif any(not v > 0 for v in lens):
             errors.append((line_of("grid.len"), "grid lengths must be positive"))
+        for key in ("ic.mode", "ic.velocity", "experiment.mode"):
+            section, attr, _ = SCHEMA[key]
+            count = len(raw[section].get(attr, ()))
+            if count > d:
+                errors.append((line_of(key), f"{key} needs at most {d} entries, got {count}"))
 
     p = raw["params"]
     m = p.get("m", 0.8)
@@ -258,9 +261,9 @@ def _cross_validate(raw, lines):
                        f"target must be one of {', '.join(TARGETS)}"))
     if ex.get("delta_p", 0.0) < 0:
         errors.append((line_of("experiment.delta_p"), "delta_p must be >= 0"))
-    if ex.get("bundle", "full") not in BUNDLE_NAMES:
+    if ex.get("bundle", "full") not in BUNDLES:
         errors.append((line_of("experiment.bundle"),
-                       f"bundle must be one of {', '.join(BUNDLE_NAMES)}"))
+                       f"bundle must be one of {', '.join(BUNDLES)}"))
     return errors
 
 

@@ -150,18 +150,18 @@ class BoundCheck:
     observation: bool = False  # True: reported, never fatal
 
 
-def bounds_report(record, params, reference=None, y_integral=None, tol=1e-8,
-                  mass_tol=None):
+def bounds_report(record, params, reference=None, y_integral=None, mass_tol=None):
     """Evaluate the a priori bounds on one record.
 
     reference is the initial record (defaults to the record itself, so the
     initial record passes everything).  The growth checks on the second-order
     quantities are observations: they are guaranteed only up to the model's
     own existence horizon, which the artifact does not compute.  mass_tol
-    overrides tol for the total-mass check; the 1e-8 contract is pinned at
-    the reference step size and a second-order scheme needs (dt/dt_ref)^2
-    headroom at coarser steps.
+    overrides the 1e-8 relative tolerance for the total-mass check; that
+    contract is pinned at the reference step size and a second-order scheme
+    needs (dt/dt_ref)^2 headroom at coarser steps.
     """
+    tol = 1e-8
     if reference is None:
         reference = record
     if mass_tol is None:
@@ -281,17 +281,18 @@ def _inequality_ratios(grid, f):
     return out
 
 
-def inequality_validator(grid, fields, cap=100.0):
+def inequality_validator(grid, fields):
     """Empirical constants for the Sobolev/Lebesgue inequalities.
 
     Every field has its mean removed (the homogeneous ratios require it);
     zero fields are skipped.  The inequalities are theorems, so each maximal
     ratio over the sample is a finite empirical constant; a ratio above the
-    cap indicates an implementation bug, not new mathematics.
+    cap of 100 indicates an implementation bug, not new mathematics.
 
     On grids with d != 3 only the dimension-independent subset is evaluated
     and the report carries a notice.
     """
+    cap = 100.0
     names = INEQUALITIES_3D if grid.d == 3 else INEQUALITIES_ANY_D
     notice = "" if grid.d == 3 else (
         f"dimension {grid.d}: restricted to {', '.join(names)} "

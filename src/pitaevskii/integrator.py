@@ -61,7 +61,6 @@ class StepConfig:
     dt_max: float = 1.0
     cfl: float = 0.4
     adaptive: bool = False
-    dealias: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
@@ -227,7 +226,7 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
     return u_new, rho_new, p_pred, p_corr
 
 
-def step(state, params, dt, config=None, *, history=None):
+def step(state, params, dt, *, history=None):
     """Advance one Strang step of size dt (dt < 0 is allowed for reversal
     experiments with the dissipative constants set to zero).
 
@@ -238,8 +237,7 @@ def step(state, params, dt, config=None, *, history=None):
         raise ValueError("dt must be nonzero")
     if history is None:
         history = PressureHistory()
-    truncate = config.dealias if config is not None else True
-    plan = plan_for(state.grid, truncate=truncate)
+    plan = plan_for(state.grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_hat = plan.fft(state.psi)
         # both wave half-steps share tau = dt/2 and so their linear flow
@@ -294,7 +292,7 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
     Observers are called after each accepted step with (time, state, record)
     and must not mutate the state.  snapshot_every > 0 stores a state copy
     every that many steps (plus the initial and final states); store_states
-    stores every step, which the stability harness uses at desk scales.
+    is snapshot_every = 1, which the stability harness uses at desk scales.
 
     Density-floor violations, blow-ups, CFL failures and a pressure
     projection that misses its tolerance end the run early with a structured
@@ -305,8 +303,9 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
     state = ingest(initial, params)
     rec = measure(state, params)
     records = [rec]
+    every = 1 if store_states else snapshot_every
     snapshots = []
-    if snapshot_every > 0 or store_states:
+    if every > 0:
         snapshots.append((state.t, state.copy()))
     event = None
     n_steps = 0
@@ -316,7 +315,7 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         try:
             dt = adaptive_dt(state, config) if config.adaptive else config.dt_init
             dt = min(dt, horizon - state.t)
-            new_state = step(state, params, dt, config, history=history)
+            new_state = step(state, params, dt, history=history)
         except DensityFloorViolation as exc:
             event = PhysicsEvent("density-floor", exc.time, str(exc), exc.location, exc.value)
             break
@@ -333,10 +332,10 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         records.append(rec)
         n_steps += 1
         state = new_state
-        if store_states or (snapshot_every > 0 and n_steps % snapshot_every == 0):
+        if every > 0 and n_steps % every == 0:
             snapshots.append((state.t, state.copy()))
         for obs in observers:
             obs(state.t, state, rec)
-    if snapshot_every > 0 and not store_states and (not snapshots or snapshots[-1][0] != state.t):
+    if every > 0 and snapshots[-1][0] != state.t:
         snapshots.append((state.t, state.copy()))
     return Trajectory(records=records, snapshots=snapshots, event=event, final_state=state)

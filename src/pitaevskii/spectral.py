@@ -24,6 +24,9 @@ Conventions:
   vector k', so div(grad) is -|k'|^2 and a projected field is divergence-free
   on every mode, the Nyquist planes included.  Even multipliers (the
   Laplacian and Helmholtz |k|^2, the Sobolev weights) keep the Nyquist mode.
+* Dealiasing: every plan truncates by the 2/3 rule, with no switch to turn
+  it off; the discrete energy structure of the model holds to round-off
+  only because every nonlinear product is truncated.
 * Parseval: sum_x f g = (1/N) sum over the half spectrum of
   weight * Re(conj(fhat) ghat), with weight 1 on the planes m_last = 0 and
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,
@@ -111,20 +114,13 @@ class SpectralTables:
 
 
 class SpectralPlan:
-    """Cached spectral operators for one grid.
+    """Cached spectral operators for one grid."""
 
-    truncate=False builds a plan whose dealias() is a pass-through; the
-    integrator uses it when truncation is switched off in the step config.
-    """
-
-    def __init__(self, grid, truncate=True):
+    def __init__(self, grid):
         self.grid = grid
-        self.truncate = truncate
         self._axes = tuple(range(-grid.d, 0))
         self._full = SpectralTables(grid, half=False)
         self._half = SpectralTables(grid, half=True)
-        # full-spectrum 2/3-rule mask, independent of truncate
-        self.dealias_mask = self._full.mask
 
     # -- transforms ------------------------------------------------------
 
@@ -155,8 +151,8 @@ class SpectralPlan:
         return np.sum(self.tables(vhat).ik * vhat, axis=0)
 
     def dealias_hat(self, fhat):
-        """2/3-rule truncation of a spectrum (identity when truncate=False)."""
-        return fhat * self.tables(fhat).mask if self.truncate else fhat
+        """2/3-rule truncation of a spectrum."""
+        return fhat * self.tables(fhat).mask
 
     def _leray_hat(self, vhat):
         """(what, chihat): divergence-free part and gradient potential."""
@@ -304,8 +300,6 @@ class SpectralPlan:
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""
         f = np.asarray(f)
         self.grid.check_field(f)
-        if not self.truncate:
-            return f
         return self.ifft(self.dealias_hat(self.fft(f)), f)
 
     def helmholtz_solve(self, f, alpha):
@@ -320,11 +314,10 @@ class SpectralPlan:
         return self.ifft(fhat / (1.0 + alpha * self.tables(fhat).k2), f)
 
 
-def plan_for(grid, truncate=True):
+def plan_for(grid):
     """Shared SpectralPlan per grid instance (cached on the grid)."""
-    attr = "_spectral_plan" if truncate else "_spectral_plan_raw"
-    plan = getattr(grid, attr, None)
+    plan = getattr(grid, "_spectral_plan", None)
     if plan is None or plan.grid is not grid:
-        plan = SpectralPlan(grid, truncate=truncate)
-        setattr(grid, attr, plan)
+        plan = SpectralPlan(grid)
+        grid._spectral_plan = plan
     return plan

@@ -30,6 +30,7 @@ from .integrator import run
 from .model import coupling_term
 from .spectral import plan_for
 
+TARGETS = ("psi", "u", "rho", "all")
 BUNDLES = ("full", "core")
 
 
@@ -42,8 +43,6 @@ class DifferenceRecord:
     rho_l2: float      # ||rho - rho~||_L2^2
     total: float       # wave_grad + vel_l2 + rho_l2
     driver: Optional[float] = None
-
-    SCALARS = ("t", "wave_l2", "wave_grad", "vel_l2", "rho_l2", "total", "driver")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class PerturbationSpec:
     amplitude: float = 1e-6
 
     def __post_init__(self):
-        if self.target not in ("psi", "u", "rho", "all"):
+        if self.target not in TARGETS:
             raise ValueError(f"unknown perturbation target {self.target!r}")
         if not self.amplitude >= 0:
             raise ValueError(f"perturbation amplitude must be >= 0, got {self.amplitude}")
@@ -247,9 +246,11 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     """Run the paired experiment and assemble the report.
 
     The base run is the moderate trajectory, the perturbed run the weak one.
-    Difference and driver records are taken at every accepted step (the two
-    runs share step sizes by construction).  A precomputed base trajectory
-    (run with store_states=True from the same initial data) can be passed to
+    Difference and driver records pair the two runs' stored states step by
+    step.  The runs share step sizes only at fixed dt: under adaptive
+    stepping difference_norms rejects a pair more than 1e-12 apart in time
+    and lets a smaller skew through.  A precomputed base trajectory (run
+    with store_states=True from the same initial data) can be passed to
     amortize it across an amplitude sweep.
     """
     if base is None:
@@ -301,10 +302,6 @@ class OracleTrajectory:
     vel: np.ndarray          # (n, d) uniform velocity
     rho: np.ndarray          # (n,) uniform density
     mode: np.ndarray         # the lattice wavevector k
-
-    def sample(self, t):
-        i = int(np.argmin(np.abs(self.ts - t)))
-        return self.amp[i], self.vel[i], self.rho[i]
 
 
 def reduced_ode_oracle(params, k, a0, u0, rho0, horizon, tol=1e-10, n_samples=401):

@@ -97,6 +97,21 @@ def test_config_scheme_validation():
     with pytest.raises(ConfigError) as err:
         parse_config("grid.d = 2\nexperiment.sync_every = 1\n")
     assert err.value.errors == [(2, "unknown key 'experiment.sync_every'")]
+    # and integrator.dealias: every product is truncated by the 2/3 rule
+    with pytest.raises(ConfigError) as err:
+        parse_config("grid.d = 2\ngrid.n = 16, 16\nintegrator.dealias = false\n")
+    assert err.value.errors == [(3, "unknown key 'integrator.dealias'")]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ic.mode", "1, 2, 3"),
+    ("experiment.mode", "1, 0, 5"),
+    ("ic.velocity", "0.1, 0.2, 0.3"),
+])
+def test_config_rejects_more_entries_than_dimensions(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"grid.d = 2\nic.family = plane-wave\n{key} = {value}\n")
+    assert err.value.errors == [(3, f"{key} needs at most 2 entries, got 3")]
 
 
 # -- snapshots ---------------------------------------------------------------

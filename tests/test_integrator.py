@@ -289,7 +289,7 @@ def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
         dts = [cfg.dt_init] * 10
     cold = ingest(initial, params)
     for dt in dts:
-        cold = step(cold, params, dt, cfg)
+        cold = step(cold, params, dt)
     warm = traj.final_state
     if adaptive:
         assert warm.t == pytest.approx(cold.t, rel=1e-14)
@@ -349,15 +349,6 @@ def test_step_pushes_its_start_time(grid2d):
     for dt in (1e-3, 5e-4, 2e-3):
         st = step(st, PARAMS, dt, history=history)
     assert pushed == [0.0, 1e-3, 1e-3 + 5e-4]
-
-
-def test_dealias_flag_off_smoke(grid2d):
-    st = smooth_2d_state(grid2d)
-    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
-    cfg = StepConfig(dt_init=1e-3, dealias=False)
-    traj = run(st, params, cfg, 0.01)
-    assert traj.event is None
-    assert len(traj.records) == 11
 
 
 def test_adaptive_run_stays_stable(grid2d):

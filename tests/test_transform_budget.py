@@ -63,7 +63,7 @@ def seeded_state():
 def test_step_transform_budget(counted):
     state, params = seeded_state()
     counted.update({"numpy.fft": 0, "scipy.fft": 0})
-    step(state, params, 5e-4, StepConfig(dt_init=5e-4))
+    step(state, params, 5e-4)
     print(f"field transforms in one step: {counted}")
     assert counted["numpy.fft"] == 0
     assert 0 < counted["scipy.fft"] <= MAX_FIELD_TRANSFORMS
