@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms
-from .model import coupling_term
+from .model import coupling_hat
 from .spectral import plan_for
 
 # record fields also used as CSV columns, in this fixed order; the momentum
@@ -53,25 +53,28 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in RECORD_SCALARS]
 
 
-def measure(state, params, prev_state=None):
+def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     """Build the diagnostics record for one accepted step.
 
     Time-derivative entries are backward differences against prev_state and
-    zero on the initial record.
+    zero on the initial record.  psi_hat and u_hat, the spectra plan.fft of
+    state.psi and state.u, may be passed in by a caller that holds them.
     """
     g = state.grid
     plan = plan_for(g)
-    psi_hat = plan.fft(state.psi)
+    if psi_hat is None:
+        psi_hat = plan.fft(state.psi)
+    if u_hat is None:
+        u_hat = plan.fft(state.u)
     grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
-    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
+    c_hat = coupling_hat(plan, state.psi, psi_hat, grad_psi, state.u, params)
     vol = g.volume
 
     # one spectrum per field serves every Sobolev-type entry (Parseval); the
     # real velocity's half spectrum carries the Hermitian weights
-    k2 = plan.tables(psi_hat).k2
-    psi_dens = np.abs(psi_hat / g.num_points) ** 2
-    c_dens, _ = norms.spectral_density(g, coupling)
-    u_dens, k2_u = norms.spectral_density(g, state.u)
+    psi_dens, k2 = norms.spectral_density_hat(plan, psi_hat)
+    c_dens, _ = norms.spectral_density_hat(plan, c_hat)
+    u_dens, k2_u = norms.spectral_density_hat(plan, u_hat)
 
     grad_psi_sq = vol * float(np.sum(k2 * psi_dens))
     grad_u_sq = vol * float(np.sum(k2_u * u_dens))

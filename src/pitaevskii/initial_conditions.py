@@ -61,8 +61,12 @@ def plane_wave_state(grid, k, a0, u0, rho0):
 def plane_wave_parameters(ic, lengths):
     """(k, a0, u0) of the plane-wave family on a box with these axis
     lengths: the lattice mode m becomes the wavevector k = 2 pi m / L, and
-    mode and velocity are padded with zeros to the dimension."""
+    mode and velocity are padded with zeros to the dimension; more entries
+    than the dimension are a ValueError."""
     d = len(lengths)
+    for name, values in (("mode", ic.mode), ("velocity", ic.velocity)):
+        if len(values) > d:
+            raise ValueError(f"{name} needs at most {d} entries, got {len(values)}")
     mode = tuple(ic.mode) + (0,) * (d - len(ic.mode))
     k = [2 * np.pi / L * m for m, L in zip(mode, lengths)]
     vel = tuple(ic.velocity) + (0.0,) * (d - len(ic.velocity))

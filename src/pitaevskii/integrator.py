@@ -16,14 +16,20 @@ One step of size dt is the composition
   Each stage's acceleration stays a spectrum through the density-weighted
   pressure projection and into its Helmholtz solve, and the pressures are
   kept as spectra.
-* Pressure warm starts: run() carries a PressureHistory, the pressure
-  spectra of the last four steps.  The predictor's solve starts from their
-  cubic extrapolation in time, the corrector's from this step's predictor
-  pressure plus the quadratic extrapolation of the last three corrector -
-  predictor offsets (lower orders while fewer steps exist).  step() on its
-  own starts the predictor cold and the corrector from the predictor.  Both
-  solve to the same tolerance, so the trajectories agree to round-off times
-  that tolerance.
+* run() carries a StepHistory from step to step.  It holds:
+  - the pressure spectra of the last four steps.  The predictor's solve
+    starts from their cubic extrapolation in time, the corrector's from
+    this step's predictor pressure plus the quadratic extrapolation of the
+    last three corrector - predictor offsets (lower orders while fewer
+    steps exist).  step() on its own starts the predictor cold and the
+    corrector from the predictor.  Both solve to the same tolerance, so the
+    trajectories agree to round-off times that tolerance;
+  - the spectra (psi_hat, u_hat) of the accepted state, which the last
+    wave substep and the fluid substep form before their inverse
+    transforms.  The next step and measure() start from them instead of
+    transforming the state again;
+  - the wave propagator of the last step size, reused while dt and the
+    parameters stay the same.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source.
 
@@ -152,24 +158,32 @@ def _lagrange(times, values, t):
     return total
 
 
-class PressureHistory:
-    """Pressure spectra of the last four accepted steps, which run() carries
-    from step to step to warm-start both projections of the next one.
+class StepHistory:
+    """What run() carries from one accepted step to the next: the pressure
+    spectra of the last four steps, which warm-start both projections of
+    the next one, the spectra (psi_hat, u_hat) of the last accepted state,
+    and the wave propagator of the last step size.
 
-    Each entry holds a step's start time, its predictor pressure and its
-    corrector - predictor offset.  The predictor's guess is the Lagrange
-    polynomial through the stored predictor pressures at the start t of the
-    new step: cubic once four steps exist, linear after two.  The
+    Pressures: each entry holds a step's start time, its predictor pressure
+    and its corrector - predictor offset.  The predictor's guess is the
+    Lagrange polynomial through the stored predictor pressures at the start
+    t of the new step: cubic once four steps exist, linear after two.  The
     corrector's guess is this step's predictor pressure plus the Lagrange
     extrapolation of the last three offsets to t, quadratic once three
     exist.  The nodes must be start times: a node at each step's end is off
     by that step's dt, which cancels only at fixed dt.  An empty history is
     a cold start: no guess for the predictor, the predictor's pressure for
     the corrector.  Memory is O(1) in the horizon.
+
+    Spectra are handed out only for the very state object they belong to,
+    and the propagator only for the same plan, tau and params; otherwise
+    step() computes them as a lone step would.
     """
 
     def __init__(self):
         self._steps = []      # (start time, predictor, corrector - predictor), newest last
+        self._accepted = None     # (state, psi_hat, u_hat)
+        self._propagator = None   # (plan, tau, params, lin)
 
     def predictor_guess(self, t):
         if not self._steps:
@@ -185,9 +199,32 @@ class PressureHistory:
     def push(self, t, predictor, corrector):
         self._steps = self._steps[-3:] + [(t, predictor, corrector - predictor)]
 
+    def accept(self, state, psi_hat, u_hat):
+        """Record the spectra of state, plan.fft(state.psi) and
+        plan.fft(state.u), for the step that starts from it."""
+        self._accepted = (state, psi_hat, u_hat)
 
-def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
-    """Midpoint IMEX step for (u, rho) with psi frozen.
+    def spectra(self, state):
+        """(psi_hat, u_hat) of state if accept() recorded them for this very
+        object, else (None, None)."""
+        if self._accepted is None or self._accepted[0] is not state:
+            return None, None
+        return self._accepted[1], self._accepted[2]
+
+    def propagator(self, plan, psi_hat, params, tau):
+        """_wave_propagator(plan, psi_hat, params, tau), reused while the
+        plan, tau and params stay those of the last call."""
+        cached = self._propagator
+        if cached is not None and cached[0] is plan and cached[1] == tau and cached[2] == params:
+            return cached[3]
+        lin = _wave_propagator(plan, psi_hat, params, tau)
+        self._propagator = (plan, tau, params, lin)
+        return lin
+
+
+def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
+    """Midpoint IMEX step for (u, rho) with psi frozen; u_hat is the
+    spectrum of u.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
@@ -197,14 +234,13 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
     each projected acceleration spectrum feeds its Helmholtz solve directly,
     the predictor's u_hat also serves the corrector's lap(u), and the
     midpoint velocity's spectrum feeds the corrector's acceleration.
-    Both projections start from the guesses of the PressureHistory.
-    Returns (u, rho, predictor pressure spectrum, corrector pressure
-    spectrum).
+    Both projections start from the guesses of the StepHistory.
+    Returns (u, its spectrum, rho, predictor pressure spectrum, corrector
+    pressure spectrum).
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)
     grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    u_hat = plan.fft(u)
     alpha_k2 = alpha * plan.tables(u_hat).k2
 
     accel0_hat, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
@@ -220,37 +256,44 @@ def _fluid_substep(plan, psi, psi_hat, u, rho, params, dt, t0, history):
                                                   rho_half, params, rho_bar)
     accel1_hat, p_corr = plan.weighted_leray_hat(
         accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
-    u_new = plan.ifft(((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2), u)
+    u_new_hat = ((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2)
+    u_new = plan.ifft(u_new_hat, u)
     rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
     density_floor_check(rho_new, params, t0 + dt)
-    return u_new, rho_new, p_pred, p_corr
+    return u_new, u_new_hat, rho_new, p_pred, p_corr
 
 
 def step(state, params, dt, *, history=None):
     """Advance one Strang step of size dt (dt < 0 is allowed for reversal
     experiments with the dissipative constants set to zero).
 
-    The pressure projections start cold unless a PressureHistory is passed;
-    run() passes its own, and an accepted step is pushed onto it.
+    The pressure projections start cold unless a StepHistory is passed;
+    run() passes its own.  From it the step also takes the spectra of
+    state, if the history recorded them for this very object, and the wave
+    propagator of an equal step size; an accepted step is pushed onto it
+    with its output's spectra.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if history is None:
-        history = PressureHistory()
+        history = StepHistory()
     plan = plan_for(state.grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi_hat = plan.fft(state.psi)
+        psi_hat, u_hat = history.spectra(state)
+        if psi_hat is None:
+            psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
-        lin = _wave_propagator(plan, psi_hat, params, tau)
+        lin = history.propagator(plan, psi_hat, params, tau)
         psi, psi_hat = _wave_substep(plan, state.psi, psi_hat, state.u, params, tau, lin)
-        u, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, state.rho, params,
-                                                dt, state.t, history)
-        psi, _ = _wave_substep(plan, psi, psi_hat, u, params, tau, lin)
+        u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, u_hat,
+                                                       state.rho, params, dt, state.t, history)
+        psi, psi_hat = _wave_substep(plan, psi, psi_hat, u, params, tau, lin)
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
     history.push(state.t, p_pred, p_corr)
+    history.accept(new, psi_hat, u_hat)
     return new
 
 
@@ -301,7 +344,11 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     state = ingest(initial, params)
-    rec = measure(state, params)
+    plan = plan_for(state.grid)
+    psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
+    history = StepHistory()
+    history.accept(state, psi_hat, u_hat)
+    rec = measure(state, params, psi_hat=psi_hat, u_hat=u_hat)
     records = [rec]
     every = 1 if store_states else snapshot_every
     snapshots = []
@@ -309,7 +356,6 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         snapshots.append((state.t, state.copy()))
     event = None
     n_steps = 0
-    history = PressureHistory()
     tiny = 1e-12 * max(1.0, horizon)
     while state.t < horizon - tiny:
         try:
@@ -328,7 +374,8 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         except ProjectionNotConverged as exc:
             event = PhysicsEvent("projection", state.t, str(exc))
             break
-        rec = measure(new_state, params, prev_state=state)
+        psi_hat, u_hat = history.spectra(new_state)
+        rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat)
         records.append(rec)
         n_steps += 1
         state = new_state

@@ -15,18 +15,26 @@ operator
         = -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi])
 
 with the pressure eliminated by Leray projection.  Each right-hand side has
-one body, in the spectral form the integrator composes: wave_nonlinear_hat
-(the wave equation beyond its linear (lam+i)/2 lap part) and
-velocity_rhs_hat (the pre-projection acceleration).  schrodinger_rhs and
-velocity_rhs are their physical-space wrappers, so checks of the wrappers
-check the integrator's arithmetic.  A conservative form of the momentum
-source exists for cross-validation: it differs from the non-conservative one
-by a pure gradient plus the mass-exchange drag term.
+one body, in the spectral form the integrator composes: coupling_hat (the
+coupling operator), wave_nonlinear_hat (the wave equation beyond its linear
+(lam+i)/2 lap part) and velocity_rhs_hat (the pre-projection acceleration).
+coupling_term, schrodinger_rhs and velocity_rhs are their physical-space
+wrappers, so checks of the wrappers check the integrator's arithmetic.  A
+conservative form of the momentum source exists for cross-validation: it
+differs from the non-conservative one by a pure gradient plus the
+mass-exchange drag term.
 
-Every nonlinear product is truncated by the 2/3 rule, and initial data is
-ingested band-limited, so fields stay inside the dealias ball for all time.
-That choice makes the quadratic-form and source-equivalence identities below
-hold to round-off on the discrete grid.
+Every nonlinear product is truncated by the 2/3 rule.  In the velocity
+right-hand side one truncation covers the whole acceleration: the momentum
+source enters it untruncated, and the advection is the divergence form
+-div(u u), which equals -u.grad(u) for solenoidal u.  Initial data is
+ingested band-limited, and psi and rho stay inside the dealias ball.  u
+stays there only up to the correction (1/rho) grad(p) of the
+density-weighted projection, which is not truncated and leaves a small
+fraction of u's norm outside (1e-11 to 1e-7 of its fluctuation norm at
+64^2, growing with the density contrast).  Truncation makes the
+quadratic-form and source-equivalence identities below hold to round-off
+on the discrete grid.
 """
 
 from dataclasses import dataclass
@@ -133,31 +141,36 @@ class BlowUp(Exception):
         super().__init__(f"non-finite values in {where}; last valid time t={last_valid_time:.6g}")
 
 
-def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
-    """Apply the coupling operator to the wavefunction.
+def coupling_hat(plan, psi, psi_hat, grad_psi, u, params):
+    """Spectrum of the coupling operator applied to the wavefunction,
 
-    Returns -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
+        C[psi] = -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
+
     each nonlinear product dealiased.  The associated quadratic form
     Re<psi, C[psi]> equals 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4 and
-    is nonnegative.
-
-    psi_hat (the spectrum plan.fft(psi)) and grad_psi (the gradient of psi)
-    may be passed in by a caller that already holds them.
-    """
-    if plan is None:
-        plan = plan_for(state.grid)
-    psi, u = state.psi, state.u
-    if psi_hat is None:
-        psi_hat = plan.fft(psi)
-    if grad_psi is None:
-        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    is nonnegative.  psi_hat and grad_psi are the spectrum and gradient of
+    psi."""
     nonlinear = (
         1j * np.sum(u * grad_psi, axis=0)
         + 0.5 * np.sum(u * u, axis=0) * psi
         + params.mu * (psi.real ** 2 + psi.imag ** 2) * psi
     )
     lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    return plan.ifft(lap_term + plan.dealias_hat(plan.fft(nonlinear)), psi)
+    return lap_term + plan.dealias_hat(plan.fft(nonlinear))
+
+
+def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
+    """C[psi] in physical space (coupling_hat).  psi_hat (the spectrum
+    plan.fft(psi)) and grad_psi (the gradient of psi) may be passed in by a
+    caller that already holds them."""
+    if plan is None:
+        plan = plan_for(state.grid)
+    psi = state.psi
+    if psi_hat is None:
+        psi_hat = plan.fft(psi)
+    if grad_psi is None:
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, state.u, params), psi)
 
 
 def wave_nonlinear_hat(plan, psi, psi_hat, u, params):
@@ -204,19 +217,23 @@ def _wave_momentum_flux(state, coupling, plan, grad_psi=None):
     return (np.conj(grad_psi) * coupling).imag
 
 
-def momentum_source(state, params, coupling=None, plan=None, grad_psi=None):
-    """Non-conservative momentum source; drives the integrator.
-
-    -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
-    dealiased.  grad_psi may be passed in by a caller that holds it.
-    """
-    if plan is None:
-        plan = plan_for(state.grid)
-    if coupling is None:
-        coupling = coupling_term(state, params, plan, grad_psi=grad_psi)
+def _momentum_source_raw(state, params, coupling, plan, grad_psi):
+    """-2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
+    not dealiased: velocity_rhs_hat truncates it with the rest of the
+    acceleration."""
     flux = _wave_momentum_flux(state, coupling, plan, grad_psi)
     drag = state.u * (np.conj(state.psi) * coupling).real
-    return -2.0 * params.lam * plan.dealias(flux + drag)
+    return -2.0 * params.lam * (flux + drag)
+
+
+def momentum_source(state, params, coupling=None):
+    """Non-conservative momentum source, the one that drives the integrator:
+    -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
+    dealiased."""
+    plan = plan_for(state.grid)
+    if coupling is None:
+        coupling = coupling_term(state, params, plan)
+    return plan.dealias(_momentum_source_raw(state, params, coupling, plan, None))
 
 
 def momentum_source_conservative(state, params, coupling=None, plan=None):
@@ -250,22 +267,32 @@ def density_floor_check(rho, params, time):
 
 def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params):
     """Spectrum of the pre-projection acceleration of the non-conservative
-    momentum equation, -u.grad(u) + (nu lap(u) + momentum source) / rho,
-    dealiased, and the coupling field.  psi_hat and grad_psi are the
+    momentum equation, -div(u u) + (nu lap(u) + momentum source) / rho,
+    and the coupling field.  One 2/3-rule truncation covers the whole sum,
+    the untruncated source included; the divergence form of the advection
+    equals -u.grad(u) for solenoidal u.  psi_hat and grad_psi are the
     spectrum and gradient of psi, u_hat the spectrum of u."""
     state = State(0.0, psi, u, rho, plan.grid)
     coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
-    source = momentum_source(state, params, coupling, plan, grad_psi=grad_psi)
+    source = _momentum_source_raw(state, params, coupling, plan, grad_psi)
     tab = plan.tables(u_hat)
     lap_u = plan.ifft(-tab.k2 * u_hat, u)
-    grad_u = plan.ifft(tab.ik[:, None] * u_hat, u)      # [j, i] = d_j u_i
-    advect = np.sum(u[:, None] * grad_u, axis=0)
-    combined = -advect + (params.nu * lap_u + source) / rho
-    return plan.dealias_hat(plan.fft(combined)), coupling
+    accel_hat = plan.fft((params.nu * lap_u + source) / rho)
+    # -div(u u): d(d+1)/2 forward transforms of the products u_i u_j, where
+    # the advective form takes d^2 inverse transforms of grad(u); the
+    # contraction is written out per component, since a broadcast (d, d, ...)
+    # temporary is twice as slow at 32^3
+    d = plan.grid.d
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    uu_hat = dict(zip(pairs, plan.fft(np.stack([u[i] * u[j] for i, j in pairs]))))
+    for i in range(d):
+        for j in range(d):
+            accel_hat[i] -= tab.ik[j] * uu_hat[min(i, j), max(i, j)]
+    return plan.dealias_hat(accel_hat), coupling
 
 
 def velocity_rhs(state, params):
-    """Pre-projection acceleration -u.grad(u) + (nu lap(u) + momentum
+    """Pre-projection acceleration -div(u u) + (nu lap(u) + momentum
     source) / rho in physical space (velocity_rhs_hat).  The Leray
     projection is the integrator's job, not done here.  Requires rho >= eps
     pointwise.

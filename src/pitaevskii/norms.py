@@ -59,10 +59,15 @@ def spectral_density(grid, f):
     if not (grid.is_vector(f) or grid.is_scalar(f)):
         raise GridError(f"field with shape {f.shape} does not live on grid {grid.shape}")
     plan = plan_for(grid)
-    fhat = plan.fft(f)
+    return spectral_density_hat(plan, plan.fft(f))
+
+
+def spectral_density_hat(plan, fhat):
+    """spectral_density from the spectrum fhat = plan.fft(f) of a scalar or
+    stacked vector field."""
     tab = plan.tables(fhat)
-    dens = tab.weight * np.abs(fhat / grid.num_points) ** 2
-    if grid.is_vector(f):
+    dens = tab.weight * np.abs(fhat / plan.grid.num_points) ** 2
+    if np.ndim(fhat) > plan.grid.d:
         dens = dens.sum(axis=0)
     return dens, tab.k2
 

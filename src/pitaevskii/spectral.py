@@ -26,7 +26,9 @@ Conventions:
   Laplacian and Helmholtz |k|^2, the Sobolev weights) keep the Nyquist mode.
 * Dealiasing: every plan truncates by the 2/3 rule, with no switch to turn
   it off; the discrete energy structure of the model holds to round-off
-  only because every nonlinear product is truncated.
+  only because every nonlinear term is truncated.  A caller that sums
+  several nonlinear terms on spectra may truncate the sum once
+  (dealias_hat is linear).
 * Parseval: sum_x f g = (1/N) sum over the half spectrum of
   weight * Re(conj(fhat) ghat), with weight 1 on the planes m_last = 0 and
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,

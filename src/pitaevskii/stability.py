@@ -142,12 +142,15 @@ def perturb_state(state, spec, params):
 
     The velocity perturbation is projected divergence-free afterwards; the
     density perturbation is clipped back into [m, M] so the run still
-    ingests.  amplitude == 0 returns an exact copy.
+    ingests.  amplitude == 0 returns an exact copy.  A mode with more
+    entries than the grid has axes is a ValueError.
     """
+    g = state.grid
+    if len(spec.mode) > g.d:
+        raise ValueError(f"mode needs at most {g.d} entries, got {len(spec.mode)}")
     out = state.copy()
     if spec.amplitude == 0:
         return out
-    g = state.grid
     plan = plan_for(g)
     mesh = g.meshes()
     mode = tuple(spec.mode) + (0,) * (g.d - len(spec.mode))

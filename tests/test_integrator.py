@@ -6,8 +6,8 @@ from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import build_initial_state, plane_wave_state
 from pitaevskii.integrator import (
     CflViolation,
-    PressureHistory,
     StepConfig,
+    StepHistory,
     adaptive_dt,
     ingest,
     run,
@@ -103,6 +103,20 @@ def test_plane_wave_family_off_2pi_box_matches_oracle_state():
     assert np.array_equal(st.psi, ref.psi)
     assert np.array_equal(st.u, ref.u) and np.array_equal(st.rho, ref.rho)
     assert np.abs(plan_for(g).dealias(st.psi) - st.psi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["mode", "velocity"])
+def test_plane_wave_parameters_reject_more_entries_than_dimensions(key):
+    # before, a third entry on a 2D box was dropped (mode) or passed on
+    # (velocity) without a word
+    from dataclasses import replace
+
+    from pitaevskii.config import IcConfig
+    from pitaevskii.initial_conditions import plane_wave_parameters
+
+    ic = replace(IcConfig(), family="plane-wave", **{key: (1, 0, 5)})
+    with pytest.raises(ValueError, match=f"^{key} needs at most 2 entries, got 3$"):
+        plane_wave_parameters(ic, (2 * np.pi, 2 * np.pi))
 
 
 def test_adaptive_dt_formula(grid2d):
@@ -299,8 +313,53 @@ def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_run_drops_the_propagator_when_dt_changes(grid2d):
+    # horizon 7.5 dt: the last step is clamped to dt/2, so the wave
+    # propagator the history carries from the seven full steps must not be
+    # reused for it; the replay through cold step() calls builds its own
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    dt = 2.0 ** -10
+    initial = smooth_2d_state(grid2d)
+    traj = run(initial, params, StepConfig(dt_init=dt), 7.5 * dt)
+    assert traj.event is None and len(traj.records) == 9
+    assert np.diff(traj.times)[-1] == 0.5 * dt
+    cold = ingest(initial, params)
+    for h in [dt] * 7 + [0.5 * dt]:
+        cold = step(cold, params, h)
+    warm = traj.final_state
+    assert warm.t == cold.t
+    for a, b in ((warm.psi, cold.psi), (warm.u, cold.u), (warm.rho, cold.rho)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_carried_spectra_match_the_state_and_feed_measure(grid2d):
+    # step() hands the history the spectra it formed before its inverse
+    # transforms; they equal plan.fft of the state it returns (measured
+    # 2.8e-16 relative), and measure() from them equals measure() from the
+    # state's own transforms
+    from pitaevskii.diagnostics import RECORD_SCALARS, measure
+
+    plan = plan_for(grid2d)
+    history = StepHistory()
+    st = ingest(smooth_2d_state(grid2d), PARAMS)
+    assert history.spectra(st) == (None, None)
+    for _ in range(3):
+        prev, st = st, step(st, PARAMS, 1e-3, history=history)
+    psi_hat, u_hat = history.spectra(st)
+    assert history.spectra(st.copy()) == (None, None)     # only for that object
+    for carried, field in ((psi_hat, st.psi), (u_hat, st.u)):
+        fresh = plan.fft(field)
+        assert np.abs(carried - fresh).max() <= 1e-14 * np.abs(fresh).max()
+    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
+    cold = measure(st, PARAMS, prev_state=prev)
+    for name in RECORD_SCALARS:
+        assert getattr(warm, name) == pytest.approx(getattr(cold, name), rel=1e-12, abs=1e-300)
+    scale = max(abs(v) for v in cold.momentum)
+    assert np.abs(np.subtract(warm.momentum, cold.momentum)).max() <= 1e-12 * max(scale, 1.0)
+
+
 def test_pressure_history_extrapolates_in_time():
-    history = PressureHistory()
+    history = StepHistory()
     assert history.predictor_guess(0.0) is None         # cold start
     assert history.corrector_guess(0.0, 3.0) == 3.0
     history.push(0.0, 1.0, 1.5)                          # step from t = 0
@@ -321,7 +380,7 @@ def test_pressure_history_extrapolates_in_time():
         return np.array([0.5 - t + 4.0 * t ** 2, 0.3 * t ** 2])
 
     starts = [0.0, 0.05, 0.2, 0.23, 0.4]
-    history = PressureHistory()
+    history = StepHistory()
     history.push(starts[0], cubic(starts[0]) + 7.0, cubic(starts[0]) - 9.0)   # off both
     for t in starts[1:4]:
         history.push(t, cubic(t), cubic(t) + quadratic(t))
@@ -339,7 +398,7 @@ def test_step_pushes_its_start_time(grid2d):
     # end-time node is off by that step's dt
     pushed = []
 
-    class Recording(PressureHistory):
+    class Recording(StepHistory):
         def push(self, t, predictor, corrector):
             pushed.append(t)
             super().push(t, predictor, corrector)

@@ -11,7 +11,9 @@ from pitaevskii.model import (
     momentum_source_conservative,
     schrodinger_rhs,
     velocity_rhs,
+    velocity_rhs_hat,
 )
+from pitaevskii.grid import make_grid
 from pitaevskii.norms import inner_product, integral, lp_norm
 from pitaevskii.spectral import plan_for
 
@@ -234,6 +236,47 @@ def test_velocity_rhs_manufactured(grid2d):
 
     out = velocity_rhs(st, PARAMS)
     assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def advective_double_dealiased_hat(plan, psi, u, rho, params):
+    """Reference: the velocity right-hand side with the momentum source
+    dealiased on its own and the advection in advective form,
+    dealias(-u.grad(u) + (nu lap(u) + dealias(S)) / rho), and the raw
+    source S."""
+    st = make_state(plan.grid, psi, u, rho)
+    coupling = coupling_term(st, params)
+    grad_psi = plan.gradient(psi)
+    raw = -2 * params.lam * ((np.conj(grad_psi) * coupling).imag + u * (np.conj(psi) * coupling).real)
+    tab = plan.tables(plan.fft(u))
+    lap_u = plan.ifft(-tab.k2 * plan.fft(u), u)
+    grad_u = plan.ifft(tab.ik[:, None] * plan.fft(u), u)       # [j, i] = d_j u_i
+    advect = np.sum(u[:, None] * grad_u, axis=0)
+    combined = -advect + (params.nu * lap_u + plan.dealias(raw)) / rho
+    return plan.dealias_hat(plan.fft(combined)), raw
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+def test_velocity_rhs_matches_double_dealiased_advective_form(d, n):
+    # On band-limited solenoidal fields -div(u u) and -u.grad(u) agree to
+    # round-off after truncation (2/3 rule), and so do the one and the two
+    # truncations of the source where the density is uniform or the source
+    # vanishes (lam = 0).  With both active the forms differ by exactly the
+    # truncated (S - dealias(S)) / rho, 1e-4 (2D) to 5e-3 (3D) of the
+    # acceleration on these random fields.  Measured agreement: 3e-16;
+    # tolerance 1e-13 of max |acceleration|.
+    grid = make_grid(d, [n] * d, [2 * np.pi] * d)
+    plan = plan_for(grid)
+    for lam, rho_var in ((0.8, 0.0), (0.0, 0.2), (0.8, 0.2)):
+        params = Params(lam=lam, mu=0.6, nu=0.15, m=0.7, M=1.3, eps=0.3)
+        psi, u, rho = random_state_fields(grid, np.random.default_rng(5), rho_var=rho_var)
+        u, _ = plan.leray_project(u)
+        psi_hat = plan.fft(psi)
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+        new, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, plan.fft(u), rho, params)
+        ref, raw = advective_double_dealiased_hat(plan, psi, u, rho, params)
+        if lam > 0 and rho_var > 0:
+            ref = ref + plan.dealias_hat(plan.fft((raw - plan.dealias(raw)) / rho))
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_velocity_rhs_density_floor(grid2d):

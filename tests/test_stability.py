@@ -160,6 +160,14 @@ def test_perturbation_mode_is_a_wavevector_off_2pi_box():
     assert np.abs(plan_for(g).dealias(bump) - bump).max() <= 1e-15
 
 
+@pytest.mark.parametrize("amplitude", [1e-3, 0.0])
+def test_perturbation_mode_longer_than_the_grid_is_rejected(grid2d, amplitude):
+    # before, mode (1, 0, 5) on a 2D grid perturbed mode (1, 0) without a word
+    st = smooth_state(grid2d)
+    with pytest.raises(ValueError, match="^mode needs at most 2 entries, got 3$"):
+        perturb_state(st, PerturbationSpec(target="psi", mode=(1, 0, 5), amplitude=amplitude), PARAMS)
+
+
 def test_perturbation_spec_validation():
     with pytest.raises(ValueError):
         PerturbationSpec(target="vorticity")

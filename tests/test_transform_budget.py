@@ -1,10 +1,11 @@
-"""Transform budget of the integrator's steps.
+"""Transform budget of the integrator's steps and of measure().
 
 Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
-counting wrapper around fixed-dt steps of a seeded 2D 32^2 state: one cold
-step(), and the steps of a run(), which warm-start their pressure solves.  A
-stacked vector field counts as its components, so the totals are field
-transforms whatever the batching.
+counting wrapper around fixed-dt steps of a seeded 2D 32^2 or 3D 16^3 state:
+one cold step(), and the steps of a run(), which warm-start their pressure
+solves and start from the spectra the previous step carried over.  A stacked
+vector field counts as its components, so the totals are field transforms
+whatever the batching.
 """
 
 import math
@@ -23,16 +24,28 @@ from conftest import random_state_fields
 ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 
 # Field transforms (forward and inverse, real and complex) in one cold step
-# of the state below: 7 + 18 complex and 44 + 52 real, 60 of them in the
-# pressure solves (9 + 5 iterations of 2 inverse and 2 forward each, and the
-# corrector's warm start).  Handing the projections physical fields cost 19
-# more (140); the complex numpy.fft implementation before that issued 181.
-MAX_FIELD_TRANSFORMS = 121
-# The same per step of a run() from its fifth step on, measure() excluded:
-# warm-started from the cubic extrapolation of the pressure history, the
-# solves take 2 + 1 iterations; the linear extrapolation of the last two
-# steps took 5 + 3 (101).
-MAX_RUN_STEP_TRANSFORMS = 81
+# of the 2D state below, 60 of them in the pressure solves (9 + 5 iterations
+# of 2 inverse and 2 forward each, and the corrector's warm start).  The
+# velocity right-hand side with its own dealias of the momentum source and
+# the advective form cost 10 more (121); handing the projections physical
+# fields 19 more than that (140); the complex numpy.fft implementation
+# before that issued 181.
+MAX_FIELD_TRANSFORMS = 111
+# Per step of a run() from its fifth step on, measure() excluded: the solves
+# take 1 + 1 iterations, warm-started from the cubic extrapolation of the
+# pressure history, and the step starts from carried spectra.  2D 32^2: 68
+# (81 with a second dealias and the advective form in the velocity
+# right-hand side and the state transformed again; 101 under linear warm
+# starts).  3D 16^3: 97 (was 119).  The start-up steps (third and fourth,
+# lower-order guesses) stay within the linear rule's steady 2D budget of
+# 101, and within their measured 121 in 3D.
+RUN_BUDGETS = {2: (68, 101), 3: (97, 121)}
+# Per measure() call on an accepted step of a run(), which hands it the
+# carried spectra: grad(psi) (d inverse), the coupling's one forward
+# transform and the H^-1 norm of the density's time difference.  It was
+# 2d + 5 (9 in 2D, 11 in 3D) with the state transformed again and the
+# coupling taken back to physical space and forward again.
+MAX_MEASURE_TRANSFORMS = {2: 4, 3: 5}
 
 
 @pytest.fixture
@@ -42,8 +55,11 @@ def counted(monkeypatch):
 
     def wrap(module, name, fn):
         def wrapper(a, *args, **kwargs):
+            # the transformed axes trail; the leading ones stack fields
             arr = np.asarray(a)
-            counts[module] += math.prod(arr.shape[:arr.ndim - 2])
+            axes = kwargs.get("axes")
+            transformed = 2 if name.endswith("2") else arr.ndim if axes is None else len(axes)
+            counts[module] += math.prod(arr.shape[:arr.ndim - transformed])
             return fn(a, *args, **kwargs)
         return wrapper
 
@@ -53,8 +69,9 @@ def counted(monkeypatch):
     return counts
 
 
-def seeded_state():
-    grid = make_grid(2, [32, 32], [2 * np.pi, 2 * np.pi])
+def seeded_state(d=2):
+    n = {2: 32, 3: 16}[d]
+    grid = make_grid(d, [n] * d, [2 * np.pi] * d)
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     psi, u, rho = random_state_fields(grid, np.random.default_rng(2024), amp=0.4, rho_var=0.15)
     return ingest(State(0.0, psi, u, rho, grid), params), params
@@ -69,25 +86,34 @@ def test_step_transform_budget(counted):
     assert 0 < counted["scipy.fft"] <= MAX_FIELD_TRANSFORMS
 
 
-def test_run_steady_state_transform_budget(counted, monkeypatch):
-    state, params = seeded_state()
-    per_step = []
-    inner = integrator.step
+def counting(counted, monkeypatch, name):
+    """Field transforms of each call of integrator.<name>, in call order."""
+    per_call = []
+    inner = getattr(integrator, name)
 
-    def counting_step(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         before = counted["scipy.fft"]
         out = inner(*args, **kwargs)
-        per_step.append(counted["scipy.fft"] - before)
+        per_call.append(counted["scipy.fft"] - before)
         return out
 
-    monkeypatch.setattr(integrator, "step", counting_step)
+    monkeypatch.setattr(integrator, name, wrapper)
+    return per_call
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_run_steady_state_transform_budget(counted, monkeypatch, d):
+    state, params = seeded_state(d)
+    per_step = counting(counted, monkeypatch, "step")
+    per_measure = counting(counted, monkeypatch, "measure")
     counted.update({"numpy.fft": 0, "scipy.fft": 0})
     dt = 2.0 ** -11
     traj = run(state, params, StepConfig(dt_init=dt), 8 * dt)
-    print(f"field transforms per step of a run: {per_step}")
-    assert traj.event is None and len(per_step) == 8
+    print(f"field transforms per step of a run: {per_step}, per measure(): {per_measure}")
+    assert traj.event is None and len(per_step) == 8 and len(per_measure) == 9
     assert counted["numpy.fft"] == 0
-    assert 0 < max(per_step[4:]) <= MAX_RUN_STEP_TRANSFORMS
-    # the constant, linear and quadratic start-up guesses stay within the
-    # linear rule's steady budget
-    assert max(per_step[2:]) <= 101
+    steady, start_up = RUN_BUDGETS[d]
+    assert 0 < max(per_step[4:]) <= steady
+    # the constant, linear and quadratic start-up guesses stay bounded
+    assert max(per_step[2:]) <= start_up
+    assert 0 < max(per_measure[1:]) <= MAX_MEASURE_TRANSFORMS[d]
