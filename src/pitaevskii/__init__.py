@@ -4,7 +4,7 @@ inhomogeneous incompressible Navier-Stokes equations on a periodic torus."""
 
 from .grid import Grid, GridError, make_grid
 from .model import BlowUp, DensityFloorViolation, Params, State
-from .norms import NormSpec, inner_product, norm
+from .norms import inner_product
 from .spectral import SpectralPlan, plan_for
 
 __version__ = "0.1.0"
@@ -17,8 +17,6 @@ __all__ = [
     "State",
     "BlowUp",
     "DensityFloorViolation",
-    "NormSpec",
-    "norm",
     "inner_product",
     "SpectralPlan",
     "plan_for",

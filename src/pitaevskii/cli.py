@@ -25,6 +25,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .diagnostics import (
     bounds_report,
+    cumulative_trapezoid,
     energy_budget,
     growth_budget,
     inequality_validator,
@@ -92,20 +93,16 @@ def cmd_simulate(cfg):
           f"velocity {_fmt(tdr.vel_l2l2)}  density(H^-1) {_fmt(tdr.rho_l2hm1)}")
 
     failed = []
-    y_int = 0.0
-    prev = None
+    y_ints = cumulative_trapezoid([r.t for r in traj.records], [r.second_diss for r in traj.records])
     mass_tol = 1e-8 * max(1.0, (cfg.integrator.dt_init / 5e-4) ** 2)
-    for rec in traj.records:
-        if prev is not None:
-            y_int += 0.5 * (rec.second_diss + prev.second_diss) * (rec.t - prev.t)
-        prev = rec
+    for rec, y_int in zip(traj.records, y_ints):
         for check in bounds_report(rec, cfg.params, reference=first, y_integral=y_int,
                                    mass_tol=mass_tol):
             if not check.passed and not check.observation:
                 failed.append((rec.t, check))
     for t, check in failed[:5]:
         print(f"BOUND FAILED at t={_fmt(t)}: {check.name} (margin {_fmt(check.margin)})")
-    summary = bounds_report(last, cfg.params, reference=first, y_integral=y_int,
+    summary = bounds_report(last, cfg.params, reference=first, y_integral=y_ints[-1],
                             mass_tol=mass_tol)
     for check in summary:
         tag = "observation" if check.observation else "assertion"

@@ -70,25 +70,24 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     c_hat = coupling_hat(plan, state.psi, psi_hat, grad_psi, state.u, params)
     vol = g.volume
 
-    # one spectrum per field serves every Sobolev-type entry (Parseval); the
+    # one Parseval density per field serves every Sobolev-type entry; the
     # real velocity's half spectrum carries the Hermitian weights
-    psi_dens, k2 = norms.spectral_density_hat(plan, psi_hat)
-    c_dens, _ = norms.spectral_density_hat(plan, c_hat)
-    u_dens, k2_u = norms.spectral_density_hat(plan, u_hat)
+    psi_dens = norms.spectral_density_hat(plan, psi_hat)
+    c_dens = norms.spectral_density_hat(plan, c_hat)
+    u_dens = norms.spectral_density_hat(plan, u_hat)
 
-    grad_psi_sq = vol * float(np.sum(k2 * psi_dens))
-    grad_u_sq = vol * float(np.sum(k2_u * u_dens))
-    lap_psi_sq = vol * float(np.sum(k2 ** 2 * psi_dens))
-    lap_u_sq = vol * float(np.sum(k2_u ** 2 * u_dens))
-    grad_coupling_sq = vol * float(np.sum(k2 * c_dens))
-    coupling_l2_sq = vol * float(np.sum(c_dens))
+    def sob_sq(dens, s, homogeneous=False):
+        return norms.sobolev_sq(*dens, vol, s, homogeneous)
 
-    sdelta = params.delta
-    w_wave = (1.0 + k2) ** (2.5 + sdelta)
-    w_mid = (1.0 + k2) ** (1.5 + sdelta)
-    sob_wave = math.sqrt(vol * float(np.sum(w_wave * psi_dens)))
-    sob_vel = math.sqrt(vol * float(np.sum((1.0 + k2_u) ** (1.5 + sdelta) * u_dens)))
-    sob_coupling = math.sqrt(vol * float(np.sum(w_mid * c_dens)))
+    grad_psi_sq = sob_sq(psi_dens, 1.0, homogeneous=True)
+    grad_u_sq = sob_sq(u_dens, 1.0, homogeneous=True)
+    lap_psi_sq = sob_sq(psi_dens, 2.0, homogeneous=True)
+    lap_u_sq = sob_sq(u_dens, 2.0, homogeneous=True)
+    grad_coupling_sq = sob_sq(c_dens, 1.0, homogeneous=True)
+    coupling_l2_sq = sob_sq(c_dens, 0.0)
+    sob_wave = math.sqrt(sob_sq(psi_dens, 2.5 + params.delta))
+    sob_vel = math.sqrt(sob_sq(u_dens, 1.5 + params.delta))
+    sob_coupling = math.sqrt(sob_sq(c_dens, 1.5 + params.delta))
 
     kinetic = 0.5 * float(np.sum(state.rho * np.sum(state.u ** 2, axis=0))) * g.cell_volume
     quartic = 0.5 * params.mu * norms.lp_norm(g, state.psi, 4) ** 4
@@ -138,11 +137,22 @@ def energy_budget(records):
     """
     if len(records) < 1:
         raise ValueError("need at least one record")
-    ts = np.array([r.t for r in records])
     e = np.array([r.energy for r in records])
-    d = np.array([r.diss_visc + r.diss_relax for r in records])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(ts))])
+    cum = cumulative_trapezoid([r.t for r in records], [r.diss_visc + r.diss_relax for r in records])
     return e + cum - e[0]
+
+
+def trapezoid_steps(ts, values):
+    """Trapezoid-rule area 0.5 * (a + b) * dt of each step between the
+    sample times ts."""
+    values = np.asarray(values, dtype=float)
+    return 0.5 * (values[1:] + values[:-1]) * np.diff(np.asarray(ts, dtype=float))
+
+
+def cumulative_trapezoid(ts, values):
+    """Trapezoid-rule integral of values from ts[0] to each ts[i]: 0, then
+    the running sum of the trapezoid_steps."""
+    return np.concatenate([[0.0], np.cumsum(trapezoid_steps(ts, values))])
 
 
 @dataclass

@@ -58,17 +58,26 @@ def plane_wave_state(grid, k, a0, u0, rho0):
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
-def plane_wave_parameters(ic, lengths):
-    """(k, a0, u0) of the plane-wave family on a box with these axis
-    lengths: the lattice mode m becomes the wavevector k = 2 pi m / L, and
-    mode and velocity are padded with zeros to the dimension; more entries
+def lattice_wavevector(mode, lengths):
+    """Wavevector k = 2 pi m / L of the lattice mode m on a box with these
+    axis lengths; m is padded with zeros to the dimension, and more entries
     than the dimension are a ValueError."""
     d = len(lengths)
-    for name, values in (("mode", ic.mode), ("velocity", ic.velocity)):
-        if len(values) > d:
-            raise ValueError(f"{name} needs at most {d} entries, got {len(values)}")
-    mode = tuple(ic.mode) + (0,) * (d - len(ic.mode))
-    k = [2 * np.pi / L * m for m, L in zip(mode, lengths)]
+    if len(mode) > d:
+        raise ValueError(f"mode needs at most {d} entries, got {len(mode)}")
+    mode = tuple(mode) + (0,) * (d - len(mode))
+    return [2 * np.pi / L * m for m, L in zip(mode, lengths)]
+
+
+def plane_wave_parameters(ic, lengths):
+    """(k, a0, u0) of the plane-wave family on a box with these axis
+    lengths: k is the lattice_wavevector of the mode, and the velocity is
+    padded with zeros to the dimension; more entries than the dimension are
+    a ValueError."""
+    d = len(lengths)
+    k = lattice_wavevector(ic.mode, lengths)
+    if len(ic.velocity) > d:
+        raise ValueError(f"velocity needs at most {d} entries, got {len(ic.velocity)}")
     vel = tuple(ic.velocity) + (0.0,) * (d - len(ic.velocity))
     return k, ic.wave_amp * np.exp(1j * ic.wave_phase), vel
 

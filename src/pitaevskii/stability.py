@@ -26,8 +26,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import norms
+from .diagnostics import cumulative_trapezoid, trapezoid_steps
+from .initial_conditions import lattice_wavevector
 from .integrator import run
-from .model import coupling_term
+from .model import coupling_hat
 from .spectral import plan_for
 
 TARGETS = ("psi", "u", "rho", "all")
@@ -105,11 +107,20 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
     g = weak.grid
     plan = plan_for(g)
 
-    u_h1 = norms.sobolev_norm(g, weak.u, 1.0)
-    um_h1 = norms.sobolev_norm(g, moderate.u, 1.0)
-    psi_h1 = norms.sobolev_norm(g, weak.psi, 1.0)
-    psi_h2 = norms.sobolev_norm(g, weak.psi, 2.0)
-    psim_h2 = norms.sobolev_norm(g, moderate.psi, 2.0)
+    def sob(dens, s):
+        return math.sqrt(norms.sobolev_sq(*dens, g.volume, s))
+
+    # one transform per field; every H^s norm of it reads its one density
+    psi_hat, psim_hat = plan.fft(weak.psi), plan.fft(moderate.psi)
+    u_dens, um_dens, psi_dens, psim_dens = (
+        norms.spectral_density_hat(plan, fhat)
+        for fhat in (plan.fft(weak.u), plan.fft(moderate.u), psi_hat, psim_hat))
+
+    u_h1 = sob(u_dens, 1.0)
+    um_h1 = sob(um_dens, 1.0)
+    psi_h1 = sob(psi_dens, 1.0)
+    psi_h2 = sob(psi_dens, 2.0)
+    psim_h2 = sob(psim_dens, 2.0)
     dtu_l3 = norms.lp_norm(g, dt_moderate_u, 3)
     grad_rho_l3 = norms.lp_norm(g, plan.gradient(moderate.rho), 3)
 
@@ -123,18 +134,26 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
         grad_rho_l3 ** 2,
     ]
     if bundle == "full":
-        u_h2 = norms.sobolev_norm(g, weak.u, 2.0)
-        um_h2 = norms.sobolev_norm(g, moderate.u, 2.0)
-        cw = coupling_term(weak, params)
-        cm = coupling_term(moderate, params)
+        u_h2 = sob(u_dens, 2.0)
+        um_h2 = sob(um_dens, 2.0)
+        # the coupling's L^2 and H^1 norms by Parseval on its spectrum
+        cw_dens = _coupling_density(plan, weak, psi_hat, params)
+        cm_dens = _coupling_density(plan, moderate, psim_hat, params)
         terms += [
             u_h2 ** 2,
             um_h2 ** 2,
             um_h1 ** 2 * um_h2 ** 2,
-            norms.lp_norm(g, cw, 2) * norms.sobolev_norm(g, cw, 1.0),
-            um_h1 ** 2 * norms.lp_norm(g, cm, 2) ** 2,
+            sob(cw_dens, 0.0) * sob(cw_dens, 1.0),
+            um_h1 ** 2 * sob(cm_dens, 0.0) ** 2,
         ]
     return float(sum(terms))
+
+
+def _coupling_density(plan, state, psi_hat, params):
+    """Parseval density of C[psi] from the spectrum psi_hat of state.psi."""
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
+    return norms.spectral_density_hat(
+        plan, coupling_hat(plan, state.psi, psi_hat, grad_psi, state.u, params))
 
 
 def perturb_state(state, spec, params):
@@ -146,15 +165,12 @@ def perturb_state(state, spec, params):
     entries than the grid has axes is a ValueError.
     """
     g = state.grid
-    if len(spec.mode) > g.d:
-        raise ValueError(f"mode needs at most {g.d} entries, got {len(spec.mode)}")
+    k = lattice_wavevector(spec.mode, g.lengths)
     out = state.copy()
     if spec.amplitude == 0:
         return out
     plan = plan_for(g)
     mesh = g.meshes()
-    mode = tuple(spec.mode) + (0,) * (g.d - len(spec.mode))
-    k = [2 * np.pi / L * m for m, L in zip(mode, g.lengths)]
     phase = sum(ki * xi for ki, xi in zip(k, mesh))
     pattern = np.cos(phase)
     pattern_s = np.sin(phase)
@@ -214,16 +230,18 @@ def fit_envelope(records):
 
     c_hat is the largest per-step ratio (log D(t+dt) - log D(t)) / int H dt
     over the fitting window; the margin is max D(t) / (D(0) exp(c_hat
-    int_0^t H)) over the validation window.  Returns (None, None) when D
-    vanishes identically (the zero-perturbation case).
+    int_0^t H)) over the validation window.  Returns (c_hat, margin, int_0^T
+    H): (None, None, 0.0) when D(0) = 0 (the zero-perturbation case) or with
+    fewer than four records, c_hat = margin = None when no fitting step
+    yields a ratio.
     """
     ts = np.array([r.t for r in records])
     d = np.array([r.total for r in records])
     h = np.array([r.driver for r in records], dtype=float)
     if d[0] == 0.0 or len(records) < 4:
         return None, None, 0.0
-    steps_h = 0.5 * (h[1:] + h[:-1]) * np.diff(ts)
-    cum_h = np.concatenate([[0.0], np.cumsum(steps_h)])
+    steps_h = trapezoid_steps(ts, h)
+    cum_h = cumulative_trapezoid(ts, h)
     t_mid = 0.5 * (ts[0] + ts[-1])
     c_hat = None
     for i in range(len(ts) - 1):
@@ -254,12 +272,15 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     stepping difference_norms rejects a pair more than 1e-12 apart in time
     and lets a smaller skew through.  A precomputed base trajectory (run
     with store_states=True from the same initial data) can be passed to
-    amortize it across an amplitude sweep.
+    amortize it across an amplitude sweep; a base without a stored state
+    for every record is a ValueError.
     """
     if base is None:
         base = run(initial, params, step_config, horizon, store_states=True)
     if base.event is not None:
         raise RuntimeError(f"base run did not reach the horizon: {base.event.message}")
+    if len(base.snapshots) != len(base.records):
+        raise ValueError("the base trajectory lacks a state per record: run it with store_states=True")
     perturbed = run(perturb_state(initial, spec, params), params, step_config, horizon,
                     store_states=True)
 

@@ -213,6 +213,17 @@ def test_stability_zero_perturbation_identical(grid2d):
     assert report.passed
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-4])
+def test_stability_rejects_a_base_without_every_state(grid2d, amplitude):
+    st = smooth_state(grid2d)
+    cfg = StepConfig(dt_init=2e-3)
+    base = run(st.copy(), PARAMS, cfg, 0.02)
+    assert base.snapshots == [] and len(base.records) > 1
+    with pytest.raises(ValueError, match="store_states=True"):
+        stability_experiment(st, PARAMS, cfg, PerturbationSpec(amplitude=amplitude), 0.02,
+                             base=base)
+
+
 def test_stability_small_experiment(grid2d):
     st = smooth_state(grid2d)
     cfg = StepConfig(dt_init=2e-3)

@@ -1,11 +1,12 @@
-"""Transform budget of the integrator's steps and of measure().
+"""Transform budget of the integrator's steps, of measure() and of the
+Gronwall bundle.
 
 Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
 counting wrapper around fixed-dt steps of a seeded 2D 32^2 or 3D 16^3 state:
 one cold step(), and the steps of a run(), which warm-start their pressure
-solves and start from the spectra the previous step carried over.  A stacked
-vector field counts as its components, so the totals are field transforms
-whatever the batching.
+solves and start from the spectra the previous step carried over; and around
+one gronwall_bundle() call on two such states.  A stacked vector field counts
+as its components, so the totals are field transforms whatever the batching.
 """
 
 import math
@@ -18,6 +19,7 @@ from pitaevskii import integrator
 from pitaevskii.grid import make_grid
 from pitaevskii.integrator import StepConfig, ingest, run, step
 from pitaevskii.model import Params, State
+from pitaevskii.stability import gronwall_bundle
 
 from conftest import random_state_fields
 
@@ -46,6 +48,12 @@ RUN_BUDGETS = {2: (68, 101), 3: (97, 121)}
 # 2d + 5 (9 in 2D, 11 in 3D) with the state transformed again and the
 # coupling taken back to physical space and forward again.
 MAX_MEASURE_TRANSFORMS = {2: 4, 3: 5}
+# Per gronwall_bundle() call: each of weak.u, moderate.u, weak.psi and
+# moderate.psi transformed once (2d + 2), grad(rho) of the moderate state
+# (d + 1) and, in the full bundle, each state's coupling spectrum (d inverse
+# for grad(psi), one forward).  With one transform per norm and the coupling
+# taken to physical space and back it was 25 / 10 in 2D and 32 / 13 in 3D.
+MAX_BUNDLE_TRANSFORMS = {(2, "full"): 15, (2, "core"): 9, (3, "full"): 20, (3, "core"): 12}
 
 
 @pytest.fixture
@@ -117,3 +125,17 @@ def test_run_steady_state_transform_budget(counted, monkeypatch, d):
     # the constant, linear and quadratic start-up guesses stay bounded
     assert max(per_step[2:]) <= start_up
     assert 0 < max(per_measure[1:]) <= MAX_MEASURE_TRANSFORMS[d]
+
+
+@pytest.mark.parametrize("d, bundle", sorted(MAX_BUNDLE_TRANSFORMS))
+def test_gronwall_bundle_transform_budget(counted, d, bundle):
+    weak, params = seeded_state(d)
+    moderate = weak.copy()
+    moderate.psi = 1.01 * moderate.psi
+    rate = np.ones_like(weak.u)
+    counted.update({"numpy.fft": 0, "scipy.fft": 0})
+    driver = gronwall_bundle(weak, moderate, params, rate, bundle=bundle)
+    print(f"field transforms in one {bundle} bundle: {counted}")
+    assert driver > 0
+    assert counted["numpy.fft"] == 0
+    assert 0 < counted["scipy.fft"] <= MAX_BUNDLE_TRANSFORMS[(d, bundle)]
