@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms
+from .grid import pointwise_dot
 from .model import coupling_hat
 from .spectral import plan_for
 
@@ -89,7 +90,7 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     sob_vel = math.sqrt(sob_sq(u_dens, 1.5 + params.delta))
     sob_coupling = math.sqrt(sob_sq(c_dens, 1.5 + params.delta))
 
-    kinetic = 0.5 * float(np.sum(state.rho * np.sum(state.u ** 2, axis=0))) * g.cell_volume
+    kinetic = 0.5 * float(np.sum(state.rho * pointwise_dot(state.u, state.u))) * g.cell_volume
     quartic = 0.5 * params.mu * norms.lp_norm(g, state.psi, 4) ** 4
     energy_val = kinetic + 0.5 * grad_psi_sq + quartic
 
@@ -103,7 +104,7 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
         dt_wave = norms.lp_norm(g, dpsi, 2)
         dt_vel = norms.lp_norm(g, du, 2)
         dt_rho = norms.sobolev_norm(g, drho, -1.0)
-        ud_term = float(np.sum(state.rho * np.sum(du ** 2, axis=0))) * g.cell_volume
+        ud_term = float(np.sum(state.rho * pointwise_dot(du, du))) * g.cell_volume
 
     mom = norms.vector_integral(g, state.rho * state.u)
     mom = mom + np.array([norms.integral(g, (np.conj(state.psi) * grad_psi[i]).imag) for i in range(g.d)])
@@ -225,14 +226,20 @@ def growth_budget(initial_record, params, horizon):
     Combines the second-order initial energy X0 and the initial Sobolev sizes
     into lam*(M'/nu^2)*X0 + (lam*M'/(nu^2 eps) + gamma)*X0^2*T + lam*E1^2*T.
     gamma is a free constant (params.gamma, default 1) and the value is
-    logged, never asserted.
+    logged, never asserted.  At nu = 0 the two terms over nu^2 are inf when
+    lam > 0 and 0 when lam = 0.
     """
     x0 = initial_record.second_energy
     e1 = initial_record.sob_vel ** 2 + initial_record.sob_wave ** 2
     mp = params.m_prime
+    if params.nu > 0:
+        viscous = params.lam * mp / params.nu ** 2
+        viscous_eps = params.lam * mp / (params.nu ** 2 * params.eps)
+    else:
+        viscous = viscous_eps = math.inf if params.lam > 0 else 0.0
     return (
-        params.lam * mp / params.nu ** 2 * x0
-        + (params.lam * mp / (params.nu ** 2 * params.eps) + params.gamma) * x0 ** 2 * horizon
+        viscous * x0
+        + (viscous_eps + params.gamma) * x0 ** 2 * horizon
         + params.lam * e1 ** 2 * horizon
     )
 

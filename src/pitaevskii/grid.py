@@ -98,6 +98,17 @@ def make_grid(d, n, lengths):
     return Grid(d, n, lengths)
 
 
+def pointwise_dot(a, b):
+    """Pointwise sum_i a[i] b[i] of two stacked (d, ...) fields or spectra,
+    one component at a time, so no (d, ...) product is formed.  The
+    components are added in the order np.sum(a * b, axis=0) adds them, with
+    the same result bit for bit."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
+    return out
+
+
 def require_finite(f, name="field"):
     """Raise FloatingPointError if the array contains NaN or Inf."""
     if not np.all(np.isfinite(f)):

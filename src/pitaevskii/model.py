@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, require_finite
+from .grid import Grid, pointwise_dot, require_finite
 from .spectral import plan_for
 
 
@@ -151,8 +151,8 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, params):
     is nonnegative.  psi_hat and grad_psi are the spectrum and gradient of
     psi."""
     nonlinear = (
-        1j * np.sum(u * grad_psi, axis=0)
-        + 0.5 * np.sum(u * u, axis=0) * psi
+        1j * pointwise_dot(u, grad_psi)
+        + 0.5 * pointwise_dot(u, u) * psi
         + params.mu * (psi.real ** 2 + psi.imag ** 2) * psi
     )
     lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
@@ -178,8 +178,8 @@ def wave_nonlinear_hat(plan, psi, psi_hat, u, params):
     removing (lam+i)/2 * lap, dealiased:
     -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi."""
     grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    u_dot_grad = np.sum(u * grad_psi, axis=0)
-    speed2 = np.sum(u * u, axis=0)
+    u_dot_grad = pointwise_dot(u, grad_psi)
+    speed2 = pointwise_dot(u, u)
     cubic = (psi.real ** 2 + psi.imag ** 2) * psi
     return plan.dealias_hat(plan.fft(
         (-1j * params.lam) * u_dot_grad

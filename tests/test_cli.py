@@ -23,3 +23,12 @@ def test_cli_subcommand_smoke(tmp_path, capsys, command, written, verdict):
         assert path.read_text().count("\n") > 1
         assert f"series: {path}" in lines
     assert any(ln.startswith("verdict: pass") for ln in lines) == verdict
+
+
+def test_simulate_without_viscosity_reports_the_growth_budget(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nintegrator.dt_init = 0.002\n"
+                   f"experiment.T = 0.002\nparams.nu = 0\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "growth budget (gamma=1.0, informational): inf" in lines

@@ -138,6 +138,16 @@ def test_growth_budget_formula(grid2d):
     assert growth_budget(rec, PARAMS, horizon) == pytest.approx(expect, rel=1e-12)
 
 
+def test_growth_budget_without_viscosity(grid2d):
+    rec = measure(plane_wave_state(grid2d, (1, 0), 0.5, (0.1, 0.0), 1.0), PARAMS)
+    horizon = 0.7
+    inviscid = Params(lam=1.0, mu=1.0, nu=0.0, m=0.5, M=1.5, eps=0.2)
+    assert growth_budget(rec, inviscid, horizon) == np.inf
+    # lam = 0 switches the terms over nu^2 off, leaving gamma X0^2 T
+    frozen = Params(lam=0.0, mu=1.0, nu=0.0, m=0.5, M=1.5, eps=0.2)
+    assert growth_budget(rec, frozen, horizon) == frozen.gamma * rec.second_energy ** 2 * horizon
+
+
 def test_time_derivative_report_stationary(grid2d):
     zero = State(0.0, np.zeros(grid2d.shape, complex), np.zeros((2,) + grid2d.shape),
                  np.ones(grid2d.shape), grid2d)
