@@ -144,6 +144,8 @@ def cmd_stability(cfg):
 def cmd_convergence(cfg):
     from dataclasses import replace
 
+    if not cfg.experiment.horizon > 0:
+        raise ValueError(f"the convergence study needs experiment.T > 0, got {cfg.experiment.horizon}")
     grid, state = _build(cfg)
     residuals = []
     dts = [cfg.integrator.dt_init, cfg.integrator.dt_init / 2, cfg.integrator.dt_init / 4]

@@ -36,12 +36,12 @@ def spectral_density_hat(plan, fhat):
     """Parseval-weighted squared modulus of the Fourier coefficients, summed
     over components, from the spectrum fhat = plan.fft(f) of a scalar or
     stacked vector field (the half spectrum for a real field), with the
-    |k|^2 table of that layout."""
+    SpectralTables of that layout."""
     tab = plan.tables(fhat)
     dens = tab.weight * np.abs(fhat / plan.grid.num_points) ** 2
     if np.ndim(fhat) > plan.grid.d:
         dens = dens.sum(axis=0)
-    return dens, tab.k2
+    return dens, tab
 
 
 def lp_norm(grid, f, p):
@@ -53,24 +53,19 @@ def lp_norm(grid, f, p):
     return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
 
 
-def sobolev_sq(dens, k2, volume, s, homogeneous=False):
-    """Squared H^s norm from a Parseval density and its |k|^2 table (the
+def sobolev_sq(dens, tab, volume, s, homogeneous=False):
+    """Squared H^s norm from a Parseval density and its layout's tables (the
     pair spectral_density_hat returns) on a box of this volume: the weight is
-    (1+|k|^2)^s, or |k|^(2s) off the mean mode when homogeneous."""
-    if not homogeneous:
-        weight = (1.0 + k2) ** s
-    elif s > 0:
-        weight = k2 ** s  # 0 on the mean mode
-    else:
-        weight = np.power(k2, s, out=np.zeros_like(k2), where=k2 > 0)
-    return float(np.sum(weight * dens)) * volume
+    (1+|k|^2)^s, or |k|^(2s) off the mean mode when homogeneous, read from
+    the tables' cache (SpectralTables.sobolev_weight)."""
+    return float(np.sum(tab.sobolev_weight(s, homogeneous) * dens)) * volume
 
 
 def sobolev_norm(grid, f, s, homogeneous=False):
     grid.check_field(f)
     plan = plan_for(grid)
-    dens, k2 = spectral_density_hat(plan, plan.fft(np.asarray(f)))
-    return float(np.sqrt(sobolev_sq(dens, k2, grid.volume, s, homogeneous)))
+    dens, tab = spectral_density_hat(plan, plan.fft(np.asarray(f)))
+    return float(np.sqrt(sobolev_sq(dens, tab, grid.volume, s, homogeneous)))
 
 
 def inner_product(grid, f, g):

@@ -1,9 +1,11 @@
 """Fourier differential operators, Leray projections, dealiasing and Helmholtz solves.
 
-A SpectralPlan caches the multiplier tables for one grid.  Plans are immutable
-after construction and safe to share across concurrent runs; every method is a
-pure function of its inputs.  Real input fields produce real outputs, complex
-inputs stay complex.
+A SpectralPlan caches the multiplier tables for one grid.  Plans are safe to
+share across concurrent runs; every method is a pure function of its inputs.
+The one state a plan gains after construction is the Sobolev weight tables,
+each filled on first use: the fill is idempotent (callers that race compute
+equal arrays and all get the one stored), so sharing stays safe.  Real input
+fields produce real outputs, complex inputs stay complex.
 
 Conventions:
 
@@ -107,6 +109,9 @@ class SpectralTables:
                 layout the modes whose every index is 0 or Nyquist)
     mask     -- 2/3-rule dealias mask: keep |m_i| <= n_i/3
     weight   -- Parseval weight of each mode (see the module docstring)
+
+    sobolev_weight(s, homogeneous) adds the H^s weight tables, one per
+    (s, homogeneous), built on first use.
     """
 
     def __init__(self, grid, half):
@@ -135,6 +140,23 @@ class SpectralTables:
         if half:
             weight[1:grid.n[-1] // 2] = 2.0
         self.weight = mesh(d - 1, weight)
+        self._sobolev = {}
+
+    def sobolev_weight(self, s, homogeneous=False):
+        """H^s weight of each mode: (1+|k|^2)^s, or |k|^(2s) off the mean
+        mode when homogeneous.  Built once per (s, homogeneous) and kept."""
+        key = (float(s), bool(homogeneous))
+        weight = self._sobolev.get(key)
+        if weight is None:
+            k2 = self.k2
+            if not homogeneous:
+                weight = (1.0 + k2) ** s
+            elif s > 0:
+                weight = k2 ** s  # 0 on the mean mode
+            else:
+                weight = np.power(k2, s, out=np.zeros_like(k2), where=k2 > 0)
+            weight = self._sobolev.setdefault(key, weight)
+        return weight
 
     def dot(self, a, b):
         """Real inner product of two spectra with the Parseval weights:

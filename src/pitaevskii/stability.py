@@ -16,6 +16,8 @@ rendering of "the solutions are identical".
 A spatially uniform / single-plane-wave reduction of the full system closes
 into a small ODE; reduced_ode_oracle integrates it with a high-order adaptive
 scheme and serves as the reference trajectory for integrator accuracy tests.
+The oracle imports its integrator (scipy.integrate) on first call, so the
+solver and the stability driver never load it.
 """
 
 import math
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import norms
 from .diagnostics import cumulative_trapezoid, trapezoid_steps
@@ -339,14 +340,19 @@ def reduced_ode_oracle(params, k, a0, u0, rho0, horizon, tol=1e-10, n_samples=40
 
     and conserves rho + |a|^2 and rho u + k |a|^2.  DOP853 with rtol = atol =
     tol; the conservation drift is verified to 10 * tol and the run fails if
-    that cannot be met.
+    that cannot be met.  A zero horizon returns the initial point at every
+    sample time without integrating.
     """
     if not rho0 > 0:
         raise ValueError(f"need rho0 > 0, got {rho0}")
     if not tol > 0:
         raise ValueError(f"need tol > 0, got {tol}")
+    if not horizon >= 0:
+        raise ValueError(f"need horizon >= 0, got {horizon}")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    if k.size != u0.size:
+        raise ValueError(f"k has {k.size} entries but u0 has {u0.size}")
     d = k.size
     k2 = float(np.dot(k, k))
 
@@ -363,14 +369,21 @@ def reduced_ode_oracle(params, k, a0, u0, rho0, horizon, tol=1e-10, n_samples=40
 
     y0 = np.concatenate([[np.real(a0), np.imag(a0)], u0, [rho0]])
     ts = np.linspace(0.0, horizon, n_samples)
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=ts, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"oracle integration failed: {sol.message}")
+    if horizon == 0:
+        y = np.repeat(y0[:, None], n_samples, axis=1)
+    else:
+        # imported here, not at module level: it adds ~25 MB that no solver run needs
+        from scipy.integrate import solve_ivp
 
-    amp = sol.y[0] + 1j * sol.y[1]
-    vel = sol.y[2:2 + d].T.copy()
-    rho = sol.y[2 + d]
+        sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
+                        rtol=tol, atol=tol, t_eval=ts, dense_output=False)
+        if not sol.success:
+            raise RuntimeError(f"oracle integration failed: {sol.message}")
+        y = sol.y
+
+    amp = y[0] + 1j * y[1]
+    vel = y[2:2 + d].T.copy()
+    rho = y[2 + d]
 
     mass = rho + np.abs(amp) ** 2
     mom = rho[:, None] * vel + np.outer(np.abs(amp) ** 2, k)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pitaevskii.cli import main as cli_main
@@ -32,3 +33,28 @@ def test_simulate_without_viscosity_reports_the_growth_budget(tmp_path, capsys):
     assert cli_main(["simulate", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "growth budget (gamma=1.0, informational): inf" in lines
+
+
+def test_oracle_at_zero_horizon_writes_the_initial_point(tmp_path):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nexperiment.T = 0\nic.mode = 1, 0\n"
+                   "ic.wave_amp = 0.5\nic.wave_phase = 0.3\nic.velocity = 0.2, -0.1\n"
+                   f"ic.rho0 = 1.1\noutput.dir = {out_dir}\n")
+    assert cli_main(["oracle", str(cfg)]) == 0
+    a0 = 0.5 * np.exp(0.3j)
+    initial = [0.0, a0.real, a0.imag, abs(a0), 0.2, -0.1, 1.1]
+    rows = (out_dir / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 401
+    for row in rows:
+        cells = [float(c) for c in row.split(",")]
+        assert cells[:7] == initial
+        assert cells[7] == 1.1 + abs(a0) ** 2
+
+
+def test_convergence_rejects_a_zero_horizon(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("experiment.T = 0.02", "experiment.T = 0")
+                   + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["convergence", str(cfg)]) == 2
+    assert "needs experiment.T > 0" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from pitaevskii.grid import GridError, make_grid
 from pitaevskii.norms import inner_product, integral, lp_norm, sobolev_norm
+from pitaevskii.spectral import SpectralTables
 
 from conftest import gaussian_random_field
 
@@ -132,6 +135,40 @@ def test_sobolev_monotonicity(grid2d, rng):
     g = make_grid(1, [16], [2 * np.pi])
     e = np.exp(1j * 2 * g.axis_coordinates(0))
     assert sobolev_norm(g, e, 2.0) / sobolev_norm(g, e, 1.0) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+
+
+def test_sobolev_weights_are_built_once_and_shared_across_threads():
+    # racing first uses of one table must all get the one stored array
+    g = make_grid(2, [256, 192], [2 * np.pi, 3.0])
+    tab = SpectralTables(g, half=True)
+    keys = [(s, hom) for s in (-1.0, 0.0, 0.7, 1.0, 2.5) for hom in (False, True)]
+    seen = {key: [] for key in keys}
+    start = threading.Barrier(8, timeout=60)
+
+    def worker():
+        start.wait()
+        for key in keys:
+            seen[key].append(tab.sobolev_weight(*key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    k2 = tab.k2
+    for (s, hom), got in seen.items():
+        assert len(got) == 8 and all(w is got[0] for w in got)
+        if hom:
+            expect = np.power(k2, s, out=np.zeros_like(k2), where=k2 > 0)
+        else:
+            expect = (1.0 + k2) ** s
+        np.testing.assert_allclose(got[0], expect, rtol=1e-14, atol=0.0)
 
 
 def test_norm_zero_iff_zero(grid1d):

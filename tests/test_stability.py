@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pitaevskii
 from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import plane_wave_state
 from pitaevskii.integrator import StepConfig, run
@@ -202,6 +207,30 @@ def test_oracle_input_validation():
         reduced_ode_oracle(PARAMS, [1.0], 0.5, [0.0], -1.0, 1.0)
     with pytest.raises(ValueError):
         reduced_ode_oracle(PARAMS, [1.0], 0.5, [0.0], 1.0, 1.0, tol=0.0)
+    with pytest.raises(ValueError, match="horizon >= 0"):
+        reduced_ode_oracle(PARAMS, [1.0], 0.5, [0.0], 1.0, -1.0)
+    with pytest.raises(ValueError, match="k has 2 entries but u0 has 1"):
+        reduced_ode_oracle(PARAMS, [1.0, 0.0], 0.5, [0.3], 1.0, 1.0)
+
+
+def test_solver_processes_do_not_load_the_oracle_integrator():
+    # other tests run the oracle in this process, so look from a fresh one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pitaevskii.__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import pitaevskii.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "from pitaevskii.model import Params\n"
+        "from pitaevskii.stability import reduced_ode_oracle\n"
+        "traj = reduced_ode_oracle(Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4),"
+        " [1.0], 0.5, [0.0], 1.0, 0.1, n_samples=3)\n"
+        "assert traj.ts[-1] == 0.1\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stability_zero_perturbation_identical(grid2d):
