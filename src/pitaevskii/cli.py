@@ -12,8 +12,8 @@ Subcommands (each takes one config file):
 
 Exit codes: 0 = every asserted invariant passed; 1 = a physics event ended
 the run (density floor, blow-up, CFL, a pressure projection that missed its
-tolerance) or an asserted verdict failed;
-2 = usage or configuration error.
+tolerance) or an asserted verdict failed or was inconclusive (a stability
+envelope never tested); 2 = usage or configuration error.
 """
 
 import argparse
@@ -136,7 +136,7 @@ def cmd_stability(cfg):
     print(f"envelope constant: {'n/a' if report.c_hat is None else _fmt(report.c_hat)}")
     print(f"envelope margin: {'n/a' if report.envelope_margin is None else _fmt(report.envelope_margin)}")
     print(f"determinism failure: {str(report.determinism_failure).lower()}")
-    print(f"verdict: {'pass' if report.passed else 'FAIL'}")
+    print(f"verdict: {report.verdict}")
     print(f"series: {path}")
     return 0 if report.passed else 1
 

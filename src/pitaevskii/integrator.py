@@ -197,7 +197,11 @@ class StepHistory:
         return predictor + _lagrange([s[0] for s in recent], [s[2] for s in recent], t)
 
     def push(self, t, predictor, corrector):
-        self._steps = self._steps[-3:] + [(t, predictor, corrector - predictor)]
+        """Record the step from t; it replaces a step pushed from the same t
+        (a retry), whose repeated node would make the extrapolation divide
+        by zero."""
+        kept = [s for s in self._steps if s[0] != t]
+        self._steps = kept[-3:] + [(t, predictor, corrector - predictor)]
 
     def accept(self, state, psi_hat, u_hat):
         """Record the spectra of state, plan.fft(state.psi) and

@@ -203,12 +203,28 @@ class StabilityReport:
     notes: list = field(default_factory=list)
 
     @property
+    def inconclusive(self):
+        """A nonzero perturbation whose envelope was never fitted (fewer than
+        four records, or no fitting step with a ratio): no verdict."""
+        return self.amplitude != 0.0 and self.envelope_margin is None
+
+    @property
     def envelope_ok(self):
-        return self.envelope_margin is None or self.envelope_margin <= 10.0
+        return not self.inconclusive and (self.envelope_margin is None or self.envelope_margin <= 10.0)
 
     @property
     def passed(self):
         return not self.determinism_failure and self.envelope_ok and self.event is None
+
+    @property
+    def verdict(self):
+        """'pass', 'inconclusive' when an untested envelope is all that keeps
+        the report from passing, else 'FAIL'."""
+        if self.passed:
+            return "pass"
+        if self.inconclusive and not self.determinism_failure and self.event is None:
+            return "inconclusive"
+        return "FAIL"
 
 
 def _centered_velocity_rates(snapshots):

@@ -58,3 +58,14 @@ def test_convergence_rejects_a_zero_horizon(tmp_path, capsys):
                    + f"output.dir = {tmp_path / 'out'}\n")
     assert cli_main(["convergence", str(cfg)]) == 2
     assert "needs experiment.T > 0" in capsys.readouterr().err
+
+
+def test_stability_without_a_fitted_margin_is_inconclusive(tmp_path, capsys):
+    # three records leave no envelope to fit: no verdict and exit code 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN.replace("experiment.T = 0.02", "experiment.T = 0.004")
+                   + f"experiment.delta_p = 1e-6\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["stability", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "envelope margin: n/a" in lines
+    assert "verdict: inconclusive" in lines

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pitaevskii import spectral
 from pitaevskii.norms import inner_product, lp_norm
 from pitaevskii.spectral import ProjectionNotConverged, plan_for
 
@@ -211,6 +212,35 @@ def test_weighted_projection_warm_start_at_the_solution_takes_no_iteration(grid2
     assert np.abs(what2 - what).max() <= 1e-12 * np.abs(what).max()
     with pytest.raises(ProjectionNotConverged):
         plan.weighted_leray_hat(vhat, rho, max_iter=0)
+
+
+@pytest.mark.parametrize("contrast", [3.9, 4.1])
+def test_pressure_agrees_across_the_preconditioner_threshold(grid2d, rng, monkeypatch, contrast):
+    # one smooth density scaled to either side of the threshold; moving the
+    # threshold past it switches the solve to the other preconditioner,
+    # which only the |k'|^-1 rho |k'|^-1 one applies by a scalar inverse
+    # transform.  Both meet the same tolerance.
+    plan = plan_for(grid2d)
+    g = gaussian_random_field(grid2d, rng, kc=4.0)
+    rho = contrast ** ((g - g.min()) / (g.max() - g.min()))     # [1, contrast]
+    vhat = plan.fft(random_vector_field(grid2d, rng))
+    inverse = plan.ifft
+    scalar_inverses = []
+
+    def counted_inverse(fhat, like):
+        scalar_inverses.append(np.ndim(fhat) == grid2d.d)
+        return inverse(fhat, like)
+
+    monkeypatch.setattr(plan, "ifft", counted_inverse)
+    solves = {}
+    for threshold in (spectral.DENSITY_PRECONDITIONER_CONTRAST, 3.0 if contrast < 4 else 5.0):
+        monkeypatch.setattr(spectral, "DENSITY_PRECONDITIONER_CONTRAST", threshold)
+        scalar_inverses.clear()
+        solves[contrast >= threshold] = plan.weighted_leray_hat(vhat, rho)
+        assert any(scalar_inverses) == (contrast >= threshold)
+    (what, phat), (what_v, phat_v) = solves[False], solves[True]
+    assert np.abs(phat_v - phat).max() <= 1e-8 * np.abs(phat).max()
+    assert np.abs(what_v - what).max() <= 1e-8 * np.abs(what).max()
 
 
 def test_weighted_projection_not_converged_is_loud(grid2d, rng):

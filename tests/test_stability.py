@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,30 @@ def test_stability_small_experiment(grid2d):
     assert report.passed
     # driver stays integrable: the cumulative integral is finite
     assert np.isfinite(report.driver_integral)
+
+
+def test_stability_without_a_fitted_margin_gives_no_verdict():
+    # three records (T = 0.004 at dt = 0.002) leave no envelope to fit: a
+    # nonzero perturbation then neither passes nor fails, and a zero one
+    # still passes on its bitwise comparison
+    grid = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+    cfg = StepConfig(dt_init=0.002)
+    report = stability_experiment(smooth_state(grid), PARAMS, cfg,
+                                  PerturbationSpec(amplitude=1e-6), 0.004)
+    assert len(report.records) == 3 and report.records[0].total > 0
+    assert report.c_hat is None and report.envelope_margin is None
+    assert report.inconclusive and not report.envelope_ok and not report.passed
+    assert report.verdict == "inconclusive"
+    assert replace(report, determinism_failure=True).verdict == "FAIL"
+    zero = stability_experiment(smooth_state(grid), PARAMS, cfg,
+                                PerturbationSpec(amplitude=0.0), 0.004)
+    assert not zero.inconclusive and zero.passed and zero.verdict == "pass"
+    # four records without a fitting ratio are no verdict either
+    no_ratio = replace(report, c_hat=None, envelope_margin=None,
+                       records=report.records + report.records[-1:])
+    assert no_ratio.inconclusive and not no_ratio.passed
+    assert replace(report, envelope_margin=10.0).passed
+    assert not replace(report, envelope_margin=10.5).passed
 
 
 def test_stability_core_bundle(grid2d):
