@@ -12,24 +12,41 @@ One step of size dt is the composition
   midpoint stage.
 * The fluid substep is a midpoint predictor-corrector with Crank-Nicolson
   viscosity at a constant reference density rho_bar = (m+M)/2 (the
-  variable-density remainder is explicit), followed by Leray projection.
-  Each stage's acceleration stays a spectrum through the density-weighted
-  pressure projection and into its Helmholtz solve, and the pressures are
-  kept as spectra.
+  variable-density remainder is explicit), followed by a pressure
+  projection.  Each stage's acceleration stays a spectrum through the
+  projection and into its Helmholtz solve, and the pressures are kept as
+  spectra.  A stage projects in one of two ways:
+  - the density-weighted projection, a PCG solve of the variable-coefficient
+    pressure equation (SpectralPlan.weighted_leray_hat);
+  - the constant-coefficient pressure split (SpectralPlan.split_leray_hat):
+    (1/rho) grad p = (1/rho0) grad p + (1/rho - 1/rho0) grad p*, with rho0
+    the stage density's minimum and p* the pressure extrapolated from the
+    history, so the stage costs one exact Leray projection and one flux (d
+    inverse and d forward transforms) instead of an iteration.  A stage
+    takes it when the history holds at least two steps that started before
+    this one and the stage density's contrast max/min is below
+    spectral.DENSITY_PRECONDITIONER_CONTRAST (4).  So a run's first two
+    steps, a lone step() and every stage from contrast 4 on solve by PCG.
 * run() carries a StepHistory from step to step.  It holds:
-  - the pressure spectra of the last four steps.  The predictor's solve
-    starts from their cubic extrapolation in time, the corrector's from
-    this step's predictor pressure plus the quadratic extrapolation of the
-    last three corrector - predictor offsets (lower orders while fewer
-    steps exist).  step() on its own starts the predictor cold and the
-    corrector from the predictor.  Both solve to the same tolerance, so the
-    trajectories agree to round-off times that tolerance;
+  - the pressure spectra of the last four steps.  A PCG solve starts from
+    their extrapolation in time: the predictor's from the cubic through the
+    predictor pressures, the corrector's from this step's predictor
+    pressure plus the quadratic through the last three corrector -
+    predictor offsets (lower orders while fewer steps exist).  The split's
+    p* takes lines through the last two of each instead: with quadratic
+    offsets it is unstable from contrast 2.  step() on its own starts the
+    predictor cold and the corrector from the predictor;
   - the spectra (psi_hat, u_hat) of the accepted state, which the last
     wave substep and the fluid substep form before their inverse
     transforms.  The next step and measure() start from them instead of
     transforming the state again;
   - the wave propagator of the last step size, reused while dt and the
     parameters stay the same.
+  Below contrast 4 a run and a loop of lone step() calls are therefore two
+  discretizations, whose gap falls with dt: at 32^2 over 10 * 2^-10 it is
+  6.6e-12 relative in u at dt = 2^-10 and 8.8e-13 at half that dt.
+  From contrast 4 on both solve every stage to the same PCG tolerance and
+  agree to round-off times that tolerance.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source.
 
@@ -57,7 +74,7 @@ from .model import (
     wave_nonlinear_hat,
 )
 from .norms import lp_norm
-from .spectral import ProjectionNotConverged, plan_for
+from .spectral import DENSITY_PRECONDITIONER_CONTRAST, ProjectionNotConverged, plan_for
 
 
 @dataclass(frozen=True)
@@ -146,34 +163,45 @@ def _density_rhs(plan, psi, u, rho, params, coupling):
     return -plan.ifft(div_hat, rho) + mass_exchange(state, params, coupling)
 
 
-def _lagrange(times, values, t):
-    """The polynomial through the points (times[i], values[i]) at t."""
+def _lagrange(steps, column, t):
+    """The polynomial through the points (start time, step[column]) of the
+    history entries steps, at t."""
     total = 0.0
-    for i, (ti, vi) in enumerate(zip(times, values)):
+    for i, si in enumerate(steps):
         weight = 1.0
-        for j, tj in enumerate(times):
+        for j, sj in enumerate(steps):
             if j != i:
-                weight *= (t - tj) / (ti - tj)
-        total = total + weight * vi
+                weight *= (t - sj[0]) / (si[0] - sj[0])
+        total = total + weight * si[column]
     return total
 
 
 class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
-    spectra of the last four steps, which warm-start both projections of
-    the next one, the spectra (psi_hat, u_hat) of the last accepted state,
-    and the wave propagator of the last step size.
+    spectra of the last four steps, which start both projections of the
+    next one, the spectra (psi_hat, u_hat) of the last accepted state, and
+    the wave propagator of the last step size.
 
     Pressures: each entry holds a step's start time, its predictor pressure
-    and its corrector - predictor offset.  The predictor's guess is the
-    Lagrange polynomial through the stored predictor pressures at the start
-    t of the new step: cubic once four steps exist, linear after two.  The
-    corrector's guess is this step's predictor pressure plus the Lagrange
-    extrapolation of the last three offsets to t, quadratic once three
-    exist.  The nodes must be start times: a node at each step's end is off
-    by that step's dt, which cancels only at fixed dt.  An empty history is
-    a cold start: no guess for the predictor, the predictor's pressure for
-    the corrector.  Memory is O(1) in the horizon.
+    and its corrector - predictor offset.  Every guess for a step from t
+    extrapolates to t through the stored steps that started strictly before
+    t, so a step retried from t never uses its own discarded attempt.
+    - PCG warm starts: the predictor's guess is the Lagrange polynomial
+      through the stored predictor pressures, cubic once four steps exist,
+      linear after two; the corrector's is this step's predictor pressure
+      plus the Lagrange extrapolation of the last three offsets, quadratic
+      once three exist.  No guess (predictor) or the predictor's pressure
+      (corrector) while no step is stored.
+    - The pressure split's p*: the same with lines through the last two
+      predictor pressures and the last two offsets, None while fewer than
+      two such steps are stored.  Only lines keep the split stable: with
+      quadratic offsets its error recurrence z^3 = a (3 z^2 - 3 z + 1),
+      a = 1 - min rho / max rho, has a root of modulus 1 at contrast 2,
+      and 32^2 runs at contrast 2.78 and 3.9 broke down before T = 0.5;
+      with lines |z| = sqrt(a) < 1.
+    The nodes must be start times: a node at each step's end is off by that
+    step's dt, which cancels only at fixed dt.  Memory is O(1) in the
+    horizon.
 
     Spectra are handed out only for the very state object they belong to,
     and the propagator only for the same plan, tau and params; otherwise
@@ -185,16 +213,27 @@ class StepHistory:
         self._accepted = None     # (state, psi_hat, u_hat)
         self._propagator = None   # (plan, tau, params, lin)
 
+    def _before(self, t, count):
+        """The last `count` stored steps that started strictly before t."""
+        return [s for s in self._steps if s[0] < t][-count:]
+
     def predictor_guess(self, t):
-        if not self._steps:
-            return None
-        return _lagrange([s[0] for s in self._steps], [s[1] for s in self._steps], t)
+        steps = self._before(t, 4)
+        return _lagrange(steps, 1, t) if steps else None
 
     def corrector_guess(self, t, predictor):
-        if not self._steps:
-            return predictor
-        recent = self._steps[-3:]
-        return predictor + _lagrange([s[0] for s in recent], [s[2] for s in recent], t)
+        steps = self._before(t, 3)
+        return predictor + _lagrange(steps, 2, t) if steps else predictor
+
+    def split_predictor(self, t):
+        """p* of the predictor's pressure split, or None."""
+        steps = self._before(t, 2)
+        return _lagrange(steps, 1, t) if len(steps) == 2 else None
+
+    def split_corrector(self, t, predictor):
+        """p* of the corrector's pressure split, or None."""
+        steps = self._before(t, 2)
+        return predictor + _lagrange(steps, 2, t) if len(steps) == 2 else None
 
     def push(self, t, predictor, corrector):
         """Record the step from t; it replaces a step pushed from the same t
@@ -226,6 +265,13 @@ class StepHistory:
         return lin
 
 
+def _split_applies(rho):
+    """Whether a stage at density rho may take the pressure split: its
+    contrast max/min is below DENSITY_PRECONDITIONER_CONTRAST.  From there
+    on the split's explicit remainder grows and PCG keeps the stage."""
+    return float(rho.max()) / float(rho.min()) < DENSITY_PRECONDITIONER_CONTRAST
+
+
 def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
     """Midpoint IMEX step for (u, rho) with psi frozen; u_hat is the
     spectrum of u.
@@ -238,7 +284,8 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
     each projected acceleration spectrum feeds its Helmholtz solve directly,
     the predictor's u_hat also serves the corrector's lap(u), and the
     midpoint velocity's spectrum feeds the corrector's acceleration.
-    Both projections start from the guesses of the StepHistory.
+    Each stage solves by PCG from the StepHistory's guess, or takes the
+    pressure split with the history's p* (see the module docstring).
     Returns (u, its spectrum, rho, predictor pressure spectrum, corrector
     pressure spectrum).
     """
@@ -249,8 +296,12 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
 
     accel0_hat, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
                                                   params, rho_bar)
-    accel0_hat, p_pred = plan.weighted_leray_hat(accel0_hat, rho,
-                                                 initial_pressure_hat=history.predictor_guess(t0))
+    p_star = history.split_predictor(t0) if _split_applies(rho) else None
+    if p_star is None:
+        accel0_hat, p_pred = plan.weighted_leray_hat(
+            accel0_hat, rho, initial_pressure_hat=history.predictor_guess(t0))
+    else:
+        accel0_hat, p_pred = plan.split_leray_hat(accel0_hat, rho, p_star)
     u_half_hat = (u_hat + 0.5 * dt * accel0_hat) / (1.0 + alpha_k2)
     u_half = plan.ifft(u_half_hat, u)
     rho_half = rho + 0.5 * dt * _density_rhs(plan, psi, u, rho, params, coupling0)
@@ -258,8 +309,12 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
 
     accel1_hat, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
                                                   rho_half, params, rho_bar)
-    accel1_hat, p_corr = plan.weighted_leray_hat(
-        accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
+    p_star = history.split_corrector(t0, p_pred) if _split_applies(rho_half) else None
+    if p_star is None:
+        accel1_hat, p_corr = plan.weighted_leray_hat(
+            accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
+    else:
+        accel1_hat, p_corr = plan.split_leray_hat(accel1_hat, rho_half, p_star)
     u_new_hat = ((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2)
     u_new = plan.ifft(u_new_hat, u)
     rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
@@ -271,11 +326,12 @@ def step(state, params, dt, *, history=None):
     """Advance one Strang step of size dt (dt < 0 is allowed for reversal
     experiments with the dissipative constants set to zero).
 
-    The pressure projections start cold unless a StepHistory is passed;
-    run() passes its own.  From it the step also takes the spectra of
-    state, if the history recorded them for this very object, and the wave
-    propagator of an equal step size; an accepted step is pushed onto it
-    with its output's spectra.
+    The pressure projections are cold PCG solves unless a StepHistory is
+    passed; run() passes its own.  With two earlier steps on it, a stage
+    below contrast 4 takes the pressure split.  From the history the step
+    also takes the spectra of state, if the history recorded them for this
+    very object, and the wave propagator of an equal step size; an
+    accepted step is pushed onto it with its output's spectra.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")

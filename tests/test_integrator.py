@@ -274,13 +274,13 @@ def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection
 
 
 @pytest.mark.parametrize("m, M, eps, adaptive", [
-    pytest.param(0.8, 1.2, 0.4, False, id="0.8-1.2-0.4"),
     pytest.param(0.1, 10.0, 0.05, False, id="0.1-10.0-0.05"),
     pytest.param(0.1, 10.0, 0.05, True, id="0.1-10.0-0.05-adaptive"),
 ])
 def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
-    # run() warm-starts every projection from its pressure history; a loop of
-    # step() calls starts each step cold.  Both solve to the same tolerance.
+    # at contrast 16 run() solves every pressure by PCG, warm-started from
+    # its pressure history; a loop of step() calls starts each step cold.
+    # Both solve to the same tolerance.
     # At fixed dt the cold loop takes 10 steps of dt_init on its own.
     # Adaptive steps put the history's extrapolation nodes at unequal
     # spacing (the CFL proposal drifts with max|u|, and the last step is cut
@@ -307,22 +307,57 @@ def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_split_run_converges_to_cold_steps(grid2d):
+    # below contrast 4 a run's warm steps take the pressure split, a
+    # different discretization from cold step()'s PCG solves: over the same
+    # horizon 10 * 2^-10 their gap must fall at least 4x when dt halves.
+    # Measured max|diff|/max|cold|: u 6.55e-12 -> 8.75e-13 (and 1.15e-13 at
+    # 2^-12), psi 1.1e-14 -> 2.2e-15, rho 8.5e-14 -> 1.2e-14; the bounds at
+    # 2^-11 are these with less than 2x headroom
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    initial = smooth_2d_state(grid2d)
+    horizon = 10 * 2.0 ** -10
+    gaps = []
+    for dt in (2.0 ** -10, 2.0 ** -11):
+        traj = run(initial, params, StepConfig(dt_init=dt), horizon)
+        assert traj.event is None
+        cold = ingest(initial, params)
+        for _ in range(round(horizon / dt)):
+            cold = step(cold, params, dt)
+        warm = traj.final_state
+        assert warm.t == cold.t
+        gaps.append({name: float(np.abs(getattr(warm, name) - getattr(cold, name)).max()
+                                 / np.abs(getattr(cold, name)).max())
+                     for name in ("psi", "u", "rho")})
+    coarse, fine = gaps
+    assert coarse["u"] >= 4.0 * fine["u"]
+    for name, bound in (("psi", 4e-15), ("u", 1.5e-12), ("rho", 2e-14)):
+        assert fine[name] <= bound, name
+
+
 def test_run_drops_the_propagator_when_dt_changes(grid2d):
     # horizon 7.5 dt: the last step is clamped to dt/2, so the wave
     # propagator the history carries from the seven full steps must not be
-    # reused for it; the replay through cold step() calls builds its own
+    # reused for it.  The replay takes the same steps through one shared
+    # history, as run() does, whose propagator is built afresh on every call
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     dt = 2.0 ** -10
     initial = smooth_2d_state(grid2d)
     traj = run(initial, params, StepConfig(dt_init=dt), 7.5 * dt)
     assert traj.event is None and len(traj.records) == 9
     assert np.diff(traj.times)[-1] == 0.5 * dt
-    cold = ingest(initial, params)
+
+    class Rebuilding(StepHistory):
+        def propagator(self, plan, psi_hat, params, tau):
+            return StepHistory().propagator(plan, psi_hat, params, tau)
+
+    history = Rebuilding()
+    replay = ingest(initial, params)
     for h in [dt] * 7 + [0.5 * dt]:
-        cold = step(cold, params, h)
+        replay = step(replay, params, h, history=history)
     warm = traj.final_state
-    assert warm.t == cold.t
-    for a, b in ((warm.psi, cold.psi), (warm.u, cold.u), (warm.rho, cold.rho)):
+    assert warm.t == replay.t
+    for a, b in ((warm.psi, replay.psi), (warm.u, replay.u), (warm.rho, replay.rho)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
@@ -387,6 +422,61 @@ def test_pressure_history_extrapolates_in_time():
                                rtol=1e-12, atol=1e-12)
 
 
+def test_split_guesses_are_exact_on_lines_in_time():
+    # the split's p* are lines: exact on predictor pressures and offsets
+    # linear in time at unequal dt, from the last two steps only, and None
+    # before two steps started before t
+    def line(t):
+        return np.array([1.0 - 2.0 * t, 0.5 + 3.0 * t])
+
+    def offset(t):
+        return np.array([0.25 * t - 1.0, -t])
+
+    history = StepHistory()
+    history.push(0.0, line(0.0) + 7.0, line(0.0) - 9.0)        # off both lines
+    assert history.split_predictor(0.1) is None
+    assert history.split_corrector(0.1, line(0.1)) is None
+    for t in (0.03, 0.2):
+        history.push(t, line(t), line(t) + offset(t))
+    t = 0.35
+    np.testing.assert_allclose(history.split_predictor(t), line(t), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(history.split_corrector(t, line(t)), line(t) + offset(t),
+                               rtol=1e-14, atol=1e-14)
+    # only steps that started before t count: at t = 0.2 the lines run
+    # through the steps from 0 and 0.03, and a retry from 0.03 has one
+    # earlier step
+    assert np.abs(history.split_predictor(0.2) - line(0.2)).max() > 1.0
+    assert history.split_predictor(0.03) is None
+    assert np.array_equal(history.predictor_guess(0.03), line(0.0) + 7.0)
+
+
+def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
+    # 8 steps: at contrast 1.44 PCG solves only the two stages of the first
+    # two steps, the split the other twelve; at contrast 16 PCG solves all
+    # sixteen
+    calls = []
+
+    def counting(name):
+        solve = getattr(SpectralPlan, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return solve(self, *args, **kwargs)
+        return counted
+
+    for name in ("weighted_leray_hat", "split_leray_hat"):
+        monkeypatch.setattr(SpectralPlan, name, counting(name))
+    dt = 2.0 ** -11
+    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 4), (0.1, 10.0, 0.05, 16)):
+        params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
+        calls.clear()
+        traj = run(smooth_2d_state(grid2d, m=m, M=M), params, StepConfig(dt_init=dt), 8 * dt)
+        assert traj.event is None and len(traj.records) == 9
+        assert calls.count("weighted_leray_hat") == weighted
+        assert calls.count("split_leray_hat") == 16 - weighted
+        assert calls[:4] == ["weighted_leray_hat"] * 4
+
+
 def test_step_pushes_its_start_time(grid2d):
     # the history's nodes are the steps' start times: at unequal dt an
     # end-time node is off by that step's dt
@@ -427,23 +517,30 @@ def test_retried_step_replaces_its_history_entry(grid2d):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("case", ["2d-contrast-16", "3d"])
+@pytest.mark.parametrize("case", ["2d-contrast-3.9", "2d-contrast-16", "3d"])
 def test_energy_equality_is_second_order(case):
-    # max|r|/E0 of the energy budget at dt = 2e-3 and 1e-3 to T = 0.1:
+    # max|r|/E0 of the energy budget at dt = 2e-3 and 1e-3:
+    # 2D 32^2 at density range [1, 4.84] (contrast 3.90, the top of the
+    # pressure split's range) to T = 0.5 measured 9.90e-7 and 2.48e-7;
     # 2D 32^2 at density range [0.1, 10] (the high-contrast preconditioner)
-    # measured 2.80e-7 and 7.07e-8; 3D 16^3 standard smooth data 1.12e-6
-    # and 2.81e-7
+    # to T = 0.1 measured 2.80e-7 and 7.07e-8; 3D 16^3 standard smooth data
+    # to T = 0.1 1.12e-6 and 2.81e-7
+    horizon = 0.1
     if case == "3d":
         grid = make_grid(3, [16] * 3, [2 * np.pi] * 3)
         params = Config().params
         initial = smooth_state(grid, params, 0.4)
     else:
         grid = make_grid(2, [32] * 2, [2 * np.pi] * 2)
-        params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+        if case == "2d-contrast-16":
+            params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+        else:
+            params = Params(lam=1.0, mu=1.0, nu=0.1, m=1.0, M=4.84, eps=0.5)
+            horizon = 0.5
         initial = smooth_2d_state(grid, m=params.m, M=params.M)
     residuals = []
     for dt in (2e-3, 1e-3):
-        traj = run(initial, params, StepConfig(dt_init=dt), 0.1)
+        traj = run(initial, params, StepConfig(dt_init=dt), horizon)
         assert traj.event is None
         residuals.append(float(np.abs(energy_budget(traj.records)).max() / traj.records[0].energy))
     order = float(np.log2(residuals[0] / residuals[1]))

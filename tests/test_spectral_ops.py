@@ -214,6 +214,29 @@ def test_weighted_projection_warm_start_at_the_solution_takes_no_iteration(grid2
         plan.weighted_leray_hat(vhat, rho, max_iter=0)
 
 
+def test_split_projection_at_the_solved_pressure_is_the_weighted_projection(grid2d, rng):
+    # p* = the solved pressure makes the split's explicit remainder the whole
+    # variable-coefficient part, so it returns the same velocity and
+    # pressure; any p* leaves a divergence-free velocity; uniform weight is
+    # the plain Leray projection whatever p*
+    plan = plan_for(grid2d)
+    g = gaussian_random_field(grid2d, rng, kc=4.0)
+    rho = 1.44 ** ((g - g.min()) / (g.max() - g.min()))     # [1, 1.44]
+    vhat = plan.fft(random_vector_field(grid2d, rng))
+    what, phat = plan.weighted_leray_hat(vhat, rho, tol=1e-12)
+    what_s, phat_s = plan.split_leray_hat(vhat, rho, phat)
+    assert np.abs(phat_s - phat).max() <= 1e-10 * np.abs(phat).max()
+    assert np.abs(what_s - what).max() <= 1e-10 * np.abs(what).max()
+    what_0, _ = plan.split_leray_hat(vhat, rho, np.zeros_like(phat))
+    assert np.abs(plan.div_hat(what_0)).max() <= 1e-12 * grid2d.k_max * np.abs(what_0).max()
+    assert np.abs(what_0 - what).max() > 1e-3 * np.abs(what).max()
+    uniform = np.full(grid2d.shape, 2.0)
+    what_u, phat_u = plan.split_leray_hat(vhat, uniform, phat)
+    what_w, phat_w = plan.weighted_leray_hat(vhat, uniform)
+    assert np.array_equal(what_u, what_w)
+    assert np.abs(phat_u - phat_w).max() <= 1e-14 * np.abs(phat_w).max()
+
+
 @pytest.mark.parametrize("contrast", [3.9, 4.1])
 def test_pressure_agrees_across_the_preconditioner_threshold(grid2d, rng, monkeypatch, contrast):
     # one smooth density scaled to either side of the threshold; moving the

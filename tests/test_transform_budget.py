@@ -5,9 +5,10 @@ Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
 counting wrapper around fixed-dt steps of a seeded 2D 32^2 or 3D 16^3 state,
 or of a smooth 2D 32^2 state at density contrast 16:
 one cold step(), and the steps of a run(), which warm-start their pressure
-solves and start from the spectra the previous step carried over; and around
-one gronwall_bundle() call on two such states.  A stacked vector field counts
-as its components, so the totals are field transforms whatever the batching.
+solves or take the pressure split and start from the spectra the previous
+step carried over; and around one gronwall_bundle() call on two such states.
+A stacked vector field counts as its components, so the totals are field
+transforms whatever the batching.
 """
 
 import math
@@ -38,18 +39,16 @@ ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "i
 # inverse and 3 forward transforms an iteration: 259 (327 with the
 # constant-coefficient preconditioner at 2 + 2 an iteration).
 STEP_BUDGETS = {2: 111, "contrast": 259}
-# Per step of a run() from its fifth step on, measure() excluded: the solves
-# take 1 + 1 iterations, warm-started from the cubic extrapolation of the
-# pressure history, and the step starts from carried spectra.  2D 32^2: 68
-# (81 with a second dealias and the advective form in the velocity
-# right-hand side and the state transformed again; 101 under linear warm
-# starts).  3D 16^3: 97 (was 119).  The start-up steps (third and fourth,
-# lower-order guesses) stay within the linear rule's steady 2D budget of
-# 101, and within their measured 121 in 3D.  At contrast 16 the fifth to
-# eighth steps take 80 to 92 with 2 or 3 iterations a solve (84 to 88 with
-# the constant preconditioner at 4 or 5), and the third and fourth 128 and
-# 92 (160 and 112).
-RUN_BUDGETS = {2: (68, 101), 3: (97, 121), "contrast": (92, 128)}
+# Per step of a run(), measure() excluded, as (fifth to eighth step, third
+# to eighth step).  Each step starts from carried spectra.  At the default
+# contrast the third step on takes the pressure split in both stages, one
+# flux (d inverse and d forward transforms) a stage: 2D 32^2 56, 3D 16^3 79.
+# Warm-started PCG took 68 and 97 from the fifth step on (1 + 1 iterations)
+# and 84, 76 (3D 121, 109) in the third and fourth.  At contrast 16 every
+# stage keeps PCG: the fifth to eighth steps take 80 to 92 with 2 or 3
+# iterations a solve (84 to 88 with the constant preconditioner at 4 or 5),
+# and the third and fourth 128 and 92 (160 and 112).
+RUN_BUDGETS = {2: (56, 56), 3: (79, 79), "contrast": (92, 128)}
 # Per measure() call on an accepted step of a run(), which hands it the
 # carried spectra: grad(psi) (d inverse), the coupling's one forward
 # transform and the H^-1 norm of the density's time difference.  It was
@@ -137,7 +136,7 @@ def test_run_steady_state_transform_budget(counted, monkeypatch, d):
     assert counted["numpy.fft"] == 0
     steady, start_up = RUN_BUDGETS[d]
     assert 0 < max(per_step[4:]) <= steady
-    # the constant, linear and quadratic start-up guesses stay bounded
+    # the start-up steps (lower-order guesses) stay bounded
     assert max(per_step[2:]) <= start_up
     assert 0 < max(per_measure[1:]) <= MAX_MEASURE_TRANSFORMS[state.grid.d]
 
