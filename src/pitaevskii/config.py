@@ -2,31 +2,30 @@
 
 The format is deliberately primitive so any tool can read and write it:
 one assignment per line, ``#`` starts a comment, arrays are comma lists,
-booleans are ``true``/``false``.  Unknown keys, type mismatches and
-constraint violations are collected with their line numbers and reported
-together.
+booleans are ``true``/``false``.  README.md lists every key with its
+default.
 
-Sections:
-
-* ``grid``        -- d, n, len
-* ``params``      -- lambda, mu, nu, m, M, epsilon, delta, gamma
-* ``integrator``  -- dt_init, dt_min, dt_max, cfl, adaptive
-* ``ic``          -- family, amplitude, seed, mode, wave_amp, wave_phase,
-                     velocity, rho0, path
-* ``output``      -- dir, timeseries, snapshot_every, csv_every
-* ``experiment``  -- T, target, mode, delta_p, bundle
+Each key is declared once, as a field of a Config section dataclass: the
+key is ``section.field`` (four are renamed, see RENAMES) and the field's
+type picks its parser.  Each constraint is checked once, by the object
+that owns it (Grid, Params, StepConfig, PerturbationSpec, the
+initial-condition families, the section dataclasses below), which reports
+every violated constraint with the fields it reads.  parse_config builds
+each section from the defaults plus the parsed values and makes only the
+checks that span sections.  Unknown keys and type mismatches, or else
+every constraint violation, are reported together, each at the line of
+the first of its keys that the file sets (line 0: none).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import make_grid
+from .grid import ConstraintError, check_constraints, check_grid, make_grid
+from .initial_conditions import family_constraint, padded
 from .integrator import StepConfig
 from .model import Params
-from .stability import BUNDLES, TARGETS
-
-IC_FAMILIES = ("smooth", "plane-wave", "random-smooth", "floor-breach", "snapshot")
+from .stability import BUNDLES, PerturbationSpec
 
 
 class ConfigError(ValueError):
@@ -41,8 +40,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class GridConfig:
     d: int = 2
-    n: tuple = (64, 64)
-    lengths: tuple = (2 * np.pi, 2 * np.pi)
+    n: tuple[int, ...] = (64, 64)
+    lengths: tuple[float, ...] = (2 * np.pi, 2 * np.pi)
+
+    def __post_init__(self):
+        check_grid(self.d, self.n, self.lengths)
 
     def build(self):
         return make_grid(self.d, self.n, self.lengths)
@@ -53,12 +55,20 @@ class IcConfig:
     family: str = "smooth"
     amplitude: float = 0.4
     seed: int = 1234
-    mode: tuple = (1,)
+    mode: tuple[int, ...] = (1,)
     wave_amp: float = 0.5
     wave_phase: float = 0.0
-    velocity: tuple = (0.3,)
+    velocity: tuple[float, ...] = (0.3,)
     rho0: float = 1.0
     path: str = ""
+
+    def __post_init__(self):
+        check_constraints([
+            family_constraint(self.family),
+            (("family", "path"), "ic.path is required for the snapshot family",
+             self.family != "snapshot" or self.path),
+            (("amplitude",), "amplitude must be >= 0", self.amplitude >= 0),
+        ])
 
 
 @dataclass(frozen=True)
@@ -68,14 +78,29 @@ class OutputConfig:
     snapshot_every: int = 0
     csv_every: int = 1
 
+    def __post_init__(self):
+        check_constraints([
+            (("snapshot_every",), "snapshot_every must be >= 0", self.snapshot_every >= 0),
+            (("csv_every",), "csv_every must be >= 1", self.csv_every >= 1),
+        ])
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     horizon: float = 0.5
     target: str = "psi"
-    mode: tuple = (1,)
+    mode: tuple[int, ...] = (1,)
     delta_p: float = 1e-6
     bundle: str = "full"
+
+    def __post_init__(self):
+        target, amplitude = PerturbationSpec.constraints(self.target, self.delta_p)
+        check_constraints([
+            (("horizon",), "T must be >= 0", self.horizon >= 0),
+            target,
+            (("delta_p",), *amplitude[1:]),   # the spec's amplitude is delta_p
+            (("bundle",), f"bundle must be one of {', '.join(BUNDLES)}", self.bundle in BUNDLES),
+        ])
 
 
 @dataclass(frozen=True)
@@ -130,146 +155,58 @@ def _parse_str(tok):
     return tok.strip()
 
 
-# key -> (target section attribute, field name, parser)
+_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    bool: _parse_bool,
+    str: _parse_str,
+    tuple[int, ...]: _parse_int_list,
+    tuple[float, ...]: _parse_float_list,
+}
+
+# section.field -> key, where the key is not the field's own name
+RENAMES = {
+    "grid.lengths": "grid.len",
+    "params.lam": "params.lambda",
+    "params.eps": "params.epsilon",
+    "experiment.horizon": "experiment.T",
+}
+
+# key -> (section, field name, parser), in declaration order
 SCHEMA = {
-    "grid.d": ("grid", "d", _parse_int),
-    "grid.n": ("grid", "n", _parse_int_list),
-    "grid.len": ("grid", "lengths", _parse_float_list),
-    "params.lambda": ("params", "lam", _parse_float),
-    "params.mu": ("params", "mu", _parse_float),
-    "params.nu": ("params", "nu", _parse_float),
-    "params.m": ("params", "m", _parse_float),
-    "params.M": ("params", "M", _parse_float),
-    "params.epsilon": ("params", "eps", _parse_float),
-    "params.delta": ("params", "delta", _parse_float),
-    "params.gamma": ("params", "gamma", _parse_float),
-    "integrator.dt_init": ("integrator", "dt_init", _parse_float),
-    "integrator.dt_min": ("integrator", "dt_min", _parse_float),
-    "integrator.dt_max": ("integrator", "dt_max", _parse_float),
-    "integrator.cfl": ("integrator", "cfl", _parse_float),
-    "integrator.adaptive": ("integrator", "adaptive", _parse_bool),
-    "ic.family": ("ic", "family", _parse_str),
-    "ic.amplitude": ("ic", "amplitude", _parse_float),
-    "ic.seed": ("ic", "seed", _parse_int),
-    "ic.mode": ("ic", "mode", _parse_int_list),
-    "ic.wave_amp": ("ic", "wave_amp", _parse_float),
-    "ic.wave_phase": ("ic", "wave_phase", _parse_float),
-    "ic.velocity": ("ic", "velocity", _parse_float_list),
-    "ic.rho0": ("ic", "rho0", _parse_float),
-    "ic.path": ("ic", "path", _parse_str),
-    "output.dir": ("output", "dir", _parse_str),
-    "output.timeseries": ("output", "timeseries", _parse_str),
-    "output.snapshot_every": ("output", "snapshot_every", _parse_int),
-    "output.csv_every": ("output", "csv_every", _parse_int),
-    "experiment.T": ("experiment", "horizon", _parse_float),
-    "experiment.target": ("experiment", "target", _parse_str),
-    "experiment.mode": ("experiment", "mode", _parse_int_list),
-    "experiment.delta_p": ("experiment", "delta_p", _parse_float),
-    "experiment.bundle": ("experiment", "bundle", _parse_str),
+    RENAMES.get(f"{s.name}.{f.name}", f"{s.name}.{f.name}"): (s.name, f.name, _PARSERS[f.type])
+    for s in fields(Config) for f in fields(s.type)
 }
-
-_SECTION_TYPES = {
-    "grid": GridConfig,
-    "params": Params,
-    "integrator": StepConfig,
-    "ic": IcConfig,
-    "output": OutputConfig,
-    "experiment": ExperimentConfig,
-}
+_KEYS = {(section, attr): key for key, (section, attr, _) in SCHEMA.items()}
 
 
-def _cross_validate(raw, lines):
-    """Constraints spanning several keys; returns a list of (line, message)."""
+def _blame(keys, lines):
+    """Line of the first of keys that the file sets, 0 if it sets none."""
+    return next((lines[key] for key in keys if key in lines), 0)
+
+
+def _cross_section_errors(sections, lines):
+    """The checks spanning sections, on the sections that were built."""
     errors = []
-
-    def line_of(key):
-        return lines.get(key, 0)
-
-    g = raw["grid"]
-    d = g.get("d", 2)
-    if d not in (1, 2, 3):
-        errors.append((line_of("grid.d"), "grid.d must be 1, 2 or 3"))
-    else:
-        n = g["n"]
-        lens = g["lengths"]
-        if len(n) != d:
-            errors.append((line_of("grid.n"), f"grid.n needs {d} entries, got {len(n)}"))
-        else:
-            for v in n:
-                if v < 4 or v % 2:
-                    errors.append((line_of("grid.n"), f"grid points must be even and >= 4, got {v}"))
-                    break
-        if len(lens) != d:
-            errors.append((line_of("grid.len"), f"grid.len needs {d} entries, got {len(lens)}"))
-        elif any(not v > 0 for v in lens):
-            errors.append((line_of("grid.len"), "grid lengths must be positive"))
+    if {"grid", "ic", "experiment"} <= sections.keys():
+        d = sections["grid"].d
         for key in ("ic.mode", "ic.velocity", "experiment.mode"):
             section, attr, _ = SCHEMA[key]
-            count = len(raw[section].get(attr, ()))
-            if count > d:
-                errors.append((line_of(key), f"{key} needs at most {d} entries, got {count}"))
-
-    p = raw["params"]
-    m = p.get("m", 0.8)
-    big_m = p.get("M", 1.2)
-    eps = p.get("eps", 0.4)
-    delta = p.get("delta", 0.25)
-    for key, name in (("lam", "lambda"), ("mu", "mu"), ("nu", "nu")):
-        if p.get(key, 1.0) < 0:
-            errors.append((line_of(f"params.{name}"), f"{name} must be >= 0"))
-    if not 0 < m <= big_m:
-        errors.append((line_of("params.m"), "density bounds must satisfy 0 < m <= M"))
-    if not 0 < eps < m:
-        errors.append((line_of("params.epsilon"), "epsilon must lie in (0, m)"))
-    if not 0 < delta < 0.5:
-        errors.append((line_of("params.delta"), "delta must lie in (0, 0.5)"))
-
-    it = raw["integrator"]
-    dt_init = it.get("dt_init", 5e-4)
-    dt_min = it.get("dt_min", 1e-9)
-    dt_max = it.get("dt_max", 1e-2)
-    if not 0 < dt_min <= dt_init <= dt_max:
-        errors.append((line_of("integrator.dt_init"),
-                       "need 0 < dt_min <= dt_init <= dt_max"))
-    if not 0 < it.get("cfl", 0.4) <= 1:
-        errors.append((line_of("integrator.cfl"), "cfl must lie in (0, 1]"))
-
-    ic = raw["ic"]
-    fam = ic.get("family", "smooth")
-    if fam not in IC_FAMILIES:
-        errors.append((line_of("ic.family"), f"unknown ic family {fam!r}; "
-                       f"choose from {', '.join(IC_FAMILIES)}"))
-    if fam == "snapshot" and not ic.get("path", ""):
-        errors.append((line_of("ic.family"), "ic.path is required for the snapshot family"))
-    if ic.get("amplitude", 0.4) < 0:
-        errors.append((line_of("ic.amplitude"), "amplitude must be >= 0"))
-    if fam == "plane-wave" and not errors:
-        if not m <= ic.get("rho0", 1.0) <= big_m:
-            errors.append((line_of("ic.rho0"), "rho0 must lie in [m, M]"))
-
-    out = raw["output"]
-    if out.get("snapshot_every", 0) < 0:
-        errors.append((line_of("output.snapshot_every"), "snapshot_every must be >= 0"))
-    if out.get("csv_every", 1) < 1:
-        errors.append((line_of("output.csv_every"), "csv_every must be >= 1"))
-
-    ex = raw["experiment"]
-    if ex.get("horizon", 0.5) < 0:
-        errors.append((line_of("experiment.T"), "T must be >= 0"))
-    if ex.get("target", "psi") not in TARGETS:
-        errors.append((line_of("experiment.target"),
-                       f"target must be one of {', '.join(TARGETS)}"))
-    if ex.get("delta_p", 0.0) < 0:
-        errors.append((line_of("experiment.delta_p"), "delta_p must be >= 0"))
-    if ex.get("bundle", "full") not in BUNDLES:
-        errors.append((line_of("experiment.bundle"),
-                       f"bundle must be one of {', '.join(BUNDLES)}"))
+            try:
+                padded(getattr(sections[section], attr), d, attr)
+            except ValueError as exc:
+                errors.append((_blame([key], lines), f"{section}.{exc}"))
+    if {"params", "ic"} <= sections.keys() and sections["ic"].family == "plane-wave":
+        p = sections["params"]
+        if not p.m <= sections["ic"].rho0 <= p.M:
+            errors.append((_blame(["ic.rho0", "params.m", "params.M"], lines),
+                           "rho0 must lie in [m, M]"))
     return errors
 
 
 def parse_config(text):
     """Parse and fully validate; raises ConfigError listing every problem."""
-    raw = {name: {} for name in _SECTION_TYPES}
+    raw = {s.name: {} for s in fields(Config)}
     lines = {}
     errors = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -294,21 +231,22 @@ def parse_config(text):
             raw[section][attr] = parser(value)
         except ValueError as exc:
             errors.append((ln, f"{key}: {exc}"))
-    if not errors:
-        # default n/len track a non-default dimension
-        d = raw["grid"].get("d", 2)
-        raw["grid"].setdefault("n", (64,) * d)
-        raw["grid"].setdefault("lengths", (2 * np.pi,) * d)
-        errors = _cross_validate(raw, lines)
     if errors:
         raise ConfigError(errors)
+    # default n/len track a non-default dimension (past 3 only d is reported)
+    d = min(raw["grid"].get("d", 2), 3)
+    raw["grid"].setdefault("n", (64,) * d)
+    raw["grid"].setdefault("lengths", (2 * np.pi,) * d)
     defaults = Config()
     sections = {}
-    for name in _SECTION_TYPES:
+    for name, values in raw.items():
         try:
-            sections[name] = replace(getattr(defaults, name), **raw[name])
-        except ValueError as exc:
-            raise ConfigError([(0, f"{name}: {exc}")])
+            sections[name] = replace(getattr(defaults, name), **values)
+        except ConstraintError as exc:
+            errors += [(_blame([_KEYS[name, f] for f in fs], lines), msg) for fs, msg in exc.violations]
+    errors += _cross_section_errors(sections, lines)
+    if errors:
+        raise ConfigError(errors)
     return Config(**sections)
 
 

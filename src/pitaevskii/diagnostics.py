@@ -11,7 +11,7 @@ the time discretization alone (the spatial discretization is spectral).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,16 +19,6 @@ from . import norms
 from .grid import pointwise_dot
 from .model import coupling_hat
 from .spectral import plan_for
-
-# record fields also used as CSV columns, in this fixed order; the momentum
-# vector is appended as mom_0[, mom_1[, mom_2]]
-RECORD_SCALARS = (
-    "t", "energy", "diss_visc", "diss_relax", "mass_wave", "mass_fluid",
-    "rho_min", "rho_max", "second_energy", "second_diss",
-    "sob_wave", "sob_vel", "sob_coupling",
-    "dt_wave_l2", "dt_vel_l2", "dt_rho_hm1",
-)
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -52,6 +42,11 @@ class DiagnosticsRecord:
 
     def scalars(self):
         return [getattr(self, name) for name in RECORD_SCALARS]
+
+
+# the record's scalar fields, which are also its CSV columns in this order;
+# the momentum vector is appended as mom_0[, mom_1[, mom_2]]
+RECORD_SCALARS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "momentum")
 
 
 def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):

@@ -4,14 +4,58 @@ Fields are plain numpy arrays: a scalar field has shape ``grid.shape``, a
 vector field has shape ``(grid.d, *grid.shape)``.  Complex fields carry the
 wavefunction, real fields carry velocity, density and derived scalars.  The
 grid owns the angular-wavenumber tables and the quadrature weights, so every
-norm and spectral operator reads its geometry from here.
+norm and spectral operator reads its geometry from here.  ConstraintError is
+what every validated object raises: Grid, Params, StepConfig and the rest
+report all the constraints they find violated at once.
 """
+
+import math
 
 import numpy as np
 
 
-class GridError(ValueError):
-    """Invalid grid construction parameters."""
+class ConstraintError(ValueError):
+    """Violated constraints of one object, all of them at once.
+
+    violations holds a (fields, message) pair per violated constraint;
+    fields names every field the constraint reads, the one to blame first.
+    """
+
+    def __init__(self, message, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
+
+
+def check_constraints(constraints, error=ConstraintError):
+    """Raise error naming every (fields, message, holds) constraint whose
+    holds is false, all of them together."""
+    violations = [(fields, message) for fields, message, holds in constraints if not holds]
+    if violations:
+        raise error("; ".join(message for _, message in violations), violations)
+
+
+class GridError(ConstraintError):
+    """Invalid grid construction parameters, or a field that is not on its grid."""
+
+
+def check_grid(d, n, lengths):
+    """Raise GridError naming every constraint that the dimension d, the
+    points per axis n and the axis lengths violate.  It reads the values
+    alone, so it runs before any array is allocated."""
+    constraints = [(("d",), "grid.d must be 1, 2 or 3", d in (1, 2, 3))]
+    if d in (1, 2, 3):
+        bad = next((v for v in n if v < 4 or v % 2), None)
+        constraints += [
+            (("n", "d"), f"grid.n needs {d} entries, got {len(n)}", len(n) == d),
+            (("n",), f"grid points must be even and >= 4, got {bad}", len(n) != d or bad is None),
+            (("lengths", "d"), f"grid.len needs {d} entries, got {len(lengths)}", len(lengths) == d),
+            (("lengths",), "grid lengths must be positive",
+             len(lengths) != d or all(L > 0 for L in lengths)),
+            (("lengths",), "grid lengths must be finite", all(np.isfinite(L) for L in lengths)),
+            (("n",), "total point count exceeds the platform index range",
+             math.prod(n) <= np.iinfo(np.intp).max),
+        ]
+    check_constraints(constraints, GridError)
 
 
 class Grid:
@@ -37,28 +81,14 @@ class Grid:
     def __init__(self, d, n, lengths):
         n = tuple(int(v) for v in np.atleast_1d(n))
         lengths = tuple(float(v) for v in np.atleast_1d(lengths))
-        if d not in (1, 2, 3):
-            raise GridError(f"dimension must be 1, 2 or 3, got {d}")
-        if len(n) != d or len(lengths) != d:
-            raise GridError(f"need {d} entries in n and lengths, got {len(n)} and {len(lengths)}")
-        for v in n:
-            if v < 4 or v % 2 != 0:
-                raise GridError(f"points per axis must be even and >= 4, got {v}")
-        for L in lengths:
-            if not (L > 0) or not np.isfinite(L):
-                raise GridError(f"axis length must be positive and finite, got {L}")
-        total = 1
-        for v in n:
-            total *= v
-        if total > np.iinfo(np.intp).max:
-            raise GridError("total point count exceeds the platform index range")
+        check_grid(d, n, lengths)
 
         self.d = d
         self.n = n
         self.lengths = lengths
         self.shape = n
         self.dx = tuple(L / v for L, v in zip(lengths, n))
-        self.num_points = total
+        self.num_points = math.prod(n)
         self.cell_volume = float(np.prod(self.dx))
         self.volume = float(np.prod(lengths))
 

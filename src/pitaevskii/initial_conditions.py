@@ -9,6 +9,7 @@ projection, so families need not project their velocity themselves.
 
 import numpy as np
 
+from .grid import check_constraints
 from .model import State
 from .snapshot_io import read_snapshot
 from .spectral import plan_for
@@ -58,14 +59,19 @@ def plane_wave_state(grid, k, a0, u0, rho0):
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
+def padded(values, d, name):
+    """values padded with zeros to d entries; more than d entries are a
+    ValueError that names them name."""
+    if len(values) > d:
+        raise ValueError(f"{name} needs at most {d} entries, got {len(values)}")
+    return tuple(values) + (0,) * (d - len(values))
+
+
 def lattice_wavevector(mode, lengths):
     """Wavevector k = 2 pi m / L of the lattice mode m on a box with these
     axis lengths; m is padded with zeros to the dimension, and more entries
     than the dimension are a ValueError."""
-    d = len(lengths)
-    if len(mode) > d:
-        raise ValueError(f"mode needs at most {d} entries, got {len(mode)}")
-    mode = tuple(mode) + (0,) * (d - len(mode))
+    mode = padded(mode, len(lengths), "mode")
     return [2 * np.pi / L * m for m, L in zip(mode, lengths)]
 
 
@@ -74,11 +80,8 @@ def plane_wave_parameters(ic, lengths):
     lengths: k is the lattice_wavevector of the mode, and the velocity is
     padded with zeros to the dimension; more entries than the dimension are
     a ValueError."""
-    d = len(lengths)
     k = lattice_wavevector(ic.mode, lengths)
-    if len(ic.velocity) > d:
-        raise ValueError(f"velocity needs at most {d} entries, got {len(ic.velocity)}")
-    vel = tuple(ic.velocity) + (0.0,) * (d - len(ic.velocity))
+    vel = padded(ic.velocity, len(lengths), "velocity")
     return k, ic.wave_amp * np.exp(1j * ic.wave_phase), vel
 
 
@@ -129,16 +132,23 @@ def floor_breach_state(grid, params, amplitude):
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
+# family name -> builder(grid, params, ic)
+FAMILIES = {
+    "smooth": lambda grid, params, ic: smooth_state(grid, params, ic.amplitude),
+    "plane-wave": lambda grid, params, ic: plane_wave_state_from_ic(grid, ic),
+    "random-smooth": lambda grid, params, ic: random_smooth_state(grid, params, ic.amplitude, ic.seed),
+    "floor-breach": lambda grid, params, ic: floor_breach_state(grid, params, ic.amplitude),
+    "snapshot": lambda grid, params, ic: read_snapshot(ic.path, expected_grid=grid),
+}
+
+
+def family_constraint(family):
+    """The (fields, message, holds) constraint that family names a family."""
+    return (("family",), f"unknown ic family {family!r}; choose from {', '.join(FAMILIES)}",
+            family in FAMILIES)
+
+
 def build_initial_state(grid, params, ic):
     """Dispatch on the configured family."""
-    if ic.family == "smooth":
-        return smooth_state(grid, params, ic.amplitude)
-    if ic.family == "plane-wave":
-        return plane_wave_state_from_ic(grid, ic)
-    if ic.family == "random-smooth":
-        return random_smooth_state(grid, params, ic.amplitude, ic.seed)
-    if ic.family == "floor-breach":
-        return floor_breach_state(grid, params, ic.amplitude)
-    if ic.family == "snapshot":
-        return read_snapshot(ic.path, expected_grid=grid)
-    raise ValueError(f"unknown initial-condition family {ic.family!r}")
+    check_constraints([family_constraint(ic.family)])
+    return FAMILIES[ic.family](grid, params, ic)

@@ -64,6 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import measure
+from .grid import check_constraints
 from .model import (
     BlowUp,
     DensityFloorViolation,
@@ -86,13 +87,11 @@ class StepConfig:
     adaptive: bool = False
 
     def __post_init__(self):
-        if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
-            raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
-                f"{self.dt_min}, {self.dt_init}, {self.dt_max}"
-            )
-        if not 0 < self.cfl <= 1:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        check_constraints([
+            (("dt_init", "dt_min", "dt_max"), "need 0 < dt_min <= dt_init <= dt_max",
+             0 < self.dt_min <= self.dt_init <= self.dt_max),
+            (("cfl",), "cfl must lie in (0, 1]", 0 < self.cfl <= 1),
+        ])
 
 
 class CflViolation(Exception):
@@ -388,14 +387,15 @@ def ingest(state, params):
     return State(0.0, psi, u, rho, state.grid)
 
 
-def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_states=False):
+def run(initial, params, config, horizon, observers=(), store_states=False):
     """Integrate from t=0 to the horizon and collect diagnostics.
 
     A record is produced for every accepted step (the initial state included).
     Observers are called after each accepted step with (time, state, record)
-    and must not mutate the state.  snapshot_every > 0 stores a state copy
-    every that many steps (plus the initial and final states); store_states
-    is snapshot_every = 1, which the stability harness uses at desk scales.
+    and must not mutate the state; one that writes the state out keeps
+    memory flat in the horizon.  store_states keeps a copy of every state,
+    the ingested initial one included, as (time, state) pairs on the
+    trajectory: the stability harness pairs them at desk scales.
 
     Density-floor violations, blow-ups, CFL failures and a pressure
     projection that misses its tolerance end the run early with a structured
@@ -410,12 +410,8 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
     history.accept(state, psi_hat, u_hat)
     rec = measure(state, params, psi_hat=psi_hat, u_hat=u_hat)
     records = [rec]
-    every = 1 if store_states else snapshot_every
-    snapshots = []
-    if every > 0:
-        snapshots.append((state.t, state.copy()))
+    snapshots = [(state.t, state.copy())] if store_states else []
     event = None
-    n_steps = 0
     tiny = 1e-12 * max(1.0, horizon)
     while state.t < horizon - tiny:
         try:
@@ -437,12 +433,9 @@ def run(initial, params, config, horizon, observers=(), snapshot_every=0, store_
         psi_hat, u_hat = history.spectra(new_state)
         rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat)
         records.append(rec)
-        n_steps += 1
         state = new_state
-        if every > 0 and n_steps % every == 0:
+        if store_states:
             snapshots.append((state.t, state.copy()))
         for obs in observers:
             obs(state.t, state, rec)
-    if every > 0 and snapshots[-1][0] != state.t:
-        snapshots.append((state.t, state.copy()))
     return Trajectory(records=records, snapshots=snapshots, event=event, final_state=state)

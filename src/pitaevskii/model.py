@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, pointwise_dot, require_finite
+from .grid import Grid, check_constraints, pointwise_dot, require_finite
 from .spectral import plan_for
 
 
@@ -72,18 +72,14 @@ class Params:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.nu >= 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if not 0 < self.m <= self.M:
-            raise ValueError(f"density bounds must satisfy 0 < m <= M, got m={self.m}, M={self.M}")
-        if not 0 < self.eps < self.m:
-            raise ValueError(f"epsilon must lie in (0, m), got epsilon={self.eps}, m={self.m}")
-        if not 0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
+        check_constraints([
+            (("lam",), "lambda must be >= 0", self.lam >= 0),
+            (("mu",), "mu must be >= 0", self.mu >= 0),
+            (("nu",), "nu must be >= 0", self.nu >= 0),
+            (("m", "M"), "density bounds must satisfy 0 < m <= M", 0 < self.m <= self.M),
+            (("eps", "m"), "epsilon must lie in (0, m)", 0 < self.eps < self.m),
+            (("delta",), "delta must lie in (0, 0.5)", 0 < self.delta < 0.5),
+        ])
 
     @property
     def m_prime(self):

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import norms
 from .diagnostics import cumulative_trapezoid, trapezoid_steps
+from .grid import check_constraints
 from .initial_conditions import lattice_wavevector
 from .integrator import run
 from .model import coupling_hat
@@ -55,7 +56,7 @@ class PerturbationSpec:
     target    -- 'psi', 'u', 'rho' or 'all'
     mode      -- lattice mode m of the cosine perturbation pattern, whose
                  wavevector is k = 2 pi m / L
-    amplitude -- relative size; 0 means an exact copy (bitwise)
+    amplitude -- relative size delta_p >= 0; 0 means an exact copy (bitwise)
     """
 
     target: str = "psi"
@@ -63,10 +64,16 @@ class PerturbationSpec:
     amplitude: float = 1e-6
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown perturbation target {self.target!r}")
-        if not self.amplitude >= 0:
-            raise ValueError(f"perturbation amplitude must be >= 0, got {self.amplitude}")
+        check_constraints(self.constraints(self.target, self.amplitude))
+
+    @staticmethod
+    def constraints(target, amplitude):
+        """The (fields, message, holds) constraints on a target and an
+        amplitude, for check_constraints."""
+        return [
+            (("target",), f"target must be one of {', '.join(TARGETS)}", target in TARGETS),
+            (("amplitude",), "delta_p must be >= 0", amplitude >= 0),
+        ]
 
 
 def difference_norms(state_a, state_b):

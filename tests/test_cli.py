@@ -69,3 +69,42 @@ def test_stability_without_a_fitted_margin_is_inconclusive(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "envelope margin: n/a" in lines
     assert "verdict: inconclusive" in lines
+
+
+def test_snapshot_cadence(tmp_path, capsys):
+    # every third step plus the initial and final states, written as the run
+    # takes them
+    from pitaevskii.snapshot_io import read_snapshot_meta
+
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 32, 32\nintegrator.dt_init = 0.002\n"
+                   f"experiment.T = 0.02\noutput.snapshot_every = 3\noutput.dir = {out_dir}\n")
+    assert cli_main(["simulate", str(cfg)]) == 0
+    names = sorted(p.name for p in out_dir.glob("snap_*.pitv"))
+    assert names == [f"snap_{i:06d}.pitv" for i in range(5)]
+    times = [read_snapshot_meta(out_dir / name)[1] for name in names]
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.02, abs=1e-12)
+    assert times[1:4] == pytest.approx([0.006, 0.012, 0.018], abs=1e-12)
+
+
+def test_simulate_scales_the_mass_check_by_the_largest_adaptive_step(tmp_path, capsys):
+    # the adaptive run takes ten steps of 1e-2: a tolerance scaled by
+    # dt_init = 5e-4 failed it with margin -2.3e-5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nexperiment.T = 0.1\nintegrator.adaptive = true\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "steps: 10   final time: 0.09999999999999999" in lines
+    assert any(ln.startswith("bound total_mass_constant: pass") for ln in lines)
+
+
+def test_convergence_rejects_adaptive_dt(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN + f"integrator.adaptive = true\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["convergence", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the convergence study refines a fixed step")

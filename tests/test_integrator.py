@@ -568,11 +568,3 @@ def test_observers_called(grid2d):
     assert len(seen) == 5
     assert all(t2 > t1 for (t1, _), (t2, _) in zip(seen, seen[1:]))
 
-
-def test_snapshot_cadence(grid2d):
-    st = smooth_2d_state(grid2d)
-    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
-    traj = run(st, params, StepConfig(dt_init=2e-3), 0.02, snapshot_every=3)
-    times = [t for t, _ in traj.snapshots]
-    assert times[0] == 0.0
-    assert times[-1] == pytest.approx(0.02, abs=1e-12)
