@@ -25,7 +25,7 @@ from .grid import ConstraintError, check_constraints, check_grid, make_grid
 from .initial_conditions import family_constraint, padded
 from .integrator import StepConfig
 from .model import Params
-from .stability import BUNDLES, PerturbationSpec
+from .stability import PerturbationSpec, bundle_constraints
 
 
 class ConfigError(ValueError):
@@ -99,7 +99,7 @@ class ExperimentConfig:
             (("horizon",), "T must be >= 0", self.horizon >= 0),
             target,
             (("delta_p",), *amplitude[1:]),   # the spec's amplitude is delta_p
-            (("bundle",), f"bundle must be one of {', '.join(BUNDLES)}", self.bundle in BUNDLES),
+            *bundle_constraints(self.bundle),
         ])
 
 

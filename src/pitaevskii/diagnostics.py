@@ -55,16 +55,28 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     Time-derivative entries are backward differences against prev_state and
     zero on the initial record.  psi_hat and u_hat, the spectra plan.fft of
     state.psi and state.u, may be passed in by a caller that holds them.
+
+    Each pointwise product is formed once: |psi|^2 serves the wave mass,
+    the quartic energy and the coupling, |u|^2 the kinetic energy and the
+    coupling.  Integrals of products are dot products, every Sobolev-type
+    entry weighs one Parseval density per field, and the time differences
+    divide their norms by dt, not their fields.  Three transform calls:
+    grad(psi) back to physical space, the coupling's forward transform and
+    the density difference's for its H^-1 norm.
     """
     g = state.grid
     plan = plan_for(g)
+    psi, u, rho = state.psi, state.u, state.rho
     if psi_hat is None:
-        psi_hat = plan.fft(state.psi)
+        psi_hat = plan.fft(psi)
     if u_hat is None:
-        u_hat = plan.fft(state.u)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
-    c_hat = coupling_hat(plan, state.psi, psi_hat, grad_psi, state.u, params)
+        u_hat = plan.fft(u)
+    cell = g.cell_volume
     vol = g.volume
+    psi2 = psi.real ** 2 + psi.imag ** 2
+    speed2 = pointwise_dot(u, u)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params)
 
     # one Parseval density per field serves every Sobolev-type entry; the
     # real velocity's half spectrum carries the Hermitian weights
@@ -85,34 +97,33 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     sob_vel = math.sqrt(sob_sq(u_dens, 1.5 + params.delta))
     sob_coupling = math.sqrt(sob_sq(c_dens, 1.5 + params.delta))
 
-    kinetic = 0.5 * float(np.sum(state.rho * pointwise_dot(state.u, state.u))) * g.cell_volume
-    quartic = 0.5 * params.mu * norms.lp_norm(g, state.psi, 4) ** 4
+    kinetic = 0.5 * float(np.vdot(rho, speed2)) * cell
+    quartic = 0.5 * params.mu * float(np.vdot(psi2, psi2)) * cell
     energy_val = kinetic + 0.5 * grad_psi_sq + quartic
 
     dt_wave = dt_vel = dt_rho = 0.0
     ud_term = 0.0
     if prev_state is not None:
-        dt_step = state.t - prev_state.t
-        dpsi = (state.psi - prev_state.psi) / dt_step
-        du = (state.u - prev_state.u) / dt_step
-        drho = (state.rho - prev_state.rho) / dt_step
-        dt_wave = norms.lp_norm(g, dpsi, 2)
-        dt_vel = norms.lp_norm(g, du, 2)
-        dt_rho = norms.sobolev_norm(g, drho, -1.0)
-        ud_term = float(np.sum(state.rho * pointwise_dot(du, du))) * g.cell_volume
+        dt_step = abs(state.t - prev_state.t)
+        dpsi = psi - prev_state.psi
+        du = u - prev_state.u
+        dt_wave = math.sqrt(np.vdot(dpsi, dpsi).real * cell) / dt_step
+        dt_vel = math.sqrt(float(np.vdot(du, du)) * cell) / dt_step
+        dt_rho = norms.sobolev_norm(g, rho - prev_state.rho, -1.0) / dt_step
+        ud_term = float(np.vdot(rho, pointwise_dot(du, du))) * cell / dt_step ** 2
 
-    mom = norms.vector_integral(g, state.rho * state.u)
-    mom = mom + np.array([norms.integral(g, (np.conj(state.psi) * grad_psi[i]).imag) for i in range(g.d)])
+    # int rho u_i + int Im(conj(psi) d_i psi)
+    mom = [(float(np.vdot(rho, u[i])) + np.vdot(psi, grad_psi[i]).imag) * cell for i in range(g.d)]
 
     return DiagnosticsRecord(
         t=float(state.t),
         energy=energy_val,
         diss_visc=params.nu * grad_u_sq,
         diss_relax=2.0 * params.lam * coupling_l2_sq,
-        mass_wave=norms.lp_norm(g, state.psi, 2) ** 2,
-        mass_fluid=norms.integral(g, state.rho),
-        rho_min=float(state.rho.min()),
-        rho_max=float(state.rho.max()),
+        mass_wave=float(np.sum(psi2)) * cell,
+        mass_fluid=norms.integral(g, rho),
+        rho_min=float(rho.min()),
+        rho_max=float(rho.max()),
         second_energy=1.0 + lap_psi_sq + params.nu * grad_u_sq,
         second_diss=params.lam * grad_coupling_sq + ud_term + params.nu ** 2 / params.m_prime * lap_u_sq,
         sob_wave=sob_wave,

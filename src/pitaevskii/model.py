@@ -137,7 +137,7 @@ class BlowUp(Exception):
         super().__init__(f"non-finite values in {where}; last valid time t={last_valid_time:.6g}")
 
 
-def coupling_hat(plan, psi, psi_hat, grad_psi, u, params):
+def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params):
     """Spectrum of the coupling operator applied to the wavefunction,
 
         C[psi] = -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
@@ -145,11 +145,12 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, params):
     each nonlinear product dealiased.  The associated quadratic form
     Re<psi, C[psi]> equals 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4 and
     is nonnegative.  psi_hat and grad_psi are the spectrum and gradient of
-    psi."""
+    psi, speed2 = pointwise_dot(u, u) and psi2 = psi.real**2 + psi.imag**2
+    the squared moduli, which a caller that also needs them forms once."""
     nonlinear = (
         1j * pointwise_dot(u, grad_psi)
-        + 0.5 * pointwise_dot(u, u) * psi
-        + params.mu * (psi.real ** 2 + psi.imag ** 2) * psi
+        + 0.5 * speed2 * psi
+        + params.mu * psi2 * psi
     )
     lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
     return lap_term + plan.dealias_hat(plan.fft(nonlinear))
@@ -166,16 +167,20 @@ def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
         psi_hat = plan.fft(psi)
     if grad_psi is None:
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, state.u, params), psi)
+    u = state.u
+    return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
+                                  psi.real ** 2 + psi.imag ** 2, params), psi)
 
 
-def wave_nonlinear_hat(plan, psi, psi_hat, u, params):
+def wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params):
     """Spectrum of the explicit remainder of the wave equation after
     removing (lam+i)/2 * lap, dealiased:
-    -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi."""
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi.
+    Takes psi and its gradient grad_psi in physical space, and the squared
+    speed speed2 = pointwise_dot(u, u), which a caller that keeps u frozen
+    over several stages forms once; its one transform is the forward
+    transform of the sum."""
     u_dot_grad = pointwise_dot(u, grad_psi)
-    speed2 = pointwise_dot(u, u)
     cubic = (psi.real ** 2 + psi.imag ** 2) * psi
     return plan.dealias_hat(plan.fft(
         (-1j * params.lam) * u_dot_grad
@@ -189,9 +194,12 @@ def schrodinger_rhs(state, params):
     part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat, back in physical
     space."""
     plan = plan_for(state.grid)
-    psi_hat = plan.fft(state.psi)
+    psi, u = state.psi, state.u
+    psi_hat = plan.fft(psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    return plan.ifft(linear + wave_nonlinear_hat(plan, state.psi, psi_hat, state.u, params), state.psi)
+    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, u, pointwise_dot(u, u), params)
+    return plan.ifft(linear + nonlinear, psi)
 
 
 def mass_exchange(state, params, coupling=None):
@@ -267,20 +275,32 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params):
     and the coupling field.  One 2/3-rule truncation covers the whole sum,
     the untruncated source included; the divergence form of the advection
     equals -u.grad(u) for solenoidal u.  psi_hat and grad_psi are the
-    spectrum and gradient of psi, u_hat the spectrum of u."""
+    spectrum and gradient of psi, u_hat the spectrum of u.  Three transform
+    calls besides the coupling's: lap(u) back to physical space, and
+    (nu lap(u) + source) / rho forward together with the d(d+1)/2 products
+    u_i u_j, stacked in one call."""
     state = State(0.0, psi, u, rho, plan.grid)
     coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
-    source = _momentum_source_raw(state, params, coupling, plan, grad_psi)
     tab = plan.tables(u_hat)
-    lap_u = plan.ifft(-tab.k2 * u_hat, u)
-    accel_hat = plan.fft((params.nu * lap_u + source) / rho)
+    explicit = plan.ifft(-tab.k2 * u_hat, u)
+    explicit *= params.nu
+    explicit += _momentum_source_raw(state, params, coupling, plan, grad_psi)
     # -div(u u): d(d+1)/2 forward transforms of the products u_i u_j, where
-    # the advective form takes d^2 inverse transforms of grad(u); the
-    # contraction is written out per component, since a broadcast (d, d, ...)
-    # temporary is twice as slow at 32^3
+    # the advective form takes d^2 inverse transforms of grad(u).  The stack
+    # is filled in place and nothing else is held across its transform,
+    # which sets a 32^3 run's peak memory
     d = plan.grid.d
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    uu_hat = dict(zip(pairs, plan.fft(np.stack([u[i] * u[j] for i, j in pairs]))))
+    stack = np.empty((d + len(pairs),) + rho.shape)
+    np.divide(explicit, rho, out=stack[:d])
+    del explicit
+    for row, (i, j) in enumerate(pairs, start=d):
+        np.multiply(u[i], u[j], out=stack[row])
+    spectra = plan.fft(stack)
+    accel_hat = spectra[:d]
+    uu_hat = dict(zip(pairs, spectra[d:]))
+    # the contraction is written out per component, since a broadcast
+    # (d, d, ...) temporary is twice as slow at 32^3
     for i in range(d):
         for j in range(d):
             accel_hat[i] -= tab.ik[j] * uu_hat[min(i, j), max(i, j)]

@@ -36,11 +36,14 @@ def spectral_density_hat(plan, fhat):
     """Parseval-weighted squared modulus of the Fourier coefficients, summed
     over components, from the spectrum fhat = plan.fft(f) of a scalar or
     stacked vector field (the half spectrum for a real field), with the
-    SpectralTables of that layout."""
+    SpectralTables of that layout.  The squared modulus is Re^2 + Im^2,
+    and the Parseval weight and the 1/N^2 of the unnormalised spectrum
+    enter in one multiply (SpectralTables.parseval)."""
     tab = plan.tables(fhat)
-    dens = tab.weight * np.abs(fhat / plan.grid.num_points) ** 2
+    dens = fhat.real ** 2 + fhat.imag ** 2
     if np.ndim(fhat) > plan.grid.d:
         dens = dens.sum(axis=0)
+    dens *= tab.parseval
     return dens, tab
 
 
@@ -57,8 +60,9 @@ def sobolev_sq(dens, tab, volume, s, homogeneous=False):
     """Squared H^s norm from a Parseval density and its layout's tables (the
     pair spectral_density_hat returns) on a box of this volume: the weight is
     (1+|k|^2)^s, or |k|^(2s) off the mean mode when homogeneous, read from
-    the tables' cache (SpectralTables.sobolev_weight)."""
-    return float(np.sum(tab.sobolev_weight(s, homogeneous) * dens)) * volume
+    the tables' cache (SpectralTables.sobolev_weight).  One dot product of
+    the density with that weight table; no product array is formed."""
+    return float(np.vdot(tab.sobolev_weight(s, homogeneous), dens)) * volume
 
 
 def sobolev_norm(grid, f, s, homogeneous=False):
@@ -90,10 +94,3 @@ def integral(grid, f):
     val = np.sum(f) * grid.cell_volume
     return complex(val) if np.iscomplexobj(f) else float(val)
 
-
-def vector_integral(grid, f):
-    """Componentwise integral of a vector field, returns shape (d,)."""
-    f = np.asarray(f)
-    if not grid.is_vector(f):
-        raise GridError("vector_integral expects a vector field")
-    return np.sum(f, axis=tuple(range(1, f.ndim))) * grid.cell_volume

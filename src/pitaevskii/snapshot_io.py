@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .diagnostics import RECORD_SCALARS
-from .grid import GridError, make_grid
+from .grid import GridError, check_grid, make_grid
 from .model import State
 
 MAGIC = b"PITV"
@@ -67,9 +67,10 @@ def _header_size(d):
 def read_snapshot_meta(path):
     """Header only: returns (grid, time, constants dict).
 
-    The header must describe the file: the axis sizes are checked, and the
-    file size they imply is compared with the real one, before any grid is
-    built, so a corrupt header cannot make the reader allocate.
+    The header must describe the file: its axis sizes and lengths pass
+    grid.check_grid, which reads values only, and the file size they imply
+    is compared with the real one, before any grid is built, so a corrupt
+    header cannot make the reader allocate.
     """
     with open(path, "rb") as fh:
         magic, version, d = struct.unpack("<4sBB", _read_exact(fh, 6, "header"))
@@ -84,18 +85,19 @@ def read_snapshot_meta(path):
         (t,) = struct.unpack("<d", _read_exact(fh, 8, "time"))
         echo = np.frombuffer(_read_exact(fh, 8 * len(_ECHO_FIELDS), "constants"), dtype="<f8")
         size = os.fstat(fh.fileno()).st_size
-    if any(v < 4 or v % 2 for v in n):
-        raise SnapshotError(f"corrupt snapshot: axis sizes {tuple(n)} are not all even and >= 4")
+    lens = tuple(float(v) for v in lens)
+    try:
+        check_grid(d, n, lens)
+    except GridError as exc:
+        raise SnapshotError(f"corrupt snapshot: header axis sizes {tuple(n)} and lengths "
+                            f"{lens}: {exc}") from None
     expected = _header_size(d) + math.prod(n) * (8 + 8 * d + 16)
     if size < expected:
         raise SnapshotError(f"corrupt snapshot: truncated, {size} bytes where the header "
                             f"implies {expected}")
     if size > expected:
         raise SnapshotError("corrupt snapshot: trailing bytes")
-    try:
-        grid = make_grid(d, n, [float(v) for v in lens])
-    except GridError as exc:
-        raise SnapshotError(f"corrupt snapshot: {exc}") from None
+    grid = make_grid(d, n, lens)
     constants = dict(zip(_ECHO_FIELDS, (float(v) for v in echo)))
     return grid, float(t), constants
 

@@ -126,7 +126,9 @@ class SpectralTables:
                 layout the modes whose every index is 0 or Nyquist)
     inv_k    -- 1/|k'|, 0 where inv_kk is
     mask     -- 2/3-rule dealias mask: keep |m_i| <= n_i/3
-    weight   -- Parseval weight of each mode (see the module docstring)
+    parseval -- Parseval weight of each mode (see the module docstring)
+                over N^2, N the grid's point count: the one factor that
+                turns |fhat|^2 into a mode's share of the mean square
 
     sobolev_weight(s, homogeneous) adds the H^s weight tables, one per
     (s, homogeneous), built on first use.
@@ -158,7 +160,7 @@ class SpectralTables:
         weight = np.ones(shape[-1])
         if half:
             weight[1:grid.n[-1] // 2] = 2.0
-        self.weight = mesh(d - 1, weight)
+        self.parseval = mesh(d - 1, weight / float(grid.num_points) ** 2)
         self._sobolev = {}
 
     def sobolev_weight(self, s, homogeneous=False):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import norms
 from .diagnostics import cumulative_trapezoid, trapezoid_steps
-from .grid import check_constraints
+from .grid import check_constraints, pointwise_dot
 from .initial_conditions import lattice_wavevector
 from .integrator import run
 from .model import coupling_hat
@@ -36,6 +36,12 @@ from .spectral import plan_for
 
 TARGETS = ("psi", "u", "rho", "all")
 BUNDLES = ("full", "core")
+
+
+def bundle_constraints(bundle):
+    """The (fields, message, holds) constraint on a Gronwall bundle name, for
+    check_constraints."""
+    return [(("bundle",), f"bundle must be one of {', '.join(BUNDLES)}", bundle in BUNDLES)]
 
 
 @dataclass
@@ -108,8 +114,7 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
     moderate state only, matching the asymmetric roles of the two solutions.
     Constant prefactors are absorbed into the fitted envelope constant.
     """
-    if bundle not in BUNDLES:
-        raise ValueError(f"unknown bundle {bundle!r}")
+    check_constraints(bundle_constraints(bundle))
     if dt_moderate_u is None:
         raise ValueError("gronwall_bundle needs the time derivative of the moderate velocity")
     g = weak.grid
@@ -159,9 +164,11 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
 
 def _coupling_density(plan, state, psi_hat, params):
     """Parseval density of C[psi] from the spectrum psi_hat of state.psi."""
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
-    return norms.spectral_density_hat(
-        plan, coupling_hat(plan, state.psi, psi_hat, grad_psi, state.u, params))
+    psi, u = state.psi, state.u
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
+                         psi.real ** 2 + psi.imag ** 2, params)
+    return norms.spectral_density_hat(plan, c_hat)
 
 
 def perturb_state(state, spec, params):
@@ -297,8 +304,10 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     and lets a smaller skew through.  A precomputed base trajectory (run
     with store_states=True from the same initial data) can be passed to
     amortize it across an amplitude sweep; a base without a stored state
-    for every record is a ValueError.
+    for every record is a ValueError.  An unknown bundle is rejected before
+    any run.
     """
+    check_constraints(bundle_constraints(bundle))
     if base is None:
         base = run(initial, params, step_config, horizon, store_states=True)
     if base.event is not None:

@@ -371,14 +371,15 @@ def test_snapshot_oversized_header_rejected_before_any_grid(tmp_path, grid2d, rn
         read_snapshot(bad)
 
 
-def test_snapshot_odd_axis_size_is_a_snapshot_error(tmp_path, grid2d, rng):
+@pytest.mark.parametrize("size", [31, 2])
+def test_snapshot_odd_axis_size_is_a_snapshot_error(tmp_path, grid2d, rng, size):
     import struct
 
     st = random_state(grid2d, rng)
     path = tmp_path / "state.pitv"
     write_snapshot(st, PARAMS, path)
     data = bytearray(path.read_bytes())
-    data[6:10] = struct.pack("<I", 31)
+    data[6:10] = struct.pack("<I", size)
     bad = tmp_path / "odd.pitv"
     bad.write_bytes(bytes(data))
     with pytest.raises(SnapshotError, match="axis sizes"):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pitaevskii import norms
 from pitaevskii.diagnostics import (
+    RECORD_SCALARS,
     bounds_report,
     energy_budget,
     growth_budget,
@@ -12,10 +14,11 @@ from pitaevskii.diagnostics import (
 from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import plane_wave_state
 from pitaevskii.integrator import StepConfig, run
-from pitaevskii.model import Params, State
+from pitaevskii.model import Params, State, coupling_term
 from pitaevskii.norms import lp_norm
+from pitaevskii.spectral import plan_for
 
-from conftest import gaussian_random_field
+from conftest import gaussian_random_field, random_state_fields
 
 PARAMS = Params(lam=1.0, mu=1.0, nu=0.1, m=0.5, M=1.5, eps=0.2)
 
@@ -90,6 +93,65 @@ def test_measure_relax_dissipation_parseval(grid2d, rng):
     rec = measure(st, PARAMS)
     direct = 2 * PARAMS.lam * lp_norm(grid2d, coupling_term(st, PARAMS), 2) ** 2
     assert rec.diss_relax == pytest.approx(direct, rel=1e-12)
+
+
+def reference_record(state, prev, params):
+    """measure()'s entries written out with the public norms: the scalars
+    by name, then the momentum.  Real fields enter the H^s norms as complex
+    fields, so their full spectra are summed and the half-spectrum Parseval
+    weights of measure() are checked, not shared."""
+    g = state.grid
+    psi, u, rho = state.psi, state.u, state.rho
+
+    def hs_sq(f, s, homogeneous=False):
+        parts = f if g.is_vector(f) else [f]
+        return sum(norms.sobolev_norm(g, c.astype(complex), s, homogeneous) ** 2 for c in parts)
+
+    c = coupling_term(state, params)
+    speed2 = sum(ui ** 2 for ui in u)
+    dt = state.t - prev.t
+    du = (u - prev.u) / dt
+    grad_u_sq = hs_sq(u, 1.0, True)
+    scalars = {
+        "t": state.t,
+        "energy": 0.5 * norms.integral(g, rho * speed2) + 0.5 * hs_sq(psi, 1.0, True)
+        + 0.5 * params.mu * norms.lp_norm(g, psi, 4) ** 4,
+        "diss_visc": params.nu * grad_u_sq,
+        "diss_relax": 2.0 * params.lam * norms.lp_norm(g, c, 2) ** 2,
+        "mass_wave": norms.lp_norm(g, psi, 2) ** 2,
+        "mass_fluid": norms.integral(g, rho),
+        "rho_min": rho.min(),
+        "rho_max": rho.max(),
+        "second_energy": 1.0 + hs_sq(psi, 2.0, True) + params.nu * grad_u_sq,
+        "second_diss": params.lam * hs_sq(c, 1.0, True)
+        + norms.integral(g, rho * sum(di ** 2 for di in du))
+        + params.nu ** 2 / params.m_prime * hs_sq(u, 2.0, True),
+        "sob_wave": np.sqrt(hs_sq(psi, 2.5 + params.delta)),
+        "sob_vel": np.sqrt(hs_sq(u, 1.5 + params.delta)),
+        "sob_coupling": np.sqrt(hs_sq(c, 1.5 + params.delta)),
+        "dt_wave_l2": norms.lp_norm(g, (psi - prev.psi) / dt, 2),
+        "dt_vel_l2": norms.lp_norm(g, du, 2),
+        "dt_rho_hm1": np.sqrt(hs_sq((rho - prev.rho) / dt, -1.0)),
+    }
+    grad_psi = plan_for(g).gradient(psi)
+    momentum = [norms.integral(g, rho * u[i]) + norms.integral(g, (np.conj(psi) * grad_psi[i]).imag)
+                for i in range(g.d)]
+    return scalars, momentum
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)], ids=["2d-32", "3d-16"])
+def test_measure_matches_reference_from_public_norms(d, n):
+    grid = make_grid(d, [n] * d, [2 * np.pi] * d)
+    rng = np.random.default_rng(31 + d)
+    prev = State(0.25, *random_state_fields(grid, rng, amp=0.4), grid)
+    state = State(0.25 + 2.0 ** -9, *random_state_fields(grid, rng, amp=0.4), grid)
+    rec = measure(state, PARAMS, prev_state=prev)
+    scalars, momentum = reference_record(state, prev, PARAMS)
+    assert set(scalars) == set(RECORD_SCALARS)
+    for name, expect in scalars.items():
+        assert getattr(rec, name) == pytest.approx(expect, rel=1e-12, abs=0), name
+    scale = norms.integral(grid, state.rho * np.sqrt(sum(ui ** 2 for ui in state.u)))
+    assert np.abs(np.array(rec.momentum) - momentum).max() <= 1e-12 * scale
 
 
 def test_bounds_report_initial_passes(grid2d):

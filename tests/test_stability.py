@@ -311,6 +311,25 @@ def test_stability_core_bundle(grid2d):
                         bundle="everything")
 
 
+def test_stability_experiment_rejects_unknown_bundle_before_any_run(grid2d, monkeypatch):
+    from pitaevskii import stability
+
+    runs = []
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "run", counted_run)
+    st = smooth_state(grid2d)
+    with pytest.raises(ValueError, match="bundle must be one of full, core"):
+        stability_experiment(st, PARAMS, StepConfig(dt_init=2e-3), PerturbationSpec(), 0.01,
+                             bundle="nope")
+    assert runs == []
+    with pytest.raises(ValueError, match="bundle must be one of full, core"):
+        gronwall_bundle(st, st.copy(), PARAMS, np.zeros((2,) + grid2d.shape), bundle="nope")
+
+
 def test_fit_envelope_short_series():
     recs = [DifferenceRecord(t=0.0, wave_l2=0, wave_grad=0, vel_l2=0, rho_l2=0,
                              total=0.0, driver=1.0)]

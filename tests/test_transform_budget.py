@@ -8,7 +8,8 @@ one cold step(), and the steps of a run(), which warm-start their pressure
 solves or take the pressure split and start from the spectra the previous
 step carried over; and around one gronwall_bundle() call on two such states.
 A stacked vector field counts as its components, so the totals are field
-transforms whatever the batching.
+transforms whatever the batching.  Beside them the entry-point calls are
+counted, since each call carries a fixed cost on top of its transforms.
 """
 
 import math
@@ -61,12 +62,21 @@ MAX_MEASURE_TRANSFORMS = {2: 4, 3: 5}
 # for grad(psi), one forward).  With one transform per norm and the coupling
 # taken to physical space and back it was 25 / 10 in 2D and 32 / 13 in 3D.
 MAX_BUNDLE_TRANSFORMS = {(2, "full"): 15, (2, "core"): 9, (3, "full"): 20, (3, "core"): 12}
+# Entry-point calls per warm step of a run() (fifth to eighth step) at the
+# default contrast, in 2D and 3D alike: each wave stage takes psi and
+# grad(psi) back in one call and each fluid acceleration transforms its
+# explicit part with the products u_i u_j in one, 29 calls where separate
+# calls made 35.  measure() makes 3: grad(psi), the coupling and the H^-1
+# norm of the density difference.
+MAX_RUN_STEP_CALLS = 29
+MAX_MEASURE_CALLS = 3
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """{module name: field transforms} issued while the fixture is live."""
-    counts = {"numpy.fft": 0, "scipy.fft": 0}
+    """{module name: field transforms, "calls": entry-point calls} issued
+    while the fixture is live."""
+    counts = {"numpy.fft": 0, "scipy.fft": 0, "calls": 0}
 
     def wrap(module, name, fn):
         def wrapper(a, *args, **kwargs):
@@ -75,6 +85,7 @@ def counted(monkeypatch):
             axes = kwargs.get("axes")
             transformed = 2 if name.endswith("2") else arr.ndim if axes is None else len(axes)
             counts[module] += math.prod(arr.shape[:arr.ndim - transformed])
+            counts["calls"] += 1
             return fn(a, *args, **kwargs)
         return wrapper
 
@@ -108,15 +119,16 @@ def test_step_transform_budget(counted, d):
     assert 0 < counted["scipy.fft"] <= STEP_BUDGETS[d]
 
 
-def counting(counted, monkeypatch, name):
-    """Field transforms of each call of integrator.<name>, in call order."""
+def counting(counted, monkeypatch, name, key="scipy.fft"):
+    """Field transforms (or with key="calls", entry-point calls) of each
+    call of integrator.<name>, in call order."""
     per_call = []
     inner = getattr(integrator, name)
 
     def wrapper(*args, **kwargs):
-        before = counted["scipy.fft"]
+        before = counted[key]
         out = inner(*args, **kwargs)
-        per_call.append(counted["scipy.fft"] - before)
+        per_call.append(counted[key] - before)
         return out
 
     monkeypatch.setattr(integrator, name, wrapper)
@@ -153,3 +165,16 @@ def test_gronwall_bundle_transform_budget(counted, d, bundle):
     assert driver > 0
     assert counted["numpy.fft"] == 0
     assert 0 < counted["scipy.fft"] <= MAX_BUNDLE_TRANSFORMS[(d, bundle)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_run_steady_state_call_budget(counted, monkeypatch, d):
+    state, params = seeded_state(d)
+    per_step = counting(counted, monkeypatch, "step", "calls")
+    per_measure = counting(counted, monkeypatch, "measure", "calls")
+    dt = 2.0 ** -11
+    traj = run(state, params, StepConfig(dt_init=dt), 8 * dt)
+    print(f"transform calls per step of a run: {per_step}, per measure(): {per_measure}")
+    assert traj.event is None and len(per_step) == 8 and len(per_measure) == 9
+    assert 0 < max(per_step[4:]) <= MAX_RUN_STEP_CALLS
+    assert 0 < max(per_measure[1:]) <= MAX_MEASURE_CALLS
