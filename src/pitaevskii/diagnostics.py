@@ -52,9 +52,10 @@ RECORD_SCALARS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "m
 def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     """Build the diagnostics record for one accepted step.
 
-    Time-derivative entries are backward differences against prev_state and
-    zero on the initial record.  psi_hat and u_hat, the spectra plan.fft of
-    state.psi and state.u, may be passed in by a caller that holds them.
+    Time-derivative entries are backward differences against prev_state,
+    which must lie at another time, and zero on the initial record.  psi_hat
+    and u_hat, the spectra plan.fft of state.psi and state.u, may be passed
+    in by a caller that holds them.
 
     Each pointwise product is formed once: |psi|^2 serves the wave mass,
     the quartic energy and the coupling, |u|^2 the kinetic energy and the
@@ -105,6 +106,8 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     ud_term = 0.0
     if prev_state is not None:
         dt_step = abs(state.t - prev_state.t)
+        if dt_step == 0:
+            raise ValueError(f"prev_state is at the state's time: {prev_state.t} vs {state.t}")
         dpsi = psi - prev_state.psi
         du = u - prev_state.u
         dt_wave = math.sqrt(np.vdot(dpsi, dpsi).real * cell) / dt_step

@@ -48,7 +48,9 @@ One step of size dt is the composition
   From contrast 4 on both solve every stage to the same PCG tolerance and
   agree to round-off times that tolerance.
 * The density advances with the same midpoint staging: spectral dealiased
-  transport plus the mass-exchange source.
+  transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
+  each stage forms once for it and the momentum drag.  The frozen psi and
+  grad(psi) come from the first wave half-step in one inverse transform.
 
 Each piece has local error O(dt^3), so the composition is second order.
 A step that would drag the density below the configured floor raises
@@ -70,7 +72,6 @@ from .model import (
     DensityFloorViolation,
     State,
     density_floor_check,
-    mass_exchange,
     velocity_rhs_hat,
     wave_nonlinear_hat,
 )
@@ -133,45 +134,47 @@ def _wave_propagator(plan, psi_hat, params, tau):
     return np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
 
 
-def _wave_substep(plan, psi, psi_hat, u, params, tau, lin):
-    """Advance the wavefunction by tau with u frozen: exact linear flow
-    bracketed around an explicit midpoint stage for the rest; lin is that
-    flow over tau/2, _wave_propagator(plan, psi_hat, params, tau).  Takes
-    and returns psi together with its spectrum psi_hat.
-
-    Each of the two stages takes the stage wavefunction and its gradient
-    to physical space in one inverse transform of the stacked (d+1, ...)
-    spectrum, which gives the same bits as d+1 separate transforms; |u|^2
-    is formed once, u being frozen."""
-    speed2 = pointwise_dot(u, u)
-    ik = plan.tables(psi_hat).ik
+def _psi_and_gradient(plan, psi_hat):
+    """psi and grad(psi), stacked (d+1, ...), from psi_hat in one inverse
+    transform: the same bits as d+1 separate transforms."""
     stack = np.empty((plan.grid.d + 1,) + psi_hat.shape, dtype=psi_hat.dtype)
+    stack[0] = psi_hat
+    np.multiply(plan.tables(psi_hat).ik, psi_hat, out=stack[1:])
+    return plan.ifft(stack, psi_hat)   # complex, as psi is
+
+
+def _wave_substep(plan, psi_hat, u, params, tau, lin):
+    """Advance the wavefunction's spectrum psi_hat by tau with u frozen:
+    exact linear flow bracketed around an explicit midpoint stage for the
+    rest; lin is that flow over tau/2, _wave_propagator(plan, psi_hat,
+    params, tau).  Each stage reads psi and grad(psi) from
+    _psi_and_gradient; |u|^2 is formed once, u being frozen."""
+    speed2 = pointwise_dot(u, u)
 
     def nonlinear_hat(fhat):
-        np.multiply(ik, fhat, out=stack[1:])
-        stack[0] = fhat
-        fields = plan.ifft(stack, psi)
+        fields = _psi_and_gradient(plan, fhat)
         return wave_nonlinear_hat(plan, fields[0], fields[1:], u, speed2, params)
 
     psi_hat = lin * psi_hat
     mid_hat = psi_hat + 0.5 * tau * nonlinear_hat(psi_hat)
-    psi_hat = lin * (psi_hat + tau * nonlinear_hat(mid_hat))
-    return plan.ifft(psi_hat, psi), psi_hat
+    return lin * (psi_hat + tau * nonlinear_hat(mid_hat))
 
 
-def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, rho_bar):
+def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, rho_bar):
     """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
-    part, and the coupling field; u_hat is the spectrum of u, psi_hat and
-    grad_psi those of the frozen psi."""
-    accel_hat, coupling = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params)
-    return accel_hat + (params.nu / rho_bar) * plan.tables(u_hat).k2 * u_hat, coupling
+    part, and the exchange field Re(conj(psi) C[psi]); u_hat is the
+    spectrum of u, psi_hat, grad_psi and psi2 the spectrum, gradient and
+    squared modulus of the frozen psi."""
+    accel_hat, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho,
+                                           params)
+    return accel_hat + (params.nu / rho_bar) * plan.tables(u_hat).k2 * u_hat, exchange
 
 
-def _density_rhs(plan, psi, u, rho, params, coupling):
-    # divergence of the dealiased flux, fused in spectral space
-    state = State(0.0, psi, u, rho, plan.grid)
+def _density_rhs(plan, u, rho, params, exchange):
+    """-div(rho u), the dealiased flux's divergence fused in spectral space,
+    plus the mass exchange 2 lam Re(conj(psi) C[psi]) = 2 lam exchange."""
     div_hat = plan.div_hat(plan.dealias_hat(plan.fft(rho * u)))
-    return -plan.ifft(div_hat, rho) + mass_exchange(state, params, coupling)
+    return -plan.ifft(div_hat, rho) + 2.0 * params.lam * exchange
 
 
 def _lagrange(steps, column, t):
@@ -283,9 +286,9 @@ def _split_applies(rho):
     return float(rho.max()) / float(rho.min()) < DENSITY_PRECONDITIONER_CONTRAST
 
 
-def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
-    """Midpoint IMEX step for (u, rho) with psi frozen; u_hat is the
-    spectrum of u.
+def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, history):
+    """Midpoint IMEX step for (u, rho) with psi frozen; psi_hat and grad_psi
+    are the spectrum and gradient of psi, u_hat the spectrum of u.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
@@ -297,16 +300,17 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
     midpoint velocity's spectrum feeds the corrector's acceleration.
     Each stage solves by PCG from the StepHistory's guess, or takes the
     pressure split with the history's p* (see the module docstring).
-    Returns (u, its spectrum, rho, predictor pressure spectrum, corrector
+    |psi|^2 is formed once, and each stage's exchange field
+    Re(conj(psi) C[psi]) serves its drag and its density source.  Returns (u, its spectrum, rho, predictor pressure spectrum, corrector
     pressure spectrum).
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    psi2 = psi.real ** 2 + psi.imag ** 2
     alpha_k2 = alpha * plan.tables(u_hat).k2
 
-    accel0_hat, coupling0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u, u_hat, rho,
-                                                  params, rho_bar)
+    accel0_hat, exchange0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat,
+                                                  rho, params, rho_bar)
     p_star = history.split_predictor(t0) if _split_applies(rho) else None
     if p_star is None:
         accel0_hat, p_pred = plan.weighted_leray_hat(
@@ -315,11 +319,11 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
         accel0_hat, p_pred = plan.split_leray_hat(accel0_hat, rho, p_star)
     u_half_hat = (u_hat + 0.5 * dt * accel0_hat) / (1.0 + alpha_k2)
     u_half = plan.ifft(u_half_hat, u)
-    rho_half = rho + 0.5 * dt * _density_rhs(plan, psi, u, rho, params, coupling0)
+    rho_half = rho + 0.5 * dt * _density_rhs(plan, u, rho, params, exchange0)
     density_floor_check(rho_half, params, t0 + 0.5 * dt)
 
-    accel1_hat, coupling1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, u_half, u_half_hat,
-                                                  rho_half, params, rho_bar)
+    accel1_hat, exchange1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_half,
+                                                  u_half_hat, rho_half, params, rho_bar)
     p_star = history.split_corrector(t0, p_pred) if _split_applies(rho_half) else None
     if p_star is None:
         accel1_hat, p_corr = plan.weighted_leray_hat(
@@ -328,7 +332,7 @@ def _fluid_substep(plan, psi, psi_hat, u, u_hat, rho, params, dt, t0, history):
         accel1_hat, p_corr = plan.split_leray_hat(accel1_hat, rho_half, p_star)
     u_new_hat = ((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2)
     u_new = plan.ifft(u_new_hat, u)
-    rho_new = rho + dt * _density_rhs(plan, psi, u_half, rho_half, params, coupling1)
+    rho_new = rho + dt * _density_rhs(plan, u_half, rho_half, params, exchange1)
     density_floor_check(rho_new, params, t0 + dt)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
@@ -356,10 +360,14 @@ def step(state, params, dt, *, history=None):
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
         lin = history.propagator(plan, psi_hat, params, tau)
-        psi, psi_hat = _wave_substep(plan, state.psi, psi_hat, state.u, params, tau, lin)
-        u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, psi, psi_hat, state.u, u_hat,
-                                                       state.rho, params, dt, state.t, history)
-        psi, psi_hat = _wave_substep(plan, psi, psi_hat, u, params, tau, lin)
+        psi_hat = _wave_substep(plan, psi_hat, state.u, params, tau, lin)
+        fields = _psi_and_gradient(plan, psi_hat)
+        u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:],
+                                                       state.u, u_hat, state.rho, params, dt,
+                                                       state.t, history)
+        del fields
+        psi_hat = _wave_substep(plan, psi_hat, u, params, tau, lin)
+        psi = plan.ifft(psi_hat, state.psi)
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")

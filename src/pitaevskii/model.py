@@ -16,10 +16,13 @@ operator
 
 with the pressure eliminated by Leray projection.  Each right-hand side has
 one body, in the spectral form the integrator composes: coupling_hat (the
-coupling operator), wave_nonlinear_hat (the wave equation beyond its linear
-(lam+i)/2 lap part) and velocity_rhs_hat (the pre-projection acceleration).
-coupling_term, schrodinger_rhs and velocity_rhs are their physical-space
-wrappers, so checks of the wrappers check the integrator's arithmetic.  A
+spectrum of C[psi]), wave_nonlinear_hat (the wave equation beyond its linear
+(lam+i)/2 lap part) and velocity_rhs_hat (the pre-projection acceleration,
+which forms the exchange field Re(conj(psi) C[psi]) once for the drag and
+returns it for the density source).  coupling_term, schrodinger_rhs,
+mass_exchange, momentum_source and velocity_rhs are physical-space wrappers
+of the same expressions, so checks of them check the integrator's
+arithmetic.  A
 conservative form of the momentum source exists for cross-validation: it
 differs from the non-conservative one by a pure gradient plus the
 mass-exchange drag term.
@@ -156,18 +159,12 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params):
     return lap_term + plan.dealias_hat(plan.fft(nonlinear))
 
 
-def coupling_term(state, params, plan=None, psi_hat=None, grad_psi=None):
-    """C[psi] in physical space (coupling_hat).  psi_hat (the spectrum
-    plan.fft(psi)) and grad_psi (the gradient of psi) may be passed in by a
-    caller that already holds them."""
-    if plan is None:
-        plan = plan_for(state.grid)
-    psi = state.psi
-    if psi_hat is None:
-        psi_hat = plan.fft(psi)
-    if grad_psi is None:
-        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    u = state.u
+def coupling_term(state, params):
+    """C[psi] in physical space (coupling_hat)."""
+    plan = plan_for(state.grid)
+    psi, u = state.psi, state.u
+    psi_hat = plan.fft(psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
                                   psi.real ** 2 + psi.imag ** 2, params), psi)
 
@@ -214,20 +211,12 @@ def mass_exchange(state, params, coupling=None):
     return 2.0 * params.lam * (np.conj(state.psi) * coupling).real
 
 
-def _wave_momentum_flux(state, coupling, plan, grad_psi=None):
-    """Im(grad(conj(psi)) C[psi]) per component, not yet dealiased."""
-    if grad_psi is None:
-        grad_psi = plan.gradient(state.psi)
-    return (np.conj(grad_psi) * coupling).imag
-
-
-def _momentum_source_raw(state, params, coupling, plan, grad_psi):
-    """-2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
-    not dealiased: velocity_rhs_hat truncates it with the rest of the
-    acceleration."""
-    flux = _wave_momentum_flux(state, coupling, plan, grad_psi)
-    drag = state.u * (np.conj(state.psi) * coupling).real
-    return -2.0 * params.lam * (flux + drag)
+def _momentum_source_raw(grad_psi, u, coupling, exchange, params):
+    """-2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u exchange, exchange being
+    Re(conj(psi) C[psi]), not dealiased: velocity_rhs_hat truncates it with
+    the rest of the acceleration."""
+    flux = (np.conj(grad_psi) * coupling).imag
+    return -2.0 * params.lam * (flux + u * exchange)
 
 
 def momentum_source(state, params, coupling=None):
@@ -236,11 +225,13 @@ def momentum_source(state, params, coupling=None):
     dealiased."""
     plan = plan_for(state.grid)
     if coupling is None:
-        coupling = coupling_term(state, params, plan)
-    return plan.dealias(_momentum_source_raw(state, params, coupling, plan, None))
+        coupling = coupling_term(state, params)
+    exchange = (np.conj(state.psi) * coupling).real
+    return plan.dealias(_momentum_source_raw(plan.gradient(state.psi), state.u, coupling,
+                                             exchange, params))
 
 
-def momentum_source_conservative(state, params, coupling=None, plan=None):
+def momentum_source_conservative(state, params, coupling=None):
     """Conservative momentum source; kept for cross-validation only.
 
     -2 lam Im(grad(conj(psi)) C[psi]) + lam grad(Im(conj(psi) C[psi]))
@@ -248,12 +239,11 @@ def momentum_source_conservative(state, params, coupling=None, plan=None):
     a pure gradient plus the mass-exchange drag 2 lam u Re(conj(psi) C[psi]),
     so it vanishes under Leray projection once the drag is subtracted.
     """
-    if plan is None:
-        plan = plan_for(state.grid)
+    plan = plan_for(state.grid)
     psi = state.psi
     if coupling is None:
-        coupling = coupling_term(state, params, plan)
-    flux = -2.0 * params.lam * plan.dealias(_wave_momentum_flux(state, coupling, plan))
+        coupling = coupling_term(state, params)
+    flux = -2.0 * params.lam * plan.dealias((np.conj(plan.gradient(psi)) * coupling).imag)
     imag_pair = plan.dealias((np.conj(psi) * coupling).imag)
     quartic = plan.dealias((psi.real ** 2 + psi.imag ** 2) ** 2)
     return flux + params.lam * plan.gradient(imag_pair) + 0.5 * params.mu * plan.gradient(quartic)
@@ -269,26 +259,32 @@ def density_floor_check(rho, params, time):
         raise DensityFloorViolation(time, loc, value, params.eps)
 
 
-def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params):
+def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params):
     """Spectrum of the pre-projection acceleration of the non-conservative
     momentum equation, -div(u u) + (nu lap(u) + momentum source) / rho,
-    and the coupling field.  One 2/3-rule truncation covers the whole sum,
-    the untruncated source included; the divergence form of the advection
-    equals -u.grad(u) for solenoidal u.  psi_hat and grad_psi are the
-    spectrum and gradient of psi, u_hat the spectrum of u.  Three transform
-    calls besides the coupling's: lap(u) back to physical space, and
-    (nu lap(u) + source) / rho forward together with the d(d+1)/2 products
-    u_i u_j, stacked in one call."""
-    state = State(0.0, psi, u, rho, plan.grid)
-    coupling = coupling_term(state, params, plan, psi_hat=psi_hat, grad_psi=grad_psi)
+    and the exchange field Re(conj(psi) C[psi]), which the density equation's
+    source 2 lam Re(conj(psi) C[psi]) shares with the source's drag.  One
+    2/3-rule truncation covers the whole sum, the untruncated source
+    included; the divergence form of the advection equals -u.grad(u) for
+    solenoidal u.  psi_hat, grad_psi and psi2 = psi.real**2 + psi.imag**2
+    are the spectrum, gradient and squared modulus of psi, u_hat the
+    spectrum of u.  Three transform calls besides the coupling's two (its
+    forward transform and C[psi] back to physical space): lap(u) back to
+    physical space, and (nu lap(u) + source) / rho forward together with
+    the d(d+1)/2 products u_i u_j, stacked in one call."""
+    coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2,
+                                      params), psi)
+    # a copy, since the .real view would hold the complex product
+    exchange = (np.conj(psi) * coupling).real.copy()
     tab = plan.tables(u_hat)
     explicit = plan.ifft(-tab.k2 * u_hat, u)
     explicit *= params.nu
-    explicit += _momentum_source_raw(state, params, coupling, plan, grad_psi)
+    explicit += _momentum_source_raw(grad_psi, u, coupling, exchange, params)
+    del coupling
     # -div(u u): d(d+1)/2 forward transforms of the products u_i u_j, where
     # the advective form takes d^2 inverse transforms of grad(u).  The stack
-    # is filled in place and nothing else is held across its transform,
-    # which sets a 32^3 run's peak memory
+    # is filled in place and only the real exchange field is held across its
+    # transform, which sets a 32^3 run's peak memory
     d = plan.grid.d
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
     stack = np.empty((d + len(pairs),) + rho.shape)
@@ -304,7 +300,7 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params):
     for i in range(d):
         for j in range(d):
             accel_hat[i] -= tab.ik[j] * uu_hat[min(i, j), max(i, j)]
-    return plan.dealias_hat(accel_hat), coupling
+    return plan.dealias_hat(accel_hat), exchange
 
 
 def velocity_rhs(state, params):
@@ -315,8 +311,9 @@ def velocity_rhs(state, params):
     """
     plan = plan_for(state.grid)
     density_floor_check(state.rho, params, state.t)
-    psi_hat = plan.fft(state.psi)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), state.psi)
-    accel_hat, _ = velocity_rhs_hat(plan, state.psi, psi_hat, grad_psi, state.u, plan.fft(state.u),
-                                    state.rho, params)
+    psi = state.psi
+    psi_hat = plan.fft(psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    accel_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
+                                    state.u, plan.fft(state.u), state.rho, params)
     return plan.ifft(accel_hat, state.u)

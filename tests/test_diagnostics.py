@@ -18,7 +18,7 @@ from pitaevskii.model import Params, State, coupling_term
 from pitaevskii.norms import lp_norm
 from pitaevskii.spectral import plan_for
 
-from conftest import gaussian_random_field, random_state_fields
+from conftest import gaussian_random_field, random_state_fields, smooth_2d_state
 
 PARAMS = Params(lam=1.0, mu=1.0, nu=0.1, m=0.5, M=1.5, eps=0.2)
 
@@ -152,6 +152,13 @@ def test_measure_matches_reference_from_public_norms(d, n):
         assert getattr(rec, name) == pytest.approx(expect, rel=1e-12, abs=0), name
     scale = norms.integral(grid, state.rho * np.sqrt(sum(ui ** 2 for ui in state.u)))
     assert np.abs(np.array(rec.momentum) - momentum).max() <= 1e-12 * scale
+
+
+def test_measure_rejects_prev_state_at_the_same_time():
+    grid = make_grid(2, [16, 16], [2 * np.pi] * 2)
+    state = smooth_2d_state(grid)
+    with pytest.raises(ValueError, match="0.0 vs 0.0"):
+        measure(state, PARAMS, prev_state=state)
 
 
 def test_bounds_report_initial_passes(grid2d):

@@ -272,11 +272,29 @@ def test_velocity_rhs_matches_double_dealiased_advective_form(d, n):
         u, _ = plan.leray_project(u)
         psi_hat = plan.fft(psi)
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-        new, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, u, plan.fft(u), rho, params)
+        new, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
+                                  u, plan.fft(u), rho, params)
         ref, raw = advective_double_dealiased_hat(plan, psi, u, rho, params)
         if lam > 0 and rho_var > 0:
             ref = ref + plan.dealias_hat(plan.fft((raw - plan.dealias(raw)) / rho))
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+def test_velocity_rhs_exchange_is_the_mass_source(d, n):
+    # the step's density source 2 lam exchange and the drag share the one
+    # exchange field velocity_rhs_hat returns; it is mass_exchange's value
+    # bit for bit
+    grid = make_grid(d, [n] * d, [2 * np.pi] * d)
+    plan = plan_for(grid)
+    psi, u, rho = random_state_fields(grid, np.random.default_rng(9))
+    u, _ = plan.leray_project(u)
+    psi_hat = plan.fft(psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
+                                   u, plan.fft(u), rho, PARAMS)
+    source = mass_exchange(make_state(grid, psi, u, rho), PARAMS)
+    assert np.array_equal(2.0 * PARAMS.lam * exchange, source)
 
 
 def test_velocity_rhs_density_floor(grid2d):
