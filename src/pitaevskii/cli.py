@@ -32,6 +32,7 @@ from .diagnostics import (
     inequality_validator,
     time_derivative_report,
 )
+from .grid import pointwise_dot
 from .initial_conditions import (
     build_initial_state,
     gaussian_random_field,
@@ -39,8 +40,9 @@ from .initial_conditions import (
     random_smooth_state,
 )
 from .integrator import ingest, run
-from .model import coupling_term, mass_exchange, momentum_source, momentum_source_conservative, schrodinger_rhs
-from .norms import inner_product, integral, lp_norm
+from .model import (coupling_hat, momentum_source, momentum_source_conservative, velocity_rhs_hat,
+                    wave_nonlinear_hat)
+from .norms import inner_product, integral, lp_norm, sobolev_sq, spectral_density_hat
 from .snapshot_io import write_difference_series, write_snapshot, write_timeseries
 from .spectral import plan_for
 from .stability import PerturbationSpec, reduced_ode_oracle, stability_experiment
@@ -212,29 +214,41 @@ def cmd_validate(cfg):
     rng = np.random.default_rng(cfg.ic.seed)
     checks = []
 
+    # the identities are checked on the bodies the step runs: grad(psi) from
+    # the ik table, the exchange field velocity_rhs_hat returns and dt psi as
+    # the wave substep integrates it; momentum_source_conservative is the
+    # one independent form
     worst_quad = worst_form = worst_exchange = worst_div = 0.0
     for _ in range(100):
         st = random_smooth_state(grid, params, 0.5, rng)
         st.u, _ = plan.leray_project(st.u)
-        coupling = coupling_term(st, params)
-        lhs = inner_product(grid, st.psi, coupling).real
-        psi_hat = np.fft.fftn(st.psi)
-        minus_i_grad = np.stack([np.fft.ifftn(km * psi_hat) for km in grid.k_mesh])
-        d_psi = minus_i_grad - st.u * st.psi
-        rhs = 0.5 * lp_norm(grid, d_psi, 2) ** 2 + params.mu * lp_norm(grid, st.psi, 4) ** 4
+        psi, u = st.psi, st.u
+        psi_hat = plan.fft(psi)
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+        psi2 = psi.real ** 2 + psi.imag ** 2
+        speed2 = pointwise_dot(u, u)
+        coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params),
+                             psi)
+        _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, plan.fft(u), st.rho,
+                                       params)
+
+        # Re<psi, C[psi]> = 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4
+        lhs = integral(grid, exchange)
+        rhs = (0.5 * lp_norm(grid, -1j * grad_psi - u * psi, 2) ** 2
+               + params.mu * lp_norm(grid, psi, 4) ** 4)
         worst_quad = max(worst_quad, abs(lhs - rhs) / max(abs(rhs), 1e-300))
 
         cons = momentum_source_conservative(st, params, coupling)
         noncons = momentum_source(st, params, coupling)
-        drag_scalar = (np.conj(st.psi) * coupling).real
-        drag = 2 * params.lam * np.stack(
-            [plan.dealias(st.u[i] * drag_scalar) for i in range(grid.d)])
+        drag = 2 * params.lam * plan.dealias(u * exchange)
         projected, _ = plan.leray_project(cons - noncons - drag)
         scale = max(np.abs(cons).max(), np.abs(noncons).max(), 1e-300)
         worst_form = max(worst_form, float(np.abs(projected).max() / scale))
 
-        src = integral(grid, mass_exchange(st, params, coupling))
-        dmass = 2.0 * inner_product(grid, st.psi, schrodinger_rhs(st, params)).real
+        src = integral(grid, 2.0 * params.lam * exchange)
+        linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
+        dt_psi = plan.ifft(linear + wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params), psi)
+        dmass = 2.0 * inner_product(grid, psi, dt_psi).real
         worst_exchange = max(worst_exchange, abs(src + dmass) / max(abs(src), 1e-300))
 
         w, _ = plan.leray_project(st.u)
@@ -251,9 +265,10 @@ def cmd_validate(cfg):
     checks.append(("helmholtz residual",
                    float(np.abs(hs - 0.7 * plan.laplacian(hs) - f).max()
                          / max(np.abs(f).max(), 1e-300)), 1e-12))
+    # the Parseval weights every norm and PCG inner product uses
     quad = lp_norm(grid, f, 2) ** 2
-    spectral = float(np.sum(np.abs(np.fft.fftn(f) / grid.num_points) ** 2)) * grid.volume
-    checks.append(("parseval", abs(quad - spectral) / quad, 1e-12))
+    dens, tab = spectral_density_hat(plan, plan.fft(f))
+    checks.append(("parseval", abs(quad - sobolev_sq(dens, tab, grid.volume, 0.0)) / quad, 1e-12))
 
     ok = True
     for name, value, tol in checks:

@@ -301,8 +301,9 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     Each stage solves by PCG from the StepHistory's guess, or takes the
     pressure split with the history's p* (see the module docstring).
     |psi|^2 is formed once, and each stage's exchange field
-    Re(conj(psi) C[psi]) serves its drag and its density source.  Returns (u, its spectrum, rho, predictor pressure spectrum, corrector
-    pressure spectrum).
+    Re(conj(psi) C[psi]) serves its drag and its density source.  Returns
+    (u, its spectrum, rho, predictor pressure spectrum, corrector pressure
+    spectrum).
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)

@@ -17,15 +17,17 @@ operator
 with the pressure eliminated by Leray projection.  Each right-hand side has
 one body, in the spectral form the integrator composes: coupling_hat (the
 spectrum of C[psi]), wave_nonlinear_hat (the wave equation beyond its linear
-(lam+i)/2 lap part) and velocity_rhs_hat (the pre-projection acceleration,
-which forms the exchange field Re(conj(psi) C[psi]) once for the drag and
-returns it for the density source).  coupling_term, schrodinger_rhs,
-mass_exchange, momentum_source and velocity_rhs are physical-space wrappers
-of the same expressions, so checks of them check the integrator's
-arithmetic.  A
-conservative form of the momentum source exists for cross-validation: it
-differs from the non-conservative one by a pure gradient plus the
-mass-exchange drag term.
+(lam+i)/2 lap part, which the wave substep integrates exactly) and
+velocity_rhs_hat (the pre-projection acceleration, which forms the exchange
+field Re(conj(psi) C[psi]) once, by _exchange_field, for the drag and
+returns it for the density source).  `pitaevskii validate` checks the
+quadratic form, the mass-exchange antisymmetry and the source-form
+equivalence on these bodies.  coupling_term, mass_exchange and
+momentum_source are physical-space entry points on the same bodies, kept
+for validate's source-form check, the tests and the benchmark's span
+tracer, which wraps them by name.  momentum_source_conservative is the one
+independent form, the cross-check: it differs from the non-conservative
+source by a pure gradient plus the mass-exchange drag term.
 
 Every nonlinear product is truncated by the 2/3 rule.  In the velocity
 right-hand side one truncation covers the whole acceleration: the momentum
@@ -186,17 +188,12 @@ def wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params):
     ))
 
 
-def schrodinger_rhs(state, params):
-    """dt psi = -lam C[psi] + (i/2) lap(psi) - i mu |psi|^2 psi: the linear
-    part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat, back in physical
-    space."""
-    plan = plan_for(state.grid)
-    psi, u = state.psi, state.u
-    psi_hat = plan.fft(psi)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, u, pointwise_dot(u, u), params)
-    return plan.ifft(linear + nonlinear, psi)
+def _exchange_field(psi, coupling):
+    """Re(conj(psi) C[psi]) from psi and coupling = C[psi]: the density
+    source is 2 lam times it and the momentum source's drag 2 lam u times
+    it.  The one body that forms it."""
+    # a copy, since the .real view would hold the complex product
+    return (np.conj(psi) * coupling).real.copy()
 
 
 def mass_exchange(state, params, coupling=None):
@@ -208,7 +205,7 @@ def mass_exchange(state, params, coupling=None):
     """
     if coupling is None:
         coupling = coupling_term(state, params)
-    return 2.0 * params.lam * (np.conj(state.psi) * coupling).real
+    return 2.0 * params.lam * _exchange_field(state.psi, coupling)
 
 
 def _momentum_source_raw(grad_psi, u, coupling, exchange, params):
@@ -222,13 +219,13 @@ def _momentum_source_raw(grad_psi, u, coupling, exchange, params):
 def momentum_source(state, params, coupling=None):
     """Non-conservative momentum source, the one that drives the integrator:
     -2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u Re(conj(psi) C[psi]),
-    dealiased."""
+    dealiased.  The physical-space entry point on _momentum_source_raw,
+    which velocity_rhs_hat adds to the acceleration untruncated."""
     plan = plan_for(state.grid)
     if coupling is None:
         coupling = coupling_term(state, params)
-    exchange = (np.conj(state.psi) * coupling).real
     return plan.dealias(_momentum_source_raw(plan.gradient(state.psi), state.u, coupling,
-                                             exchange, params))
+                                             _exchange_field(state.psi, coupling), params))
 
 
 def momentum_source_conservative(state, params, coupling=None):
@@ -274,8 +271,7 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params):
     the d(d+1)/2 products u_i u_j, stacked in one call."""
     coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2,
                                       params), psi)
-    # a copy, since the .real view would hold the complex product
-    exchange = (np.conj(psi) * coupling).real.copy()
+    exchange = _exchange_field(psi, coupling)
     tab = plan.tables(u_hat)
     explicit = plan.ifft(-tab.k2 * u_hat, u)
     explicit *= params.nu
@@ -301,19 +297,3 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params):
         for j in range(d):
             accel_hat[i] -= tab.ik[j] * uu_hat[min(i, j), max(i, j)]
     return plan.dealias_hat(accel_hat), exchange
-
-
-def velocity_rhs(state, params):
-    """Pre-projection acceleration -div(u u) + (nu lap(u) + momentum
-    source) / rho in physical space (velocity_rhs_hat).  The Leray
-    projection is the integrator's job, not done here.  Requires rho >= eps
-    pointwise.
-    """
-    plan = plan_for(state.grid)
-    density_floor_check(state.rho, params, state.t)
-    psi = state.psi
-    psi_hat = plan.fft(psi)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    accel_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
-                                    state.u, plan.fft(state.u), state.rho, params)
-    return plan.ifft(accel_hat, state.u)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pitaevskii.grid import make_grid
+from pitaevskii.grid import make_grid, pointwise_dot
 from pitaevskii.initial_conditions import gaussian_random_field
-from pitaevskii.model import State
+from pitaevskii.model import State, velocity_rhs_hat, wave_nonlinear_hat
+from pitaevskii.spectral import plan_for
 
 
 def random_vector_field(grid, rng, kc=3.0, band_limit=True):
@@ -29,6 +30,32 @@ def smooth_2d_state(grid, amp=0.4, m=0.8, M=1.2):
     u = amp * np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
     rho = 0.5 * (m + M) + 0.45 * (M - m) * np.cos(x) * np.cos(y)
     return State(0.0, psi.astype(complex), u, rho, grid)
+
+
+def _spectrum_and_gradient(plan, psi):
+    psi_hat = plan.fft(psi)
+    return psi_hat, plan.ifft(plan.grad_hat(psi_hat), psi)
+
+
+def wave_rhs(state, params):
+    """dt psi in physical space as the wave substep integrates it: the linear
+    part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat."""
+    plan = plan_for(state.grid)
+    psi, u = state.psi, state.u
+    psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
+    linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
+    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, u, pointwise_dot(u, u), params)
+    return plan.ifft(linear + nonlinear, psi)
+
+
+def velocity_accel(state, params):
+    """velocity_rhs_hat's pre-projection acceleration in physical space."""
+    plan = plan_for(state.grid)
+    psi, u = state.psi, state.u
+    psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
+    accel_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
+                                    u, plan.fft(u), state.rho, params)
+    return plan.ifft(accel_hat, u)
 
 
 @pytest.fixture

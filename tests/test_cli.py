@@ -10,7 +10,6 @@ SMALL_RUN = ("grid.d = 2\ngrid.n = 16, 16\nintegrator.dt_init = 0.002\n"
 @pytest.mark.parametrize("command, written, verdict", [
     ("stability", "stability.csv", True),
     ("convergence", None, True),
-    ("validate", None, True),
     ("oracle", "oracle.csv", False),
 ])
 def test_cli_subcommand_smoke(tmp_path, capsys, command, written, verdict):
@@ -24,6 +23,43 @@ def test_cli_subcommand_smoke(tmp_path, capsys, command, written, verdict):
         assert path.read_text().count("\n") > 1
         assert f"series: {path}" in lines
     assert any(ln.startswith("verdict: pass") for ln in lines) == verdict
+
+
+IDENTITY_CHECKS = ["coupling quadratic form", "source-form equivalence",
+                   "mass-exchange antisymmetry", "projector divergence", "helmholtz residual",
+                   "parseval"]
+
+
+@pytest.mark.parametrize("d, n", [
+    pytest.param(1, "16", id="1d"),
+    pytest.param(2, "16, 16", id="2d"),
+    pytest.param(3, "8, 8, 8", id="3d"),
+])
+def test_validate_smoke(tmp_path, capsys, d, n):
+    # the identity loop and the inequality validator on a small grid of each
+    # dimension: the same checks, each passing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.d = {d}\ngrid.n = {n}\n")
+    assert cli_main(["validate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:len(IDENTITY_CHECKS)]] == IDENTITY_CHECKS
+    assert all(": pass (" in ln for ln in lines if not ln.startswith(("note:", "verdict:")))
+    assert lines[-1] == "verdict: pass"
+
+
+def test_validate_fails_on_a_broken_exchange_body(tmp_path, capsys, monkeypatch):
+    # validate reads the exchange field the step forms: scaled by 1.01, the
+    # density source no longer balances the wavefunction's mass loss
+    from pitaevskii import model
+
+    body = model._exchange_field
+    monkeypatch.setattr(model, "_exchange_field", lambda psi, coupling: 1.01 * body(psi, coupling))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\n")
+    assert cli_main(["validate", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("mass-exchange antisymmetry: FAIL") for ln in lines)
+    assert lines[-1] == "verdict: FAIL"
 
 
 def test_simulate_without_viscosity_reports_the_growth_budget(tmp_path, capsys):

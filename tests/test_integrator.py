@@ -15,7 +15,7 @@ from pitaevskii.integrator import (
     run,
     step,
 )
-from pitaevskii.model import Params, State
+from pitaevskii.model import DensityFloorViolation, Params, State
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import reduced_ode_oracle
@@ -240,6 +240,22 @@ def test_density_floor_event(grid1d):
     assert 0 < traj.event.time < 0.5
     assert traj.event.value < params.eps
     assert traj.event.location is not None
+
+
+def test_density_floor_breach_at_the_midpoint_is_stamped_there(grid1d):
+    # the mass exchange pulls the density below the floor already at the
+    # fluid substep's midpoint stage: the step raises there, stamped
+    # t0 + dt/2, not at the end of the step
+    params = Params(lam=5.0, mu=0.05, nu=0.1, m=1.0, M=1.0, eps=0.98)
+    x = grid1d.axis_coordinates(0)
+    psi = 0.8 * (1.0 + 0.9 * np.cos(x))
+    t0, dt = 0.25, 0.125
+    st = State(t0, psi.astype(complex), np.zeros((1,) + grid1d.shape),
+               np.full(grid1d.shape, 1.0), grid1d)
+    with pytest.raises(DensityFloorViolation) as err:
+        step(st, params, dt)
+    assert err.value.time == t0 + 0.5 * dt
+    assert err.value.value < params.eps
 
 
 @pytest.fixture

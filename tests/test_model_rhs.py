@@ -6,18 +6,17 @@ from pitaevskii.model import (
     Params,
     State,
     coupling_term,
+    density_floor_check,
     mass_exchange,
     momentum_source,
     momentum_source_conservative,
-    schrodinger_rhs,
-    velocity_rhs,
     velocity_rhs_hat,
 )
 from pitaevskii.grid import make_grid
 from pitaevskii.norms import inner_product, integral, lp_norm
 from pitaevskii.spectral import plan_for
 
-from conftest import random_state_fields
+from conftest import random_state_fields, velocity_accel, wave_rhs
 
 PARAMS = Params(lam=0.8, mu=0.6, nu=0.15, m=0.7, M=1.3, eps=0.3)
 
@@ -101,7 +100,7 @@ def test_coupling_quadratic_form_identity(grid2d, rng):
 def test_schrodinger_rhs_constant(grid2d):
     c = 0.8 + 0.1j
     st = uniform_state(grid2d, c, (0.0, 0.0), 1.0)
-    out = schrodinger_rhs(st, PARAMS)
+    out = wave_rhs(st, PARAMS)
     expect = -(PARAMS.lam + 1j) * PARAMS.mu * abs(c) ** 2 * c
     assert np.abs(out - expect).max() <= 1e-13
 
@@ -109,7 +108,7 @@ def test_schrodinger_rhs_constant(grid2d):
 def test_schrodinger_rhs_free_wave(grid2d):
     params = Params(lam=0.0, mu=0.0, nu=0.1, m=0.5, M=1.5, eps=0.2)
     st = uniform_state(grid2d, 1.0, (0.0, 0.0), 1.0, k=(2, 1))
-    out = schrodinger_rhs(st, params)
+    out = wave_rhs(st, params)
     assert np.abs(out - (-0.5j) * 5.0 * st.psi).max() <= 1e-12
 
 
@@ -117,7 +116,7 @@ def test_mass_transfer_identity(grid2d, rng):
     for _ in range(20):
         st = random_state(grid2d, rng)
         coupling = coupling_term(st, PARAMS)
-        lhs = inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS)).real
+        lhs = inner_product(grid2d, st.psi, wave_rhs(st, PARAMS)).real
         rhs = -PARAMS.lam * inner_product(grid2d, st.psi, coupling).real
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-12)
 
@@ -140,7 +139,7 @@ def test_exchange_antisymmetry(grid2d, rng):
         st = random_state(grid2d, rng)
         coupling = coupling_term(st, PARAMS)
         src = integral(grid2d, mass_exchange(st, PARAMS, coupling))
-        dmass = 2.0 * inner_product(grid2d, st.psi, schrodinger_rhs(st, PARAMS)).real
+        dmass = 2.0 * inner_product(grid2d, st.psi, wave_rhs(st, PARAMS)).real
         assert abs(src + dmass) <= 1e-10 * max(abs(src), 1e-12)
 
 
@@ -202,7 +201,7 @@ def test_conservative_projection_plane_wave(grid2d):
 
 def test_velocity_rhs_at_rest(grid2d):
     st = uniform_state(grid2d, 0.7 + 0.2j, (0.0, 0.0), 1.0)
-    assert np.abs(velocity_rhs(st, PARAMS)).max() <= 1e-13
+    assert np.abs(velocity_accel(st, PARAMS)).max() <= 1e-13
 
 
 def test_velocity_rhs_plane_wave(grid2d):
@@ -210,7 +209,7 @@ def test_velocity_rhs_plane_wave(grid2d):
     st = uniform_state(grid2d, a, vel, rho0, k=k)
     beta = 0.5 * sum((ki - vi) ** 2 for ki, vi in zip(k, vel)) + PARAMS.mu * a ** 2
     expect = 2 * PARAMS.lam * a ** 2 * beta * np.array([k[0] - vel[0], k[1] - vel[1]]) / rho0
-    out = velocity_rhs(st, PARAMS)
+    out = velocity_accel(st, PARAMS)
     for i in range(2):
         assert np.allclose(out[i], expect[i], atol=1e-11)
 
@@ -234,7 +233,7 @@ def test_velocity_rhs_manufactured(grid2d):
     visc = PARAMS.nu * np.stack([-au * np.cos(y), -bu * np.cos(x)])
     expect = -advect + (visc + source) / rho0
 
-    out = velocity_rhs(st, PARAMS)
+    out = velocity_accel(st, PARAMS)
     assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -297,11 +296,12 @@ def test_velocity_rhs_exchange_is_the_mass_source(d, n):
     assert np.array_equal(2.0 * PARAMS.lam * exchange, source)
 
 
-def test_velocity_rhs_density_floor(grid2d):
-    st = uniform_state(grid2d, 0.5, (0.0, 0.0), 1.0)
-    st.rho.flat[7] = PARAMS.eps / 2
+def test_density_floor_check_reports_the_node(grid2d):
+    rho = np.full(grid2d.shape, 1.0)
+    rho.flat[7] = PARAMS.eps / 2
     with pytest.raises(DensityFloorViolation) as err:
-        velocity_rhs(st, PARAMS)
+        density_floor_check(rho, PARAMS, 0.125)
+    assert err.value.time == 0.125
     assert err.value.value == pytest.approx(PARAMS.eps / 2)
     assert err.value.location == np.unravel_index(7, grid2d.shape)
 
