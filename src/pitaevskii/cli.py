@@ -249,7 +249,10 @@ def cmd_validate(cfg):
         linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
         dt_psi = plan.ifft(linear + wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params), psi)
         dmass = 2.0 * inner_product(grid, psi, dt_psi).real
-        worst_exchange = max(worst_exchange, abs(src + dmass) / max(abs(src), 1e-300))
+        # scaled by the Cauchy-Schwarz bound on dmass, which unlike src does
+        # not vanish at lam = 0
+        bound = 2.0 * lp_norm(grid, psi, 2) * lp_norm(grid, dt_psi, 2)
+        worst_exchange = max(worst_exchange, abs(src + dmass) / max(bound, 1e-300))
 
         w, _ = plan.leray_project(st.u)
         worst_div = max(worst_div, float(

@@ -23,10 +23,11 @@ One step of size dt is the composition
     the stage density's minimum and p* the pressure extrapolated from the
     history, so the stage costs one exact Leray projection and one flux (d
     inverse and d forward transforms) instead of an iteration.  A stage
-    takes it when the history holds at least two steps that started before
-    this one and the stage density's contrast max/min is below
-    spectral.DENSITY_PRECONDITIONER_CONTRAST (4).  So a run's first two
-    steps, a lone step() and every stage from contrast 4 on solve by PCG.
+    takes it when the history holds a step that started before this one
+    and the stage density's contrast max/min is below
+    spectral.DENSITY_PRECONDITIONER_CONTRAST (4): from a run's second step
+    on.  A run's first step, a lone step() and every stage from contrast 4
+    on solve by PCG.
 * run() carries a StepHistory from step to step.  It holds:
   - the pressure spectra of the last four steps.  A PCG solve starts from
     their extrapolation in time: the predictor's from the cubic through the
@@ -34,8 +35,10 @@ One step of size dt is the composition
     pressure plus the quadratic through the last three corrector -
     predictor offsets (lower orders while fewer steps exist).  The split's
     p* takes lines through the last two of each instead: with quadratic
-    offsets it is unstable from contrast 2.  step() on its own starts the
-    predictor cold and the corrector from the predictor;
+    offsets it is unstable from contrast 2.  After one step the predictor's
+    line runs through that step's predictor and corrector pressures, at its
+    start and its midpoint.  step() on its own starts the predictor cold
+    and the corrector from the predictor;
   - the spectra (psi_hat, u_hat) of the accepted state, which the last
     wave substep and the fluid substep form before their inverse
     transforms.  The next step and measure() start from them instead of
@@ -44,7 +47,8 @@ One step of size dt is the composition
     parameters stay the same.
   Below contrast 4 a run and a loop of lone step() calls are therefore two
   discretizations, whose gap falls with dt: at 32^2 over 10 * 2^-10 it is
-  6.6e-12 relative in u at dt = 2^-10 and 8.8e-13 at half that dt.
+  1.6e-10 relative in u at dt = 2^-10, 1.1e-11 at 2^-11 and 1.3e-12 at
+  2^-12.
   From contrast 4 on both solve every stage to the same PCG tolerance and
   agree to round-off times that tolerance.
 * The density advances with the same midpoint staging: spectral dealiased
@@ -196,10 +200,10 @@ class StepHistory:
     next one, the spectra (psi_hat, u_hat) of the last accepted state, and
     the wave propagator of the last step size.
 
-    Pressures: each entry holds a step's start time, its predictor pressure
-    and its corrector - predictor offset.  Every guess for a step from t
-    extrapolates to t through the stored steps that started strictly before
-    t, so a step retried from t never uses its own discarded attempt.
+    Pressures: each entry holds a step's start time, its dt, its predictor
+    pressure and its corrector - predictor offset.  Every guess for a step
+    from t extrapolates to t through the stored steps that started strictly
+    before t, so a step retried from t never uses its own discarded attempt.
     - PCG warm starts: the predictor's guess is the Lagrange polynomial
       through the stored predictor pressures, cubic once four steps exist,
       linear after two; the corrector's is this step's predictor pressure
@@ -207,9 +211,14 @@ class StepHistory:
       once three exist.  No guess (predictor) or the predictor's pressure
       (corrector) while no step is stored.
     - The pressure split's p*: the same with lines through the last two
-      predictor pressures and the last two offsets, None while fewer than
-      two such steps are stored.  Only lines keep the split stable: with
-      quadratic offsets its error recurrence z^3 = a (3 z^2 - 3 z + 1),
+      predictor pressures and the last two offsets.  With one stored step
+      (a run's second step) the predictor's line runs through that step's
+      two pressure nodes in time, its predictor pressure at its start t1
+      and its corrector pressure at its midpoint t1 + dt1/2, where the
+      corrector stage is evaluated; the corrector's p* is its predictor
+      pressure plus the stored offset.  Both are O(dt^2).  None while no
+      step is stored.  Only lines keep the split stable: with quadratic
+      offsets its error recurrence z^3 = a (3 z^2 - 3 z + 1),
       a = 1 - min rho / max rho, has a root of modulus 1 at contrast 2,
       and 32^2 runs at contrast 2.78 and 3.9 broke down before T = 0.5;
       with lines |z| = sqrt(a) < 1.
@@ -223,7 +232,7 @@ class StepHistory:
     """
 
     def __init__(self):
-        self._steps = []      # (start time, predictor, corrector - predictor), newest last
+        self._steps = []      # (start time, dt, predictor, corrector - predictor), newest last
         self._accepted = None     # (state, psi_hat, u_hat)
         self._propagator = None   # (plan, tau, params, lin)
 
@@ -233,28 +242,33 @@ class StepHistory:
 
     def predictor_guess(self, t):
         steps = self._before(t, 4)
-        return _lagrange(steps, 1, t) if steps else None
+        return _lagrange(steps, 2, t) if steps else None
 
     def corrector_guess(self, t, predictor):
         steps = self._before(t, 3)
-        return predictor + _lagrange(steps, 2, t) if steps else predictor
+        return predictor + _lagrange(steps, 3, t) if steps else predictor
 
     def split_predictor(self, t):
         """p* of the predictor's pressure split, or None."""
         steps = self._before(t, 2)
-        return _lagrange(steps, 1, t) if len(steps) == 2 else None
+        if len(steps) == 2:
+            return _lagrange(steps, 2, t)
+        if not steps:
+            return None
+        t1, dt1, predictor, offset = steps[0]
+        return predictor + ((t - t1) / (0.5 * dt1)) * offset
 
     def split_corrector(self, t, predictor):
         """p* of the corrector's pressure split, or None."""
         steps = self._before(t, 2)
-        return predictor + _lagrange(steps, 2, t) if len(steps) == 2 else None
+        return predictor + _lagrange(steps, 3, t) if steps else None
 
-    def push(self, t, predictor, corrector):
-        """Record the step from t; it replaces a step pushed from the same t
-        (a retry), whose repeated node would make the extrapolation divide
-        by zero."""
+    def push(self, t, dt, predictor, corrector):
+        """Record the step of size dt from t; it replaces a step pushed from
+        the same t (a retry), whose repeated node would make the
+        extrapolation divide by zero."""
         kept = [s for s in self._steps if s[0] != t]
-        self._steps = kept[-3:] + [(t, predictor, corrector - predictor)]
+        self._steps = kept[-3:] + [(t, dt, predictor, corrector - predictor)]
 
     def accept(self, state, psi_hat, u_hat):
         """Record the spectra of state, plan.fft(state.psi) and
@@ -343,11 +357,13 @@ def step(state, params, dt, *, history=None):
     experiments with the dissipative constants set to zero).
 
     The pressure projections are cold PCG solves unless a StepHistory is
-    passed; run() passes its own.  With two earlier steps on it, a stage
-    below contrast 4 takes the pressure split.  From the history the step
-    also takes the spectra of state, if the history recorded them for this
-    very object, and the wave propagator of an equal step size; an
-    accepted step is pushed onto it with its output's spectra.
+    passed; run() passes its own.  With an earlier step on it (from a
+    run's second step on), a stage below contrast 4 takes the pressure
+    split; a run's first step and a lone step() solve by PCG.  From the
+    history the step also takes the spectra of state, if the history
+    recorded them for this very object, and the wave propagator of an
+    equal step size; an accepted step is pushed onto it with its dt and
+    its output's spectra.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -372,7 +388,7 @@ def step(state, params, dt, *, history=None):
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
-    history.push(state.t, p_pred, p_corr)
+    history.push(state.t, dt, p_pred, p_corr)
     history.accept(new, psi_hat, u_hat)
     return new
 
@@ -417,6 +433,10 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
     memory flat in the horizon.  store_states keeps a copy of every state,
     the ingested initial one included, as (time, state) pairs on the
     trajectory: the stability harness pairs them at desk scales.
+
+    One StepHistory carries pressures, spectra and the wave propagator from
+    step to step, so from the second step on a stage below contrast 4 takes
+    the pressure split (see the module docstring).
 
     Density-floor violations, blow-ups, CFL failures and a pressure
     projection that misses its tolerance end the run early with a structured

@@ -62,6 +62,18 @@ def test_validate_fails_on_a_broken_exchange_body(tmp_path, capsys, monkeypatch)
     assert lines[-1] == "verdict: FAIL"
 
 
+def test_validate_passes_at_zero_relaxation(tmp_path, capsys):
+    # at lam = 0 the density source is exactly 0, so the antisymmetry
+    # residual is scaled by 2 ||psi|| ||dt psi||, which does not vanish with
+    # lam (scaled by the source it read 3.3e+284 here)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nparams.lambda = 0\n")
+    assert cli_main(["validate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("mass-exchange antisymmetry: pass") for ln in lines)
+    assert lines[-1] == "verdict: pass"
+
+
 def test_simulate_without_viscosity_reports_the_growth_budget(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nintegrator.dt_init = 0.002\n"

@@ -324,17 +324,18 @@ def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
 
 
 def test_split_run_converges_to_cold_steps(grid2d):
-    # below contrast 4 a run's warm steps take the pressure split, a
-    # different discretization from cold step()'s PCG solves: over the same
-    # horizon 10 * 2^-10 their gap must fall at least 4x when dt halves.
-    # Measured max|diff|/max|cold|: u 6.55e-12 -> 8.75e-13 (and 1.15e-13 at
-    # 2^-12), psi 1.1e-14 -> 2.2e-15, rho 8.5e-14 -> 1.2e-14; the bounds at
-    # 2^-11 are these with less than 2x headroom
+    # below contrast 4 a run's steps from the second on take the pressure
+    # split, a different discretization from cold step()'s PCG solves: over
+    # the same horizon 10 * 2^-10 their gap must fall at least 6x at each
+    # halving of dt (a third-order gap falls 8x).  Measured
+    # max|diff|/max|cold|: u 1.61e-10 -> 1.06e-11 -> 1.32e-12 (and 1.65e-13
+    # at 2^-13), psi 1.9e-13 -> 2.4e-14, rho 7.2e-13 -> 8.9e-14; the bounds
+    # at 2^-11 are these with less than 2x headroom
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     initial = smooth_2d_state(grid2d)
     horizon = 10 * 2.0 ** -10
     gaps = []
-    for dt in (2.0 ** -10, 2.0 ** -11):
+    for dt in (2.0 ** -10, 2.0 ** -11, 2.0 ** -12):
         traj = run(initial, params, StepConfig(dt_init=dt), horizon)
         assert traj.event is None
         cold = ingest(initial, params)
@@ -345,10 +346,11 @@ def test_split_run_converges_to_cold_steps(grid2d):
         gaps.append({name: float(np.abs(getattr(warm, name) - getattr(cold, name)).max()
                                  / np.abs(getattr(cold, name)).max())
                      for name in ("psi", "u", "rho")})
-    coarse, fine = gaps
-    assert coarse["u"] >= 4.0 * fine["u"]
-    for name, bound in (("psi", 4e-15), ("u", 1.5e-12), ("rho", 2e-14)):
-        assert fine[name] <= bound, name
+    coarse, mid, fine = gaps
+    assert coarse["u"] >= 6.0 * mid["u"]
+    assert mid["u"] >= 6.0 * fine["u"]
+    for name, bound in (("psi", 4e-14), ("u", 2e-11), ("rho", 1.5e-13)):
+        assert mid[name] <= bound, name
 
 
 def test_run_drops_the_propagator_when_dt_changes(grid2d):
@@ -407,10 +409,10 @@ def test_pressure_history_extrapolates_in_time():
     history = StepHistory()
     assert history.predictor_guess(0.0) is None         # cold start
     assert history.corrector_guess(0.0, 3.0) == 3.0
-    history.push(0.0, 1.0, 1.5)                          # step from t = 0
+    history.push(0.0, 0.1, 1.0, 1.5)                     # step from t = 0
     assert history.predictor_guess(0.1) == 1.0
     assert history.corrector_guess(0.1, 2.0) == 2.5
-    history.push(0.1, 2.0, 2.25)                         # step from t = 0.1
+    history.push(0.1, 0.2, 2.0, 2.25)                    # step from t = 0.1
     # the lines through (0, 1), (0.1, 2) and (0, 0.5), (0.1, 0.25) at the
     # next step's start, t = 0.3
     assert history.predictor_guess(0.3) == pytest.approx(4.0, rel=1e-14)
@@ -426,12 +428,12 @@ def test_pressure_history_extrapolates_in_time():
 
     starts = [0.0, 0.05, 0.2, 0.23, 0.4]
     history = StepHistory()
-    history.push(starts[0], cubic(starts[0]) + 7.0, cubic(starts[0]) - 9.0)   # off both
-    for t in starts[1:4]:
-        history.push(t, cubic(t), cubic(t) + quadratic(t))
+    history.push(starts[0], starts[1], cubic(starts[0]) + 7.0, cubic(starts[0]) - 9.0)  # off both
+    for t, t_next in zip(starts[1:4], starts[2:5]):
+        history.push(t, t_next - t, cubic(t), cubic(t) + quadratic(t))
     # four steps: the oldest, off the cubic, still bends the guess
     assert np.abs(history.predictor_guess(starts[4]) - cubic(starts[4])).max() > 1.0
-    history.push(starts[4], cubic(starts[4]), cubic(starts[4]) + quadratic(starts[4]))
+    history.push(starts[4], 0.1, cubic(starts[4]), cubic(starts[4]) + quadratic(starts[4]))
     t = 0.5
     np.testing.assert_allclose(history.predictor_guess(t), cubic(t), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(history.corrector_guess(t, cubic(t)), cubic(t) + quadratic(t),
@@ -440,8 +442,12 @@ def test_pressure_history_extrapolates_in_time():
 
 def test_split_guesses_are_exact_on_lines_in_time():
     # the split's p* are lines: exact on predictor pressures and offsets
-    # linear in time at unequal dt, from the last two steps only, and None
-    # before two steps started before t
+    # linear in time at unequal dt, from the last two steps only.  After
+    # one step the predictor's line runs through that step's two pressure
+    # nodes, its predictor pressure at its start t1 and its corrector
+    # pressure at its midpoint t1 + dt1/2, and the corrector's p* is its
+    # predictor pressure plus the stored offset.  None with no step that
+    # started before t
     def line(t):
         return np.array([1.0 - 2.0 * t, 0.5 + 3.0 * t])
 
@@ -449,26 +455,48 @@ def test_split_guesses_are_exact_on_lines_in_time():
         return np.array([0.25 * t - 1.0, -t])
 
     history = StepHistory()
-    history.push(0.0, line(0.0) + 7.0, line(0.0) - 9.0)        # off both lines
     assert history.split_predictor(0.1) is None
     assert history.split_corrector(0.1, line(0.1)) is None
-    for t in (0.03, 0.2):
-        history.push(t, line(t), line(t) + offset(t))
+
+    # one step from t1 whose pressure is linear in time: the next step's
+    # predictor p* is exact at its start t1 + dt1, whatever its own dt
+    # (equal or unequal to dt1), and at any later time; at equal dt its
+    # corrector p* is exact at its midpoint t1 + 1.5 dt1
+    for t1, dt1 in ((0.0, 0.1), (0.05, 0.02)):
+        history = StepHistory()
+        history.push(t1, dt1, line(t1), line(t1 + 0.5 * dt1))
+        for t in (t1 + dt1, t1 + 3.7 * dt1):
+            np.testing.assert_allclose(history.split_predictor(t), line(t), rtol=1e-14,
+                                       atol=1e-14)
+        t2 = t1 + dt1
+        np.testing.assert_allclose(history.split_corrector(t2, line(t2)), line(t2 + 0.5 * dt1),
+                                   rtol=1e-14, atol=1e-14)
+        # a retry from t1, whose only stored step is its own attempt
+        assert history.split_predictor(t1) is None
+        assert history.split_corrector(t1, line(t1)) is None
+
+    history = StepHistory()
+    history.push(0.0, 0.03, line(0.0) + 7.0, line(0.0) - 9.0)    # off both lines
+    for t, dt in ((0.03, 0.17), (0.2, 0.15)):
+        history.push(t, dt, line(t), line(t) + offset(t))
     t = 0.35
     np.testing.assert_allclose(history.split_predictor(t), line(t), rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(history.split_corrector(t, line(t)), line(t) + offset(t),
                                rtol=1e-14, atol=1e-14)
     # only steps that started before t count: at t = 0.2 the lines run
-    # through the steps from 0 and 0.03, and a retry from 0.03 has one
-    # earlier step
+    # through the steps from 0 and 0.03, and a retry from 0.03 takes the
+    # line through the two nodes of the step from 0, (0, line(0) + 7) and
+    # (0.015, line(0) - 9), which reaches line(0) - 25 at 0.03
     assert np.abs(history.split_predictor(0.2) - line(0.2)).max() > 1.0
-    assert history.split_predictor(0.03) is None
+    np.testing.assert_allclose(history.split_predictor(0.03), line(0.0) - 25.0, rtol=1e-14,
+                               atol=1e-14)
+    assert history.split_predictor(0.0) is None
     assert np.array_equal(history.predictor_guess(0.03), line(0.0) + 7.0)
 
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     # 8 steps: at contrast 1.44 PCG solves only the two stages of the first
-    # two steps, the split the other twelve; at contrast 16 PCG solves all
+    # step, the split the other fourteen; at contrast 16 PCG solves all
     # sixteen
     calls = []
 
@@ -483,14 +511,14 @@ def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     for name in ("weighted_leray_hat", "split_leray_hat"):
         monkeypatch.setattr(SpectralPlan, name, counting(name))
     dt = 2.0 ** -11
-    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 4), (0.1, 10.0, 0.05, 16)):
+    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 2), (0.1, 10.0, 0.05, 16)):
         params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
         calls.clear()
         traj = run(smooth_2d_state(grid2d, m=m, M=M), params, StepConfig(dt_init=dt), 8 * dt)
         assert traj.event is None and len(traj.records) == 9
         assert calls.count("weighted_leray_hat") == weighted
         assert calls.count("split_leray_hat") == 16 - weighted
-        assert calls[:4] == ["weighted_leray_hat"] * 4
+        assert calls[:2] == ["weighted_leray_hat"] * 2
 
 
 def test_step_pushes_its_start_time(grid2d):
@@ -499,15 +527,15 @@ def test_step_pushes_its_start_time(grid2d):
     pushed = []
 
     class Recording(StepHistory):
-        def push(self, t, predictor, corrector):
-            pushed.append(t)
-            super().push(t, predictor, corrector)
+        def push(self, t, dt, predictor, corrector):
+            pushed.append((t, dt))
+            super().push(t, dt, predictor, corrector)
 
     history = Recording()
     st = ingest(smooth_2d_state(grid2d), PARAMS)
     for dt in (1e-3, 5e-4, 2e-3):
         st = step(st, PARAMS, dt, history=history)
-    assert pushed == [0.0, 1e-3, 1e-3 + 5e-4]
+    assert pushed == [(0.0, 1e-3), (1e-3, 5e-4), (1e-3 + 5e-4, 2e-3)]
 
 
 def test_retried_step_replaces_its_history_entry(grid2d):

@@ -5,8 +5,8 @@ and at adaptive dt, against the same run from the transformed state: a
 translation by a seeded whole number of cells per axis, an axis permutation
 (fields transposed, u's components permuted) and the reflection x_0 -> -x_0
 (f -> roll(flip(f, 0), 1, 0), u_0 -> -u_0).  At the default contrast the
-third step on takes the pressure split, so these guard the split as well as
-the PCG start-up steps.  Measured: at most 9.7e-16 relative.  Trimming the
+second step on takes the pressure split, so these guard the split as well
+as the PCG first step.  Measured: at most 1.0e-15 relative.  Trimming the
 dealias mask on axis 0 alone breaks the permutation check only.
 """
 
