@@ -49,21 +49,22 @@ class DiagnosticsRecord:
 RECORD_SCALARS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "momentum")
 
 
-def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
+def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None, grad_psi=None):
     """Build the diagnostics record for one accepted step.
 
     Time-derivative entries are backward differences against prev_state,
     which must lie at another time, and zero on the initial record.  psi_hat
-    and u_hat, the spectra plan.fft of state.psi and state.u, may be passed
-    in by a caller that holds them.
+    and u_hat, the spectra plan.fft of state.psi and state.u, and grad_psi,
+    the inverse transform of psi_hat's gradient, may be passed in by a
+    caller that holds them.
 
     Each pointwise product is formed once: |psi|^2 serves the wave mass,
     the quartic energy and the coupling, |u|^2 the kinetic energy and the
     coupling.  Integrals of products are dot products, every Sobolev-type
     entry weighs one Parseval density per field, and the time differences
-    divide their norms by dt, not their fields.  Three transform calls:
-    grad(psi) back to physical space, the coupling's forward transform and
-    the density difference's for its H^-1 norm.
+    divide their norms by dt, not their fields.  Given all three, two
+    transform calls: the coupling's forward transform and the density
+    difference's for its H^-1 norm (one more for each of them not given).
     """
     g = state.grid
     plan = plan_for(g)
@@ -76,7 +77,8 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None):
     vol = g.volume
     psi2 = psi.real ** 2 + psi.imag ** 2
     speed2 = pointwise_dot(u, u)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    if grad_psi is None:
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params)
 
     # one Parseval density per field serves every Sobolev-type entry; the

@@ -8,8 +8,12 @@ One step of size dt is the composition
 * The wave substep treats the linear part exactly in Fourier space.  The
   relaxation contributes +lam/2 * lap(psi) (real diffusion) on top of the
   i/2 * lap(psi) dispersion, so the multiplier is exp(-(lam+i)/2 |k|^2 tau);
-  the remaining advection/potential/cubic terms advance with an explicit
-  midpoint stage.
+  the remaining advection/potential/cubic terms advance with the
+  integrating-factor (Lawson) midpoint rule, whose first stage is evaluated
+  at the substep's start.  There psi and grad(psi) already exist in
+  physical space: the first wave half-step reads them from the previous
+  step's last inverse transform, the second from the fluid substep's
+  frozen fields.  So only each midpoint stage transforms back.
 * The fluid substep is a midpoint predictor-corrector with Crank-Nicolson
   viscosity at a constant reference density rho_bar = (m+M)/2 (the
   variable-density remainder is explicit), followed by a pressure
@@ -43,6 +47,9 @@ One step of size dt is the composition
     wave substep and the fluid substep form before their inverse
     transforms.  The next step and measure() start from them instead of
     transforming the state again;
+  - the stack [psi, grad(psi)] of the accepted state, which step() takes
+    back in one inverse transform at its end: measure() reads grad(psi)
+    from it, and the next step's first wave stage takes it, once;
   - the wave propagator of the last step size, reused while dt and the
     parameters stay the same.
   Below contrast 4 a run and a loop of lone step() calls are therefore two
@@ -54,7 +61,8 @@ One step of size dt is the composition
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
   each stage forms once for it and the momentum drag.  The frozen psi and
-  grad(psi) come from the first wave half-step in one inverse transform.
+  grad(psi) come from the first wave half-step in one inverse transform,
+  and start the second.
 
 Each piece has local error O(dt^3), so the composition is second order.
 A step that would drag the density below the configured floor raises
@@ -147,21 +155,27 @@ def _psi_and_gradient(plan, psi_hat):
     return plan.ifft(stack, psi_hat)   # complex, as psi is
 
 
-def _wave_substep(plan, psi_hat, u, params, tau, lin):
-    """Advance the wavefunction's spectrum psi_hat by tau with u frozen:
-    exact linear flow bracketed around an explicit midpoint stage for the
-    rest; lin is that flow over tau/2, _wave_propagator(plan, psi_hat,
-    params, tau).  Each stage reads psi and grad(psi) from
-    _psi_and_gradient; |u|^2 is formed once, u being frozen."""
+def _wave_substep(plan, psi_hat, fields, u, params, tau, lin):
+    """Advance the wavefunction's spectrum psi_hat by tau with u frozen, by
+    the integrating-factor (Lawson) midpoint rule: the linear flow is exact
+    and the remainder N = wave_nonlinear_hat takes an explicit midpoint
+    stage in its frame.  With E = lin, that flow over tau/2
+    (_wave_propagator(plan, psi_hat, params, tau)),
+
+        k1 = N(psi_hat),  mid = E (psi_hat + tau/2 k1),
+        out = E (E psi_hat + tau N(mid)).
+
+    fields is _psi_and_gradient(plan, psi_hat), which the caller already
+    holds, so only the midpoint stage transforms back; |u|^2 is formed once,
+    u being frozen.  Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck &
+    Ostermann, Acta Numerica 19 (2010)."""
     speed2 = pointwise_dot(u, u)
 
-    def nonlinear_hat(fhat):
-        fields = _psi_and_gradient(plan, fhat)
-        return wave_nonlinear_hat(plan, fields[0], fields[1:], u, speed2, params)
+    def nonlinear_hat(stack):
+        return wave_nonlinear_hat(plan, stack[0], stack[1:], u, speed2, params)
 
-    psi_hat = lin * psi_hat
-    mid_hat = psi_hat + 0.5 * tau * nonlinear_hat(psi_hat)
-    return lin * (psi_hat + tau * nonlinear_hat(mid_hat))
+    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields))
+    return lin * (lin * psi_hat + tau * nonlinear_hat(_psi_and_gradient(plan, mid_hat)))
 
 
 def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, rho_bar):
@@ -197,8 +211,9 @@ def _lagrange(steps, column, t):
 class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
     spectra of the last four steps, which start both projections of the
-    next one, the spectra (psi_hat, u_hat) of the last accepted state, and
-    the wave propagator of the last step size.
+    next one, the spectra (psi_hat, u_hat) and the [psi, grad(psi)] stack
+    of the last accepted state, and the wave propagator of the last step
+    size.
 
     Pressures: each entry holds a step's start time, its dt, its predictor
     pressure and its corrector - predictor offset.  Every guess for a step
@@ -226,14 +241,22 @@ class StepHistory:
     step's dt, which cancels only at fixed dt.  Memory is O(1) in the
     horizon.
 
-    Spectra are handed out only for the very state object they belong to,
-    and the propagator only for the same plan, tau and params; otherwise
-    step() computes them as a lone step would.
+    Beside the spectra it carries the stack [psi, grad(psi)] =
+    _psi_and_gradient(plan, psi_hat) of the accepted state, which step()
+    formed in its last inverse transform.  run() reads grad(psi) from it
+    for measure() (grad_psi), and the next step takes the stack for its
+    first wave half-step (fields); that hands it out once, so the stack
+    lives until that half-step and no longer.
+
+    Spectra and the stack are handed out only for the very state object
+    they belong to, and the propagator only for the same plan, tau and
+    params; otherwise step() computes them as a lone step would.
     """
 
     def __init__(self):
         self._steps = []      # (start time, dt, predictor, corrector - predictor), newest last
         self._accepted = None     # (state, psi_hat, u_hat)
+        self._fields = None       # (state, [psi, grad psi] stack)
         self._propagator = None   # (plan, tau, params, lin)
 
     def _before(self, t, count):
@@ -270,10 +293,12 @@ class StepHistory:
         kept = [s for s in self._steps if s[0] != t]
         self._steps = kept[-3:] + [(t, dt, predictor, corrector - predictor)]
 
-    def accept(self, state, psi_hat, u_hat):
+    def accept(self, state, psi_hat, u_hat, fields):
         """Record the spectra of state, plan.fft(state.psi) and
-        plan.fft(state.u), for the step that starts from it."""
+        plan.fft(state.u), and fields = _psi_and_gradient(plan, psi_hat),
+        for the step that starts from it."""
         self._accepted = (state, psi_hat, u_hat)
+        self._fields = (state, fields)
 
     def spectra(self, state):
         """(psi_hat, u_hat) of state if accept() recorded them for this very
@@ -281,6 +306,21 @@ class StepHistory:
         if self._accepted is None or self._accepted[0] is not state:
             return None, None
         return self._accepted[1], self._accepted[2]
+
+    def grad_psi(self, state):
+        """grad(psi) of state from the recorded stack, or None; the history
+        keeps the stack."""
+        if self._fields is None or self._fields[0] is not state:
+            return None
+        return self._fields[1][1:]
+
+    def fields(self, state):
+        """The recorded [psi, grad(psi)] stack of state, or None.  It is
+        handed out once: the history lets go of it."""
+        if self._fields is None or self._fields[0] is not state:
+            return None
+        fields, self._fields = self._fields[1], None
+        return fields
 
     def propagator(self, plan, psi_hat, params, tau):
         """_wave_propagator(plan, psi_hat, params, tau), reused while the
@@ -360,10 +400,11 @@ def step(state, params, dt, *, history=None):
     passed; run() passes its own.  With an earlier step on it (from a
     run's second step on), a stage below contrast 4 takes the pressure
     split; a run's first step and a lone step() solve by PCG.  From the
-    history the step also takes the spectra of state, if the history
-    recorded them for this very object, and the wave propagator of an
-    equal step size; an accepted step is pushed onto it with its dt and
-    its output's spectra.
+    history the step also takes the spectra and the [psi, grad(psi)] stack
+    of state, if the history recorded them for this very object, and the
+    wave propagator of an equal step size; an accepted step is pushed onto
+    it with its dt, its output's spectra and its output's stack.  A lone
+    step() forms the stack from the spectrum.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -374,22 +415,28 @@ def step(state, params, dt, *, history=None):
         psi_hat, u_hat = history.spectra(state)
         if psi_hat is None:
             psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
+        fields = history.fields(state)
+        if fields is None:
+            fields = _psi_and_gradient(plan, psi_hat)
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
         lin = history.propagator(plan, psi_hat, params, tau)
-        psi_hat = _wave_substep(plan, psi_hat, state.u, params, tau, lin)
+        psi_hat = _wave_substep(plan, psi_hat, fields, state.u, params, tau, lin)
+        # the frozen psi and grad(psi) of the fluid substep start the second
+        # wave half-step
         fields = _psi_and_gradient(plan, psi_hat)
         u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:],
                                                        state.u, u_hat, state.rho, params, dt,
                                                        state.t, history)
-        del fields
-        psi_hat = _wave_substep(plan, psi_hat, u, params, tau, lin)
-        psi = plan.ifft(psi_hat, state.psi)
+        psi_hat = _wave_substep(plan, psi_hat, fields, u, params, tau, lin)
+        fields = _psi_and_gradient(plan, psi_hat)
+    # a copy, so that the state does not hold the carried stack
+    psi = fields[0].copy()
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
     history.push(state.t, dt, p_pred, p_corr)
-    history.accept(new, psi_hat, u_hat)
+    history.accept(new, psi_hat, u_hat, fields)
     return new
 
 
@@ -420,7 +467,8 @@ def ingest(state, params):
     plan = plan_for(state.grid)
     psi = plan.dealias(state.psi)
     rho = plan.dealias(state.rho)
-    u, _ = plan.leray_project(plan.dealias(state.u))
+    u = plan.dealias(state.u)
+    u = plan.ifft(plan._leray_hat(plan.fft(u))[0], u)
     return State(0.0, psi, u, rho, state.grid)
 
 
@@ -434,9 +482,11 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
     the ingested initial one included, as (time, state) pairs on the
     trajectory: the stability harness pairs them at desk scales.
 
-    One StepHistory carries pressures, spectra and the wave propagator from
-    step to step, so from the second step on a stage below contrast 4 takes
-    the pressure split (see the module docstring).
+    One StepHistory carries pressures, spectra, the [psi, grad(psi)] stack
+    and the wave propagator from step to step, so from the second step on a
+    stage below contrast 4 takes the pressure split (see the module
+    docstring).  The stack of the ingested state is formed once here, for
+    the initial measure() and the first step.
 
     Density-floor violations, blow-ups, CFL failures and a pressure
     projection that misses its tolerance end the run early with a structured
@@ -448,8 +498,8 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
     plan = plan_for(state.grid)
     psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
     history = StepHistory()
-    history.accept(state, psi_hat, u_hat)
-    rec = measure(state, params, psi_hat=psi_hat, u_hat=u_hat)
+    history.accept(state, psi_hat, u_hat, _psi_and_gradient(plan, psi_hat))
+    rec = measure(state, params, psi_hat=psi_hat, u_hat=u_hat, grad_psi=history.grad_psi(state))
     records = [rec]
     snapshots = [(state.t, state.copy())] if store_states else []
     event = None
@@ -472,7 +522,8 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
             event = PhysicsEvent("projection", state.t, str(exc))
             break
         psi_hat, u_hat = history.spectra(new_state)
-        rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat)
+        rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat,
+                      grad_psi=history.grad_psi(new_state))
         records.append(rec)
         state = new_state
         if store_states:

@@ -195,8 +195,8 @@ def perturb_state(state, spec, params):
     if spec.target in ("u", "all"):
         scale = float(np.abs(out.u).max()) or 1.0
         bump = np.stack([pattern if i == 0 else 0.5 * pattern_s for i in range(g.d)])
-        u, _ = plan.leray_project(out.u + spec.amplitude * scale * bump)
-        out.u = u
+        u = out.u + spec.amplitude * scale * bump
+        out.u = plan.ifft(plan._leray_hat(plan.fft(u))[0], u)
     if spec.target in ("rho", "all"):
         scale = 0.5 * (params.M - params.m)
         if scale == 0.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pitaevskii import integrator
 from pitaevskii.cli import main as cli_main
 from pitaevskii.config import Config
 from pitaevskii.diagnostics import energy_budget
@@ -10,6 +11,9 @@ from pitaevskii.integrator import (
     CflViolation,
     StepConfig,
     StepHistory,
+    _psi_and_gradient,
+    _wave_propagator,
+    _wave_substep,
     adaptive_dt,
     ingest,
     run,
@@ -219,6 +223,18 @@ def test_ingest_projects_velocity(grid2d, rng):
     assert np.abs(plan.divergence(out.u)).max() <= 1e-12 * (1 + np.abs(u).max())
 
 
+def test_ingest_projects_as_leray_project_bit_for_bit(grid2d, rng):
+    # ingest projects on the spectrum and skips the potential's transform;
+    # its velocity is leray_project's to the bit
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    psi, u, rho = random_state_fields(grid2d, rng, amp=0.3)
+    out = ingest(State(0.0, psi, u, rho, grid2d), params)
+    plan = plan_for(grid2d)
+    assert np.array_equal(out.u, plan.leray_project(plan.dealias(u))[0])
+    assert np.array_equal(out.psi, plan.dealias(psi))
+    assert np.array_equal(out.rho, plan.dealias(rho))
+
+
 def test_blowup_detected(grid2d):
     st = smooth_2d_state(grid2d)
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
@@ -403,6 +419,93 @@ def test_carried_spectra_match_the_state_and_feed_measure(grid2d):
         assert getattr(warm, name) == pytest.approx(getattr(cold, name), rel=1e-12, abs=1e-300)
     scale = max(abs(v) for v in cold.momentum)
     assert np.abs(np.subtract(warm.momentum, cold.momentum)).max() <= 1e-12 * max(scale, 1.0)
+
+
+def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d):
+    # step() leaves [psi, grad(psi)] of its output on the history, formed in
+    # its last inverse transform: the stack of the carried spectrum to the
+    # bit, held apart from the state's psi, handed out only for that very
+    # object and only once.  measure() given its grad(psi) returns the
+    # record it forms without it, field for field
+    from pitaevskii.diagnostics import measure
+
+    plan = plan_for(grid2d)
+    history = StepHistory()
+    st = ingest(smooth_2d_state(grid2d), PARAMS)
+    assert history.fields(st) is None and history.grad_psi(st) is None
+    for _ in range(3):
+        prev, st = st, step(st, PARAMS, 1e-3, history=history)
+    psi_hat, u_hat = history.spectra(st)
+    carried = history.grad_psi(st)
+    assert np.array_equal(carried, _psi_and_gradient(plan, psi_hat)[1:])
+    assert history.fields(st.copy()) is None and history.grad_psi(st.copy()) is None
+    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat, grad_psi=carried)
+    assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
+    fields = history.fields(st)
+    assert np.array_equal(fields, _psi_and_gradient(plan, psi_hat))
+    assert np.array_equal(fields[0], st.psi)
+    assert not np.shares_memory(st.psi, fields)
+    assert history.fields(st) is None and history.grad_psi(st) is None   # once
+    assert history.spectra(st)[0] is psi_hat
+
+
+def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkeypatch):
+    # every wave substep of a run starts from _psi_and_gradient of its
+    # spectrum to the bit; the first one of each step and each measure()
+    # read the very stack that the step before formed (the initial one:
+    # that run() formed after ingest), apart from the state's psi
+    plan = plan_for(grid2d)
+    waves, measured = [], []
+    wave_substep, measure = integrator._wave_substep, integrator.measure
+
+    def recording_wave(plan, psi_hat, fields, *args):
+        waves.append((psi_hat, fields))
+        return wave_substep(plan, psi_hat, fields, *args)
+
+    def recording_measure(state, params, prev_state=None, **kwargs):
+        measured.append((state, kwargs["psi_hat"], kwargs["grad_psi"]))
+        return measure(state, params, prev_state, **kwargs)
+
+    monkeypatch.setattr(integrator, "_wave_substep", recording_wave)
+    monkeypatch.setattr(integrator, "measure", recording_measure)
+    dt = 2.0 ** -10
+    traj = run(smooth_2d_state(grid2d), PARAMS, StepConfig(dt_init=dt), 4 * dt)
+    assert traj.event is None and len(waves) == 8 and len(measured) == 5
+    for psi_hat, fields in waves:
+        assert np.array_equal(fields, _psi_and_gradient(plan, psi_hat))
+    for n, (state, psi_hat, grad_psi) in enumerate(measured):
+        assert np.array_equal(grad_psi, _psi_and_gradient(plan, psi_hat)[1:])
+        assert not np.shares_memory(state.psi, grad_psi)
+        if n < 4:
+            first_psi_hat, fields = waves[2 * n]
+            assert first_psi_hat is psi_hat and np.shares_memory(fields, grad_psi)
+            if n:
+                assert np.array_equal(fields[0], state.psi)
+
+
+def test_wave_substep_is_second_order(grid2d):
+    # u frozen, lam, mu > 0: the integrating-factor midpoint's error at
+    # T = 0.32 against a run at a 16x finer tau falls about 4x at each
+    # halving of tau (measured 5.78e-4, 1.39e-4, 3.40e-5: 4.16x, 4.09x)
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    st = ingest(smooth_2d_state(grid2d, amp=0.8), params)
+    plan = plan_for(grid2d)
+    horizon = 0.32
+
+    def advance(tau):
+        psi_hat = plan.fft(st.psi)
+        lin = _wave_propagator(plan, psi_hat, params, tau)
+        for _ in range(round(horizon / tau)):
+            psi_hat = _wave_substep(plan, psi_hat, _psi_and_gradient(plan, psi_hat), st.u,
+                                    params, tau, lin)
+        return plan.ifft(psi_hat, st.psi)
+
+    taus = (0.04, 0.02, 0.01)
+    reference = advance(taus[-1] / 16)
+    errors = [float(np.abs(advance(tau) - reference).max()) for tau in taus]
+    print(f"wave substep errors {errors}, ratios {errors[0] / errors[1]:.3f}, "
+          f"{errors[1] / errors[2]:.3f}")
+    assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
 
 
 def test_pressure_history_extrapolates_in_time():

@@ -152,6 +152,23 @@ def test_perturb_velocity_stays_divergence_free(grid2d):
     assert np.abs(plan.divergence(out.u)).max() <= base_div + 1e-12
 
 
+def test_perturbed_velocity_matches_leray_project_bit_for_bit(grid2d):
+    # perturb_state projects on the spectrum and skips the potential's
+    # transform; its state is the one leray_project gives, to the bit
+    from pitaevskii.initial_conditions import lattice_wavevector
+    from pitaevskii.spectral import plan_for
+    st = smooth_state(grid2d)
+    spec = PerturbationSpec(target="all", mode=(1, 1), amplitude=1e-3)
+    out = perturb_state(st, spec, PARAMS)
+    k = lattice_wavevector(spec.mode, grid2d.lengths)
+    phase = sum(ki * xi for ki, xi in zip(k, grid2d.meshes()))
+    bump = np.stack([np.cos(phase), 0.5 * np.sin(phase)])
+    scale = float(np.abs(st.u).max())
+    expected, _ = plan_for(grid2d).leray_project(st.u + spec.amplitude * scale * bump)
+    assert np.array_equal(out.u, expected)
+    assert not np.array_equal(out.psi, st.psi) and not np.array_equal(out.rho, st.rho)
+
+
 def test_perturbation_mode_is_a_wavevector_off_2pi_box():
     # lattice mode (1, 0) on a 3 x 3 box is the wavevector (2 pi / 3, 0): a
     # periodic pattern inside the dealias ball, which ingest keeps whole

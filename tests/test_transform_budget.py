@@ -5,8 +5,9 @@ Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
 counting wrapper around fixed-dt steps of a seeded 2D 32^2 or 3D 16^3 state,
 or of a smooth 2D 32^2 state at density contrast 16:
 one cold step(), and the steps of a run(), which warm-start their pressure
-solves or take the pressure split and start from the spectra the previous
-step carried over; and around one gronwall_bundle() call on two such states.
+solves or take the pressure split and start from the spectra and the
+[psi, grad(psi)] stack the previous step carried over; and around one
+gronwall_bundle() call on two such states.
 A stacked vector field counts as its components, so the totals are field
 transforms whatever the batching.  Beside them the entry-point calls are
 counted, since each call carries a fixed cost on top of its transforms.
@@ -42,23 +43,28 @@ ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "i
 STEP_BUDGETS = {2: 111, "contrast": 259}
 # Per step of a run(), measure() excluded, as {first step covered (0-based):
 # bound on that step and every later one}.  Each step starts from carried
-# spectra.  At the default contrast the second step on takes the pressure
-# split in both stages, one flux (d inverse and d forward transforms) a
-# stage: 2D 32^2 56, 3D 16^3 79.  The second step took 96 (3D 145) when
-# it solved by PCG, before its p* came from the first step's two stage
-# pressures.  Warm-started PCG took 68 and 97 from the fifth step on (1 + 1
-# iterations) and 84, 76 (3D 121, 109) in the third and fourth.  At
-# contrast 16 every stage keeps PCG: the fifth to eighth steps take 80 to
-# 92 with 2 or 3 iterations a solve (84 to 88 with the constant
-# preconditioner at 4 or 5), and the third and fourth 128 and 92 (160 and
-# 112).
-RUN_BUDGETS = {2: {1: 56}, 3: {1: 79}, "contrast": {4: 92, 2: 128}}
+# spectra and from the carried [psi, grad(psi)] stack, so each wave
+# half-step's first stage transforms nothing back; the step's end takes
+# grad(psi) back with psi.  At the default contrast the second step on
+# takes the pressure split in both stages, one flux (d inverse and d
+# forward transforms) a stage: 2D 32^2 52, 3D 16^3 74.  Both first stages
+# inverting their own d + 1 fields made it 56 and 79; the second step took
+# 96 (3D 145) when it solved by PCG, before its p* came from the first
+# step's two stage pressures.  Warm-started PCG took 68 and 97 from the
+# fifth step on (1 + 1 iterations) and 84, 76 (3D 121, 109) in the third
+# and fourth.  At contrast 16 every stage keeps PCG: the fifth to eighth
+# steps take 76 to 88 with 2 or 3 iterations a solve (80 to 92 before the
+# carried stack, 84 to 88 with the constant preconditioner at 4 or 5), and
+# the third and fourth 124 and 88 (128 and 92 before the carried stack,
+# 160 and 112 with the constant preconditioner).
+RUN_BUDGETS = {2: {1: 52}, 3: {1: 74}, "contrast": {4: 92, 2: 128}}
 # Per measure() call on an accepted step of a run(), which hands it the
-# carried spectra: grad(psi) (d inverse), the coupling's one forward
-# transform and the H^-1 norm of the density's time difference.  It was
-# 2d + 5 (9 in 2D, 11 in 3D) with the state transformed again and the
-# coupling taken back to physical space and forward again.
-MAX_MEASURE_TRANSFORMS = {2: 4, 3: 5}
+# carried spectra and grad(psi): the coupling's one forward transform and
+# the H^-1 norm of the density's time difference.  It was d + 2 (4 in 2D,
+# 5 in 3D) with grad(psi) transformed back again, and 2d + 5 (9, 11) with
+# the state transformed again and the coupling taken back to physical
+# space and forward again.
+MAX_MEASURE_TRANSFORMS = {2: 2, 3: 2}
 # Per gronwall_bundle() call: each of weak.u, moderate.u, weak.psi and
 # moderate.psi transformed once (2d + 2), grad(rho) of the moderate state
 # (d + 1) and, in the full bundle, each state's coupling spectrum (d inverse
@@ -67,15 +73,16 @@ MAX_MEASURE_TRANSFORMS = {2: 4, 3: 5}
 MAX_BUNDLE_TRANSFORMS = {(2, "full"): 15, (2, "core"): 9, (3, "full"): 20, (3, "core"): 12}
 # Entry-point calls per step of a run() from the second on (the steps that
 # take the pressure split) at the default contrast, in 2D and 3D alike:
-# each wave stage takes psi and grad(psi) back in one call, so does the
-# first wave half-step's result for the fluid substep, and each fluid
-# acceleration transforms its explicit part with the products u_i u_j in
-# one: 28 calls, where separate calls made 35 and a separate grad(psi) for
-# the fluid substep 29.  measure()
-# makes 3: grad(psi), the coupling and the H^-1 norm of the density
-# difference.
-MAX_RUN_STEP_CALLS = 28
-MAX_MEASURE_CALLS = 3
+# each wave midpoint stage takes psi and grad(psi) back in one call, so do
+# the first wave half-step's result for the fluid substep and the second
+# half-step's result, and each fluid acceleration transforms its explicit
+# part with the products u_i u_j in one: 26 calls.  Each wave half-step's
+# first stage took its own call before it started from the carried stack
+# (28), separate calls made 35 and a separate grad(psi) for the fluid
+# substep 29.  measure() makes 2: the coupling and the H^-1 norm of the
+# density difference (3 with its own grad(psi)).
+MAX_RUN_STEP_CALLS = 26
+MAX_MEASURE_CALLS = 2
 
 
 @pytest.fixture
