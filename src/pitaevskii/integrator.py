@@ -134,6 +134,9 @@ class Trajectory:
     snapshots: list = field(default_factory=list)   # (time, State) pairs
     event: Optional[PhysicsEvent] = None
     final_state: Optional[State] = None
+    # the moderate halves of the Gronwall driver that stability experiments
+    # on this base computed, by (params, bundle, record index)
+    moderate_halves: dict = field(default_factory=dict, repr=False)
 
     @property
     def times(self):
@@ -472,10 +475,14 @@ def ingest(state, params):
     return State(0.0, psi, u, rho, state.grid)
 
 
-def run(initial, params, config, horizon, observers=(), store_states=False):
+def run(initial, params, config, horizon, observers=(), store_states=False,
+        diagnostics=True):
     """Integrate from t=0 to the horizon and collect diagnostics.
 
     A record is produced for every accepted step (the initial state included).
+    With diagnostics=False no measure() is called: the trajectory's records
+    and times are empty and observers get None for the record; the steps,
+    the stored states, the final state and the event are the same bits.
     Observers are called after each accepted step with (time, state, record)
     and must not mutate the state; one that writes the state out keeps
     memory flat in the horizon.  store_states keeps a copy of every state,
@@ -499,8 +506,10 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
     psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
     history = StepHistory()
     history.accept(state, psi_hat, u_hat, _psi_and_gradient(plan, psi_hat))
-    rec = measure(state, params, psi_hat=psi_hat, u_hat=u_hat, grad_psi=history.grad_psi(state))
-    records = [rec]
+    records = []
+    if diagnostics:
+        records.append(measure(state, params, psi_hat=psi_hat, u_hat=u_hat,
+                               grad_psi=history.grad_psi(state)))
     snapshots = [(state.t, state.copy())] if store_states else []
     event = None
     tiny = 1e-12 * max(1.0, horizon)
@@ -521,10 +530,12 @@ def run(initial, params, config, horizon, observers=(), store_states=False):
         except ProjectionNotConverged as exc:
             event = PhysicsEvent("projection", state.t, str(exc))
             break
-        psi_hat, u_hat = history.spectra(new_state)
-        rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat,
-                      grad_psi=history.grad_psi(new_state))
-        records.append(rec)
+        rec = None
+        if diagnostics:
+            psi_hat, u_hat = history.spectra(new_state)
+            rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat,
+                          grad_psi=history.grad_psi(new_state))
+            records.append(rec)
         state = new_state
         if store_states:
             snapshots.append((state.t, state.copy()))

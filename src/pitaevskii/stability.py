@@ -13,6 +13,13 @@ half of the run and validates the envelope on the second half.  A zero
 perturbation must reproduce the base run bit for bit, which is the discrete
 rendering of "the solutions are identical".
 
+Each term of H is a norm of one of the two states, so H splits into a weak
+half and a moderate half.  The runs that an experiment starts take no
+diagnostics (run(..., diagnostics=False)): only their stored states are
+read.  A sweep passes one base trajectory to each of its experiments
+(base=), which then run the base once and form the moderate half at each
+of its records once, keeping it on the base.
+
 A spatially uniform / single-plane-wave reduction of the full system closes
 into a small ODE; reduced_ode_oracle integrates it with a high-order adaptive
 scheme and serves as the reference trajectory for integrator accuracy tests.
@@ -113,52 +120,63 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
     extra regularity norms (grad rho in L^3, dt u in L^3) are computed on the
     moderate state only, matching the asymmetric roles of the two solutions.
     Constant prefactors are absorbed into the fitted envelope constant.
+    Every term is a norm of one state, so H is a weak half plus a moderate
+    half (_weak_terms, _moderate_terms), which _driver sums.
     """
     check_constraints(bundle_constraints(bundle))
     if dt_moderate_u is None:
         raise ValueError("gronwall_bundle needs the time derivative of the moderate velocity")
+    return _driver(_weak_terms(weak, params, bundle),
+                   _moderate_terms(moderate, dt_moderate_u, params, bundle), bundle)
+
+
+def _sob(g, dens, s):
+    """The H^s norm on grid g from a (density, tables) pair."""
+    return math.sqrt(norms.sobolev_sq(*dens, g.volume, s))
+
+
+def _weak_terms(weak, params, bundle):
+    """The driver's terms in the weak state alone, in summation order: one
+    transform per field, and every H^s norm of it reads its one density."""
     g = weak.grid
     plan = plan_for(g)
-
-    def sob(dens, s):
-        return math.sqrt(norms.sobolev_sq(*dens, g.volume, s))
-
-    # one transform per field; every H^s norm of it reads its one density
-    psi_hat, psim_hat = plan.fft(weak.psi), plan.fft(moderate.psi)
-    u_dens, um_dens, psi_dens, psim_dens = (
-        norms.spectral_density_hat(plan, fhat)
-        for fhat in (plan.fft(weak.u), plan.fft(moderate.u), psi_hat, psim_hat))
-
-    u_h1 = sob(u_dens, 1.0)
-    um_h1 = sob(um_dens, 1.0)
-    psi_h1 = sob(psi_dens, 1.0)
-    psi_h2 = sob(psi_dens, 2.0)
-    psim_h2 = sob(psim_dens, 2.0)
-    dtu_l3 = norms.lp_norm(g, dt_moderate_u, 3)
-    grad_rho_l3 = norms.lp_norm(g, plan.gradient(moderate.rho), 3)
-
-    terms = [
-        u_h1 ** 4,
-        um_h1 ** 4,
-        psi_h2 ** 4,
-        psim_h2 ** 4,
-        (1.0 + params.mu ** 2) * psi_h1 ** 4,
-        dtu_l3 ** 2,
-        grad_rho_l3 ** 2,
-    ]
+    psi_hat = plan.fft(weak.psi)
+    u_dens = norms.spectral_density_hat(plan, plan.fft(weak.u))
+    psi_dens = norms.spectral_density_hat(plan, psi_hat)
+    psi_h1 = _sob(g, psi_dens, 1.0)
+    terms = (_sob(g, u_dens, 1.0) ** 4, _sob(g, psi_dens, 2.0) ** 4,
+             (1.0 + params.mu ** 2) * psi_h1 ** 4)
     if bundle == "full":
-        u_h2 = sob(u_dens, 2.0)
-        um_h2 = sob(um_dens, 2.0)
         # the coupling's L^2 and H^1 norms by Parseval on its spectrum
-        cw_dens = _coupling_density(plan, weak, psi_hat, params)
-        cm_dens = _coupling_density(plan, moderate, psim_hat, params)
-        terms += [
-            u_h2 ** 2,
-            um_h2 ** 2,
-            um_h1 ** 2 * um_h2 ** 2,
-            sob(cw_dens, 0.0) * sob(cw_dens, 1.0),
-            um_h1 ** 2 * sob(cm_dens, 0.0) ** 2,
-        ]
+        c_dens = _coupling_density(plan, weak, psi_hat, params)
+        terms += (_sob(g, u_dens, 2.0) ** 2, _sob(g, c_dens, 0.0) * _sob(g, c_dens, 1.0))
+    return terms
+
+
+def _moderate_terms(moderate, rate, params, bundle):
+    """The driver's terms in the moderate state and its velocity's time
+    derivative rate alone, in summation order."""
+    g = moderate.grid
+    plan = plan_for(g)
+    psi_hat = plan.fft(moderate.psi)
+    u_dens = norms.spectral_density_hat(plan, plan.fft(moderate.u))
+    u_h1 = _sob(g, u_dens, 1.0)
+    terms = (u_h1 ** 4,
+             _sob(g, norms.spectral_density_hat(plan, psi_hat), 2.0) ** 4,
+             norms.lp_norm(g, rate, 3) ** 2,
+             norms.lp_norm(g, plan.gradient(moderate.rho), 3) ** 2)
+    if bundle == "full":
+        u_h2 = _sob(g, u_dens, 2.0)
+        c_dens = _coupling_density(plan, moderate, psi_hat, params)
+        terms += (u_h2 ** 2, u_h1 ** 2 * u_h2 ** 2, u_h1 ** 2 * _sob(g, c_dens, 0.0) ** 2)
+    return terms
+
+
+def _driver(weak, moderate, bundle):
+    """H from the two halves, summed term by term in the bundle's order."""
+    terms = [weak[0], moderate[0], weak[1], moderate[1], weak[2], moderate[2], moderate[3]]
+    if bundle == "full":
+        terms += [weak[3], moderate[4], moderate[5], weak[4], moderate[6]]
     return float(sum(terms))
 
 
@@ -283,37 +301,43 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     """Run the paired experiment and assemble the report.
 
     The base run is the moderate trajectory, the perturbed run the weak one.
-    Difference and driver records pair the two runs' stored states step by
-    step.  The runs share step sizes only at fixed dt: under adaptive
-    stepping difference_norms rejects a pair more than 1e-12 apart in time
-    and lets a smaller skew through.  A precomputed base trajectory (run
-    with store_states=True from the same initial data) can be passed to
-    amortize it across an amplitude sweep; a base without a stored state
-    for every record is a ValueError.  An unknown bundle is rejected before
-    any run.
+    Both store every state and neither takes diagnostics: difference and
+    driver records pair the two runs' stored states step by step.  The runs
+    share step sizes only at fixed dt: under adaptive stepping
+    difference_norms rejects a pair more than 1e-12 apart in time and lets a
+    smaller skew through.  A precomputed base trajectory (run with
+    store_states=True from the same initial data) can be passed to amortize
+    it across a sweep: the base is run once, and the driver's moderate half
+    at each record, which depends on the base alone, is computed once per
+    params and bundle and kept on the base (Trajectory.moderate_halves).  A
+    base without a stored state for every record is a ValueError.  An
+    unknown bundle is rejected before any run.
     """
     check_constraints(bundle_constraints(bundle))
     if base is None:
-        base = run(initial, params, step_config, horizon, store_states=True)
+        base = run(initial, params, step_config, horizon, store_states=True, diagnostics=False)
     if base.event is not None:
         raise RuntimeError(f"base run did not reach the horizon: {base.event.message}")
-    if len(base.snapshots) != len(base.records):
+    if not base.snapshots or (base.records and len(base.snapshots) != len(base.records)):
         raise ValueError("the base trajectory lacks a state per record: run it with store_states=True")
     perturbed = run(perturb_state(initial, spec, params), params, step_config, horizon,
-                    store_states=True)
+                    store_states=True, diagnostics=False)
 
-    n = min(len(base.snapshots), len(perturbed.snapshots))
+    last = len(base.snapshots) - 1
     records = []
-    for i in range(n):
+    for i in range(min(last + 1, len(perturbed.snapshots))):
         st_b = base.snapshots[i][1]
         st_p = perturbed.snapshots[i][1]
-        # the base run's centred dt u, one-sided at the ends, 0 at equal times
-        t_lo, st_lo = base.snapshots[max(i - 1, 0)]
-        t_hi, st_hi = base.snapshots[min(i + 1, n - 1)]
-        dt = t_hi - t_lo
-        rate = np.zeros_like(st_b.u) if dt == 0 else (st_hi.u - st_lo.u) / dt
         rec = difference_norms(st_p, st_b)
-        rec.driver = gronwall_bundle(st_p, st_b, params, rate, bundle=bundle)
+        key = (params, bundle, i)
+        if key not in base.moderate_halves:
+            # the base run's centred dt u, one-sided at the ends, 0 at equal times
+            t_lo, st_lo = base.snapshots[max(i - 1, 0)]
+            t_hi, st_hi = base.snapshots[min(i + 1, last)]
+            dt = t_hi - t_lo
+            rate = np.zeros_like(st_b.u) if dt == 0 else (st_hi.u - st_lo.u) / dt
+            base.moderate_halves[key] = _moderate_terms(st_b, rate, params, bundle)
+        rec.driver = _driver(_weak_terms(st_p, params, bundle), base.moderate_halves[key], bundle)
         records.append(rec)
 
     determinism_failure = False

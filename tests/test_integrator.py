@@ -715,3 +715,47 @@ def test_observers_called(grid2d):
     assert len(seen) == 5
     assert all(t2 > t1 for (t1, _), (t2, _) in zip(seen, seen[1:]))
 
+
+
+def _floor_breach_2d(grid):
+    """2D data whose mass exchange pulls the density under the floor at
+    t = 0.026: psi varies along x only, u = 0, rho = 1 = m = M."""
+    x, _ = grid.meshes()
+    psi = 0.8 * (1.0 + 0.9 * np.cos(x))
+    return State(0.0, psi.astype(complex), np.zeros((2,) + grid.shape), np.ones(grid.shape), grid)
+
+
+@pytest.mark.parametrize("case", ["default", "contrast-16", "adaptive", "density-floor"])
+def test_run_without_diagnostics_takes_the_same_steps(grid2d, monkeypatch, case):
+    # diagnostics=False drops measure() and the records, and nothing else:
+    # the stored states, the final state and the event are the same bits
+    if case == "density-floor":
+        params = Params(lam=5.0, mu=0.05, nu=0.1, m=1.0, M=1.0, eps=0.98)
+        initial, cfg, horizon = _floor_breach_2d(grid2d), StepConfig(dt_init=4e-3), 0.05
+    else:
+        m, M = (0.1, 10.0) if case == "contrast-16" else (0.8, 1.2)
+        params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=0.05)
+        initial = smooth_2d_state(grid2d, m=m, M=M)
+        cfg = StepConfig(dt_init=2.0 ** -10, cfl=0.05, adaptive=case == "adaptive")
+        horizon = 8 * cfg.dt_init
+    seen, bare_seen = [], []
+    full = run(initial, params, cfg, horizon, store_states=True,
+               observers=[lambda t, state, rec: seen.append((t, rec))])
+    measured = []
+    monkeypatch.setattr(integrator, "measure", lambda *a, **k: measured.append(a))
+    bare = run(initial, params, cfg, horizon, store_states=True, diagnostics=False,
+               observers=[lambda t, state, rec: bare_seen.append((t, rec))])
+    assert measured == [] and bare.records == [] and len(bare.times) == 0
+    assert len(seen) == len(full.records) - 1 > 2
+    assert bare_seen == [(t, None) for t, _ in seen]
+    assert (full.event is None) == (case != "density-floor") and bare.event == full.event
+    if case == "adaptive":
+        assert len(np.unique(np.diff(full.times)[:-1])) > 1
+    states = [s for _, s in full.snapshots] + [full.final_state]
+    bare_states = [s for _, s in bare.snapshots] + [bare.final_state]
+    assert [t for t, _ in bare.snapshots] == [t for t, _ in full.snapshots]
+    assert len(bare_states) == len(states)
+    for a, b in zip(states, bare_states):
+        assert a.t == b.t
+        for name in ("psi", "u", "rho"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name

@@ -347,6 +347,71 @@ def test_stability_experiment_rejects_unknown_bundle_before_any_run(grid2d, monk
         gronwall_bundle(st, st.copy(), PARAMS, np.zeros((2,) + grid2d.shape), bundle="nope")
 
 
+def test_a_short_pair_takes_the_base_rate_centred_at_its_last_record(grid2d, monkeypatch):
+    # a perturbed run that ends early leaves the base holding the state after
+    # its last pair: the moderate dt u there is centred, not one-sided
+    from pitaevskii import stability
+    from pitaevskii.integrator import PhysicsEvent
+
+    def truncated(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        return replace(traj, snapshots=traj.snapshots[:-3],
+                       event=PhysicsEvent("density-floor", traj.snapshots[-3][0], "cut"))
+
+    st = smooth_state(grid2d)
+    cfg = StepConfig(dt_init=2e-3)
+    base = run(st.copy(), PARAMS, cfg, 0.02, store_states=True)
+    monkeypatch.setattr(stability, "run", truncated)
+    spec = PerturbationSpec(target="psi", mode=(1, 1), amplitude=1e-6)
+    report = stability_experiment(st, PARAMS, cfg, spec, 0.02, base=base)
+    i = len(report.records) - 1
+    assert i == len(base.snapshots) - 4 and report.event is not None
+    (t_lo, lo), (t_mid, mid), (t_hi, hi) = base.snapshots[i - 1:i + 2]
+    weak = run(perturb_state(st, spec, PARAMS), PARAMS, cfg, 0.02,
+               store_states=True).snapshots[i][1]
+    centred = gronwall_bundle(weak, mid, PARAMS, (hi.u - lo.u) / (t_hi - t_lo))
+    one_sided = gronwall_bundle(weak, mid, PARAMS, (mid.u - lo.u) / (t_mid - t_lo))
+    assert report.records[-1].driver == centred != one_sided
+
+
+def test_sweep_forms_the_moderate_half_once_per_base_record(grid2d, monkeypatch):
+    from pitaevskii import integrator, stability
+
+    st = smooth_state(grid2d)
+    cfg = StepConfig(dt_init=2e-3)
+    horizon = 0.02
+    base, *fresh = (run(st.copy(), PARAMS, cfg, horizon, store_states=True) for _ in range(4))
+    halves, measured = [], []
+    moderate_terms, measure = stability._moderate_terms, integrator.measure
+    monkeypatch.setattr(stability, "_moderate_terms",
+                        lambda *a: halves.append(a) or moderate_terms(*a))
+    monkeypatch.setattr(integrator, "measure",
+                        lambda *a, **k: measured.append(a) or measure(*a, **k))
+    n = len(base.snapshots)
+    psi_spec = PerturbationSpec(target="psi", mode=(1, 1), amplitude=1e-6)
+    u_spec = PerturbationSpec(target="u", mode=(1, 0), amplitude=1e-5)
+
+    def experiment(spec, on, params=PARAMS, bundle="full"):
+        report = stability_experiment(st, params, cfg, spec, horizon, bundle=bundle, base=on)
+        assert len(report.records) == n and report.event is None
+        return [(r.total, r.driver) for r in report.records]
+
+    experiment(psi_spec, base)
+    assert len(halves) == n
+    # the second experiment on the base computes the weak half alone
+    second = experiment(u_spec, base)
+    assert len(halves) == n and measured == []
+    assert second == experiment(u_spec, fresh[0])
+    # another bundle or other params form their own halves, none reused
+    other = replace(PARAMS, mu=2.0)
+    for twin, (params, bundle) in zip(fresh[1:], ((PARAMS, "core"), (other, "full"))):
+        before = len(halves)
+        on_base = experiment(psi_spec, base, params, bundle)
+        assert len(halves) == before + n
+        assert on_base == experiment(psi_spec, twin, params, bundle)
+    assert measured == []
+
+
 def test_fit_envelope_short_series():
     recs = [DifferenceRecord(t=0.0, wave_l2=0, wave_grad=0, vel_l2=0, rho_l2=0,
                              total=0.0, driver=1.0)]

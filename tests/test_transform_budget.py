@@ -7,7 +7,8 @@ or of a smooth 2D 32^2 state at density contrast 16:
 one cold step(), and the steps of a run(), which warm-start their pressure
 solves or take the pressure split and start from the spectra and the
 [psi, grad(psi)] stack the previous step carried over; and around one
-gronwall_bundle() call on two such states.
+gronwall_bundle() call on two such states, and around the pairing of a
+stability sweep's later experiment with the base's halves already formed.
 A stacked vector field counts as its components, so the totals are field
 transforms whatever the batching.  Beside them the entry-point calls are
 counted, since each call carries a fixed cost on top of its transforms.
@@ -19,11 +20,11 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from pitaevskii import integrator
+from pitaevskii import integrator, stability
 from pitaevskii.grid import make_grid
 from pitaevskii.integrator import StepConfig, ingest, run, step
 from pitaevskii.model import Params, State
-from pitaevskii.stability import gronwall_bundle
+from pitaevskii.stability import PerturbationSpec, gronwall_bundle, stability_experiment
 
 from conftest import random_state_fields, smooth_2d_state
 
@@ -71,6 +72,13 @@ MAX_MEASURE_TRANSFORMS = {2: 2, 3: 2}
 # for grad(psi), one forward).  With one transform per norm and the coupling
 # taken to physical space and back it was 25 / 10 in 2D and 32 / 13 in 3D.
 MAX_BUNDLE_TRANSFORMS = {(2, "full"): 15, (2, "core"): 9, (3, "full"): 20, (3, "core"): 12}
+# Per record of a sweep's later experiment, whose base already holds the
+# driver's moderate halves: the weak half (weak.psi and weak.u transformed
+# once, d + 1, and in the full bundle the coupling spectrum, d inverse and
+# one forward) and difference_norms (one forward for the H^1 seminorm of
+# the wave difference).  A whole gronwall_bundle() call per record made it
+# 16 / 10 in 2D and 21 / 13 in 3D.
+MAX_LATER_RECORD_TRANSFORMS = {(2, "full"): 7, (2, "core"): 4, (3, "full"): 9, (3, "core"): 5}
 # Entry-point calls per step of a run() from the second on (the steps that
 # take the pressure split) at the default contrast, in 2D and 3D alike:
 # each wave midpoint stage takes psi and grad(psi) back in one call, so do
@@ -176,6 +184,34 @@ def test_gronwall_bundle_transform_budget(counted, d, bundle):
     assert driver > 0
     assert counted["numpy.fft"] == 0
     assert 0 < counted["scipy.fft"] <= MAX_BUNDLE_TRANSFORMS[(d, bundle)]
+
+
+@pytest.mark.parametrize("d, bundle", sorted(MAX_LATER_RECORD_TRANSFORMS))
+def test_later_sweep_record_transform_budget(counted, monkeypatch, d, bundle):
+    initial, params = seeded_state(d)
+    cfg = StepConfig(dt_init=2.0 ** -11)
+    horizon = 2 * cfg.dt_init
+    base = run(initial, params, cfg, horizon, store_states=True)
+    stability_experiment(initial, params, cfg, PerturbationSpec("psi", (1, 0), 1e-6), horizon,
+                         bundle=bundle, base=base)
+    in_runs = []
+
+    def counted_run(*args, **kwargs):
+        before = counted["scipy.fft"]
+        traj = run(*args, **kwargs)
+        in_runs.append(counted["scipy.fft"] - before)
+        return traj
+
+    monkeypatch.setattr(stability, "run", counted_run)
+    counted.update({"numpy.fft": 0, "scipy.fft": 0})
+    report = stability_experiment(initial, params, cfg, PerturbationSpec("psi", (1, 1), 1e-5),
+                                  horizon, bundle=bundle, base=base)
+    pairing = counted["scipy.fft"] - sum(in_runs)
+    print(f"field transforms pairing a later {bundle} experiment: {pairing} over "
+          f"{len(report.records)} records")
+    assert len(in_runs) == 1 and len(report.records) == 3
+    assert counted["numpy.fft"] == 0
+    assert 0 < pairing <= MAX_LATER_RECORD_TRANSFORMS[(d, bundle)] * len(report.records)
 
 
 @pytest.mark.parametrize("d", [2, 3])
