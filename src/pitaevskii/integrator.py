@@ -43,13 +43,12 @@ One step of size dt is the composition
     line runs through that step's predictor and corrector pressures, at its
     start and its midpoint.  step() on its own starts the predictor cold
     and the corrector from the predictor;
-  - the spectra (psi_hat, u_hat) of the accepted state, which the last
-    wave substep and the fluid substep form before their inverse
-    transforms.  The next step and measure() start from them instead of
-    transforming the state again;
-  - the stack [psi, grad(psi)] of the accepted state, which step() takes
-    back in one inverse transform at its end: measure() reads grad(psi)
-    from it, and the next step's first wave stage takes it, once;
+  - one slot, carried = (state, psi_hat, u_hat, [psi, grad(psi)]): the
+    accepted state, the spectra that the last wave substep and the fluid
+    substep form before their inverse transforms, and the stack that step()
+    takes back in one inverse transform at its end.  measure() reads the
+    spectra and grad(psi) from it, and the next step empties it and starts
+    from it instead of transforming the state again;
   - the wave propagator of the last step size, reused while dt and the
     parameters stay the same.
   Below contrast 4 a run and a loop of lone step() calls are therefore two
@@ -131,7 +130,7 @@ class PhysicsEvent:
 @dataclass
 class Trajectory:
     records: list
-    snapshots: list = field(default_factory=list)   # (time, State) pairs
+    snapshots: list = field(default_factory=list)   # copies of the accepted States
     event: Optional[PhysicsEvent] = None
     final_state: Optional[State] = None
     # the moderate halves of the Gronwall driver that stability experiments
@@ -156,6 +155,12 @@ def _psi_and_gradient(plan, psi_hat):
     stack[0] = psi_hat
     np.multiply(plan.tables(psi_hat).ik, psi_hat, out=stack[1:])
     return plan.ifft(stack, psi_hat)   # complex, as psi is
+
+
+def _carry(plan, state):
+    """StepHistory.carried for state, formed from its own fields."""
+    psi_hat = plan.fft(state.psi)
+    return state, psi_hat, plan.fft(state.u), _psi_and_gradient(plan, psi_hat)
 
 
 def _wave_substep(plan, psi_hat, fields, u, params, tau, lin):
@@ -214,9 +219,8 @@ def _lagrange(steps, column, t):
 class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
     spectra of the last four steps, which start both projections of the
-    next one, the spectra (psi_hat, u_hat) and the [psi, grad(psi)] stack
-    of the last accepted state, and the wave propagator of the last step
-    size.
+    next one, the accepted state with what step() formed of it, and the
+    wave propagator of the last step size.
 
     Pressures: each entry holds a step's start time, its dt, its predictor
     pressure and its corrector - predictor offset.  Every guess for a step
@@ -244,22 +248,19 @@ class StepHistory:
     step's dt, which cancels only at fixed dt.  Memory is O(1) in the
     horizon.
 
-    Beside the spectra it carries the stack [psi, grad(psi)] =
-    _psi_and_gradient(plan, psi_hat) of the accepted state, which step()
-    formed in its last inverse transform.  run() reads grad(psi) from it
-    for measure() (grad_psi), and the next step takes the stack for its
-    first wave half-step (fields); that hands it out once, so the stack
-    lives until that half-step and no longer.
-
-    Spectra and the stack are handed out only for the very state object
-    they belong to, and the propagator only for the same plan, tau and
-    params; otherwise step() computes them as a lone step would.
+    carried is None or (state, psi_hat, u_hat, stack): the spectra
+    plan.fft of state.psi and state.u and the stack [psi, grad(psi)] =
+    _psi_and_gradient(plan, psi_hat), which step() formed for the state it
+    returned.  run() reads them for measure(); the next step() takes the
+    slot, empties it and uses what it holds only if it is for that very
+    state object, so the stack lives until that step's first wave stage and
+    no longer.  The propagator is reused only for the same plan, tau and
+    params.
     """
 
     def __init__(self):
         self._steps = []      # (start time, dt, predictor, corrector - predictor), newest last
-        self._accepted = None     # (state, psi_hat, u_hat)
-        self._fields = None       # (state, [psi, grad psi] stack)
+        self.carried = None
         self._propagator = None   # (plan, tau, params, lin)
 
     def _before(self, t, count):
@@ -295,35 +296,6 @@ class StepHistory:
         extrapolation divide by zero."""
         kept = [s for s in self._steps if s[0] != t]
         self._steps = kept[-3:] + [(t, dt, predictor, corrector - predictor)]
-
-    def accept(self, state, psi_hat, u_hat, fields):
-        """Record the spectra of state, plan.fft(state.psi) and
-        plan.fft(state.u), and fields = _psi_and_gradient(plan, psi_hat),
-        for the step that starts from it."""
-        self._accepted = (state, psi_hat, u_hat)
-        self._fields = (state, fields)
-
-    def spectra(self, state):
-        """(psi_hat, u_hat) of state if accept() recorded them for this very
-        object, else (None, None)."""
-        if self._accepted is None or self._accepted[0] is not state:
-            return None, None
-        return self._accepted[1], self._accepted[2]
-
-    def grad_psi(self, state):
-        """grad(psi) of state from the recorded stack, or None; the history
-        keeps the stack."""
-        if self._fields is None or self._fields[0] is not state:
-            return None
-        return self._fields[1][1:]
-
-    def fields(self, state):
-        """The recorded [psi, grad(psi)] stack of state, or None.  It is
-        handed out once: the history lets go of it."""
-        if self._fields is None or self._fields[0] is not state:
-            return None
-        fields, self._fields = self._fields[1], None
-        return fields
 
     def propagator(self, plan, psi_hat, params, tau):
         """_wave_propagator(plan, psi_hat, params, tau), reused while the
@@ -375,7 +347,7 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
             accel0_hat, rho, initial_pressure_hat=history.predictor_guess(t0))
     else:
         accel0_hat, p_pred = plan.split_leray_hat(accel0_hat, rho, p_star)
-    u_half_hat = (u_hat + 0.5 * dt * accel0_hat) / (1.0 + alpha_k2)
+    u_half_hat = plan.helmholtz_hat(u_hat + 0.5 * dt * accel0_hat, alpha)
     u_half = plan.ifft(u_half_hat, u)
     rho_half = rho + 0.5 * dt * _density_rhs(plan, u, rho, params, exchange0)
     density_floor_check(rho_half, params, t0 + 0.5 * dt)
@@ -388,7 +360,7 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
             accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
     else:
         accel1_hat, p_corr = plan.split_leray_hat(accel1_hat, rho_half, p_star)
-    u_new_hat = ((1.0 - alpha_k2) * u_hat + dt * accel1_hat) / (1.0 + alpha_k2)
+    u_new_hat = plan.helmholtz_hat((1.0 - alpha_k2) * u_hat + dt * accel1_hat, alpha)
     u_new = plan.ifft(u_new_hat, u)
     rho_new = rho + dt * _density_rhs(plan, u_half, rho_half, params, exchange1)
     density_floor_check(rho_new, params, t0 + dt)
@@ -402,25 +374,25 @@ def step(state, params, dt, *, history=None):
     The pressure projections are cold PCG solves unless a StepHistory is
     passed; run() passes its own.  With an earlier step on it (from a
     run's second step on), a stage below contrast 4 takes the pressure
-    split; a run's first step and a lone step() solve by PCG.  From the
-    history the step also takes the spectra and the [psi, grad(psi)] stack
-    of state, if the history recorded them for this very object, and the
-    wave propagator of an equal step size; an accepted step is pushed onto
-    it with its dt, its output's spectra and its output's stack.  A lone
-    step() forms the stack from the spectrum.
+    split; a run's first step and a lone step() solve by PCG.  The step
+    empties the history's carried slot and starts from the spectra and the
+    [psi, grad(psi)] stack it holds if they are for this very state object;
+    otherwise, as a lone step(), it forms them from the state.  It takes
+    the wave propagator of an equal step size from the history.  An
+    accepted step is pushed onto the history with its dt, and the slot then
+    carries its output with that output's spectra and stack.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if history is None:
         history = StepHistory()
     plan = plan_for(state.grid)
+    carried, history.carried = history.carried, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi_hat, u_hat = history.spectra(state)
-        if psi_hat is None:
-            psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
-        fields = history.fields(state)
-        if fields is None:
-            fields = _psi_and_gradient(plan, psi_hat)
+        if carried is None or carried[0] is not state:
+            carried = _carry(plan, state)
+        _, psi_hat, u_hat, fields = carried
+        carried = None   # the old stack goes with the first wave stage
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
         lin = history.propagator(plan, psi_hat, params, tau)
@@ -439,20 +411,21 @@ def step(state, params, dt, *, history=None):
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
         raise BlowUp(state.t, "step output")
     history.push(state.t, dt, p_pred, p_corr)
-    history.accept(new, psi_hat, u_hat, fields)
+    history.carried = (new, psi_hat, u_hat, fields)
     return new
 
 
 def adaptive_dt(state, config):
-    """CFL-limited step: clamp(cfl * dx / (||u||_inf + c0), dt_min, dt_max)
-    with c0 = max(1, k_max/2) covering the explicit dispersive residuals."""
+    """CFL-limited step: min(cfl * dx / (||u||_inf + c0), dt_max) with
+    c0 = max(1, k_max/2) covering the explicit dispersive residuals; a
+    proposal below dt_min raises CflViolation."""
     g = state.grid
     umax = lp_norm(g, state.u, np.inf)
     c0 = max(1.0, 0.5 * g.k_max)
     proposal = config.cfl * min(g.dx) / (umax + c0)
     if proposal < config.dt_min:
         raise CflViolation(proposal, config.dt_min, state.t)
-    return min(max(proposal, config.dt_min), config.dt_max)
+    return min(proposal, config.dt_max)
 
 
 def ingest(state, params):
@@ -486,14 +459,16 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     Observers are called after each accepted step with (time, state, record)
     and must not mutate the state; one that writes the state out keeps
     memory flat in the horizon.  store_states keeps a copy of every state,
-    the ingested initial one included, as (time, state) pairs on the
-    trajectory: the stability harness pairs them at desk scales.
+    the ingested initial one included, on the trajectory's snapshots: the
+    stability harness pairs them at desk scales.
 
-    One StepHistory carries pressures, spectra, the [psi, grad(psi)] stack
-    and the wave propagator from step to step, so from the second step on a
-    stage below contrast 4 takes the pressure split (see the module
-    docstring).  The stack of the ingested state is formed once here, for
-    the initial measure() and the first step.
+    One StepHistory carries pressures, the accepted state with its spectra
+    and [psi, grad(psi)] stack, and the wave propagator from step to step,
+    so from the second step on a stage below contrast 4 takes the pressure
+    split (see the module docstring).  run() fills its carried slot for the
+    ingested state, and measure() reads each accepted state's spectra and
+    grad(psi) from the slot; run() holds none of them while the next step
+    runs.
 
     Density-floor violations, blow-ups, CFL failures and a pressure
     projection that misses its tolerance end the run early with a structured
@@ -502,15 +477,16 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     state = ingest(initial, params)
-    plan = plan_for(state.grid)
-    psi_hat, u_hat = plan.fft(state.psi), plan.fft(state.u)
     history = StepHistory()
-    history.accept(state, psi_hat, u_hat, _psi_and_gradient(plan, psi_hat))
-    records = []
-    if diagnostics:
-        records.append(measure(state, params, psi_hat=psi_hat, u_hat=u_hat,
-                               grad_psi=history.grad_psi(state)))
-    snapshots = [(state.t, state.copy())] if store_states else []
+    history.carried = _carry(plan_for(state.grid), state)
+
+    def record(prev_state):
+        accepted, psi_hat, u_hat, stack = history.carried
+        return measure(accepted, params, prev_state, psi_hat=psi_hat, u_hat=u_hat,
+                       grad_psi=stack[1:])
+
+    records = [record(None)] if diagnostics else []
+    snapshots = [state.copy()] if store_states else []
     event = None
     tiny = 1e-12 * max(1.0, horizon)
     while state.t < horizon - tiny:
@@ -532,13 +508,11 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
             break
         rec = None
         if diagnostics:
-            psi_hat, u_hat = history.spectra(new_state)
-            rec = measure(new_state, params, prev_state=state, psi_hat=psi_hat, u_hat=u_hat,
-                          grad_psi=history.grad_psi(new_state))
+            rec = record(state)
             records.append(rec)
         state = new_state
         if store_states:
-            snapshots.append((state.t, state.copy()))
+            snapshots.append(state.copy())
         for obs in observers:
             obs(state.t, state, rec)
     return Trajectory(records=records, snapshots=snapshots, event=event, final_state=state)

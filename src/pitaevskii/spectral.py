@@ -429,8 +429,11 @@ class SpectralPlan:
         self.grid.check_field(f)
         if alpha == 0:
             return f.copy()
-        fhat = self.fft(f)
-        return self.ifft(fhat / (1.0 + alpha * self.tables(fhat).k2), f)
+        return self.ifft(self.helmholtz_hat(self.fft(f), alpha), f)
+
+    def helmholtz_hat(self, fhat, alpha):
+        """Spectrum of (I - alpha * Laplacian)^-1 applied to spectrum fhat."""
+        return fhat / (1.0 + alpha * self.tables(fhat).k2)
 
 
 def plan_for(grid):

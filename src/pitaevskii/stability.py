@@ -326,15 +326,15 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     last = len(base.snapshots) - 1
     records = []
     for i in range(min(last + 1, len(perturbed.snapshots))):
-        st_b = base.snapshots[i][1]
-        st_p = perturbed.snapshots[i][1]
+        st_b = base.snapshots[i]
+        st_p = perturbed.snapshots[i]
         rec = difference_norms(st_p, st_b)
         key = (params, bundle, i)
         if key not in base.moderate_halves:
             # the base run's centred dt u, one-sided at the ends, 0 at equal times
-            t_lo, st_lo = base.snapshots[max(i - 1, 0)]
-            t_hi, st_hi = base.snapshots[min(i + 1, last)]
-            dt = t_hi - t_lo
+            st_lo = base.snapshots[max(i - 1, 0)]
+            st_hi = base.snapshots[min(i + 1, last)]
+            dt = st_hi.t - st_lo.t
             rate = np.zeros_like(st_b.u) if dt == 0 else (st_hi.u - st_lo.u) / dt
             base.moderate_halves[key] = _moderate_terms(st_b, rate, params, bundle)
         rec.driver = _driver(_weak_terms(st_p, params, bundle), base.moderate_halves[key], bundle)

@@ -395,21 +395,22 @@ def test_run_drops_the_propagator_when_dt_changes(grid2d):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-def test_carried_spectra_match_the_state_and_feed_measure(grid2d):
-    # step() hands the history the spectra it formed before its inverse
-    # transforms; they equal plan.fft of the state it returns (measured
-    # 2.8e-16 relative), and measure() from them equals measure() from the
-    # state's own transforms
+def test_carried_spectra_match_the_state_and_feed_measure(grid2d, monkeypatch):
+    # step() leaves on the history's carried slot the spectra it formed
+    # before its inverse transforms; they equal plan.fft of the state it
+    # returns (measured 2.8e-16 relative), and measure() from them equals
+    # measure() from the state's own transforms.  A step from another State
+    # object transforms that state itself
     from pitaevskii.diagnostics import RECORD_SCALARS, measure
 
     plan = plan_for(grid2d)
     history = StepHistory()
     st = ingest(smooth_2d_state(grid2d), PARAMS)
-    assert history.spectra(st) == (None, None)
+    assert history.carried is None
     for _ in range(3):
         prev, st = st, step(st, PARAMS, 1e-3, history=history)
-    psi_hat, u_hat = history.spectra(st)
-    assert history.spectra(st.copy()) == (None, None)     # only for that object
+    carried_state, psi_hat, u_hat, _ = history.carried
+    assert carried_state is st
     for carried, field in ((psi_hat, st.psi), (u_hat, st.u)):
         fresh = plan.fft(field)
         assert np.abs(carried - fresh).max() <= 1e-14 * np.abs(fresh).max()
@@ -420,33 +421,55 @@ def test_carried_spectra_match_the_state_and_feed_measure(grid2d):
     scale = max(abs(v) for v in cold.momentum)
     assert np.abs(np.subtract(warm.momentum, cold.momentum)).max() <= 1e-12 * max(scale, 1.0)
 
+    started = []
+    wave_substep = integrator._wave_substep
 
-def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d):
-    # step() leaves [psi, grad(psi)] of its output on the history, formed in
-    # its last inverse transform: the stack of the carried spectrum to the
-    # bit, held apart from the state's psi, handed out only for that very
-    # object and only once.  measure() given its grad(psi) returns the
-    # record it forms without it, field for field
+    def recording_wave(plan, psi_hat, *args):
+        started.append(psi_hat)
+        return wave_substep(plan, psi_hat, *args)
+
+    monkeypatch.setattr(integrator, "_wave_substep", recording_wave)
+    step(st.copy(), PARAMS, 1e-3, history=history)      # only for that object
+    assert started[0] is not psi_hat and np.array_equal(started[0], plan.fft(st.psi))
+
+
+def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch):
+    # step() leaves [psi, grad(psi)] of its output on the carried slot,
+    # formed in its last inverse transform: the stack of the carried
+    # spectrum to the bit, held apart from the state's psi.  measure() given
+    # its grad(psi) returns the record it forms without it, field for field.
+    # The next step empties the slot, and the old stack is gone by the fluid
+    # substep
+    import weakref
+
     from pitaevskii.diagnostics import measure
 
     plan = plan_for(grid2d)
     history = StepHistory()
     st = ingest(smooth_2d_state(grid2d), PARAMS)
-    assert history.fields(st) is None and history.grad_psi(st) is None
     for _ in range(3):
         prev, st = st, step(st, PARAMS, 1e-3, history=history)
-    psi_hat, u_hat = history.spectra(st)
-    carried = history.grad_psi(st)
-    assert np.array_equal(carried, _psi_and_gradient(plan, psi_hat)[1:])
-    assert history.fields(st.copy()) is None and history.grad_psi(st.copy()) is None
-    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat, grad_psi=carried)
+    _, psi_hat, u_hat, stack = history.carried
+    assert np.array_equal(stack, _psi_and_gradient(plan, psi_hat))
+    assert np.array_equal(stack[0], st.psi)
+    assert not np.shares_memory(st.psi, stack)
+    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat, grad_psi=stack[1:])
     assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
-    fields = history.fields(st)
-    assert np.array_equal(fields, _psi_and_gradient(plan, psi_hat))
-    assert np.array_equal(fields[0], st.psi)
-    assert not np.shares_memory(st.psi, fields)
-    assert history.fields(st) is None and history.grad_psi(st) is None   # once
-    assert history.spectra(st)[0] is psi_hat
+
+    entered = []
+    fluid_substep = integrator._fluid_substep
+
+    def recording_fluid(*args):
+        entered.append((history.carried, carried_stack()))
+        return fluid_substep(*args)
+
+    monkeypatch.setattr(integrator, "_fluid_substep", recording_fluid)
+    carried_stack = weakref.ref(stack)
+    del stack
+    assert carried_stack() is not None                  # the slot holds it
+    new = step(st, PARAMS, 1e-3, history=history)
+    assert entered == [(None, None)]
+    assert history.carried[0] is new
 
 
 def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkeypatch):
@@ -598,9 +621,9 @@ def test_split_guesses_are_exact_on_lines_in_time():
 
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
-    # 8 steps: at contrast 1.44 PCG solves only the two stages of the first
-    # step, the split the other fourteen; at contrast 16 PCG solves all
-    # sixteen
+    # 8 steps: at contrast 1.44 and 3.90 (just below the split's threshold
+    # of 4) PCG solves only the two stages of the first step, the split the
+    # other fourteen; at contrast 16 PCG solves all sixteen
     calls = []
 
     def counting(name):
@@ -614,7 +637,7 @@ def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     for name in ("weighted_leray_hat", "split_leray_hat"):
         monkeypatch.setattr(SpectralPlan, name, counting(name))
     dt = 2.0 ** -11
-    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 2), (0.1, 10.0, 0.05, 16)):
+    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 2), (1.0, 4.84, 0.5, 2), (0.1, 10.0, 0.05, 16)):
         params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
         calls.clear()
         traj = run(smooth_2d_state(grid2d, m=m, M=M), params, StepConfig(dt_init=dt), 8 * dt)
@@ -622,6 +645,16 @@ def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
         assert calls.count("weighted_leray_hat") == weighted
         assert calls.count("split_leray_hat") == 16 - weighted
         assert calls[:2] == ["weighted_leray_hat"] * 2
+
+
+def test_run_takes_a_last_step_of_1e9_to_the_horizon(grid2d):
+    # a horizon 1e-9 past the eighth step is a ninth step, not the end: the
+    # run keeps 10 records and ends on the horizon itself
+    dt = 2.0 ** -11
+    horizon = 8 * dt + 1e-9
+    traj = run(smooth_2d_state(grid2d), PARAMS, StepConfig(dt_init=dt), horizon)
+    assert traj.event is None and len(traj.records) == 10
+    assert traj.final_state.t == horizon
 
 
 def test_step_pushes_its_start_time(grid2d):
@@ -751,9 +784,9 @@ def test_run_without_diagnostics_takes_the_same_steps(grid2d, monkeypatch, case)
     assert (full.event is None) == (case != "density-floor") and bare.event == full.event
     if case == "adaptive":
         assert len(np.unique(np.diff(full.times)[:-1])) > 1
-    states = [s for _, s in full.snapshots] + [full.final_state]
-    bare_states = [s for _, s in bare.snapshots] + [bare.final_state]
-    assert [t for t, _ in bare.snapshots] == [t for t, _ in full.snapshots]
+    states = full.snapshots + [full.final_state]
+    bare_states = bare.snapshots + [bare.final_state]
+    assert [s.t for s in bare.snapshots] == [s.t for s in full.snapshots]
     assert len(bare_states) == len(states)
     for a, b in zip(states, bare_states):
         assert a.t == b.t

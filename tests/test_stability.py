@@ -75,11 +75,16 @@ def test_difference_norms_cross_check(grid2d, rng):
 
 
 def test_difference_norms_mismatch_errors(grid2d):
+    # the pairing tolerance in time is 1e-12: a skew of 1e-9 is an error,
+    # one of 1e-13 is round-off
     st = smooth_state(grid2d)
     other = st.copy()
-    other.t = 1.0
-    with pytest.raises(ValueError):
-        difference_norms(st, other)
+    for skew in (1.0, 1e-9):
+        other.t = skew
+        with pytest.raises(ValueError, match="different times"):
+            difference_norms(st, other)
+    other.t = 1e-13
+    assert difference_norms(st, other).total == 0.0
     g2 = make_grid(2, [32, 32], [2 * np.pi, 2 * np.pi])
     with pytest.raises(ValueError):
         difference_norms(st, smooth_state(g2))
@@ -356,7 +361,7 @@ def test_a_short_pair_takes_the_base_rate_centred_at_its_last_record(grid2d, mon
     def truncated(*args, **kwargs):
         traj = run(*args, **kwargs)
         return replace(traj, snapshots=traj.snapshots[:-3],
-                       event=PhysicsEvent("density-floor", traj.snapshots[-3][0], "cut"))
+                       event=PhysicsEvent("density-floor", traj.snapshots[-3].t, "cut"))
 
     st = smooth_state(grid2d)
     cfg = StepConfig(dt_init=2e-3)
@@ -366,11 +371,11 @@ def test_a_short_pair_takes_the_base_rate_centred_at_its_last_record(grid2d, mon
     report = stability_experiment(st, PARAMS, cfg, spec, 0.02, base=base)
     i = len(report.records) - 1
     assert i == len(base.snapshots) - 4 and report.event is not None
-    (t_lo, lo), (t_mid, mid), (t_hi, hi) = base.snapshots[i - 1:i + 2]
+    lo, mid, hi = base.snapshots[i - 1:i + 2]
     weak = run(perturb_state(st, spec, PARAMS), PARAMS, cfg, 0.02,
-               store_states=True).snapshots[i][1]
-    centred = gronwall_bundle(weak, mid, PARAMS, (hi.u - lo.u) / (t_hi - t_lo))
-    one_sided = gronwall_bundle(weak, mid, PARAMS, (mid.u - lo.u) / (t_mid - t_lo))
+               store_states=True).snapshots[i]
+    centred = gronwall_bundle(weak, mid, PARAMS, (hi.u - lo.u) / (hi.t - lo.t))
+    one_sided = gronwall_bundle(weak, mid, PARAMS, (mid.u - lo.u) / (mid.t - lo.t))
     assert report.records[-1].driver == centred != one_sided
 
 
@@ -416,3 +421,18 @@ def test_fit_envelope_short_series():
     recs = [DifferenceRecord(t=0.0, wave_l2=0, wave_grad=0, vel_l2=0, rho_l2=0,
                              total=0.0, driver=1.0)]
     assert fit_envelope(recs) == (None, None, 0.0)
+
+
+def test_fit_envelope_fits_the_first_half_and_validates_the_second():
+    # D = e^t on [0, 2] and e^(2 + 3 (t - 2)) after, H = 1: the fit over the
+    # first half gives c_hat = 1, and the second half's growth then exceeds
+    # that envelope by e^4 = 54.6 at t = 4, above a passing margin of 10
+    ts = np.linspace(0.0, 4.0, 41)
+    recs = [DifferenceRecord(t=t, wave_l2=0, wave_grad=0, vel_l2=0, rho_l2=0,
+                             total=float(np.exp(t if t <= 2.0 else 2.0 + 3.0 * (t - 2.0))),
+                             driver=1.0)
+            for t in ts]
+    c_hat, margin, total_h = fit_envelope(recs)
+    assert c_hat == pytest.approx(1.0, rel=1e-9)
+    assert margin == pytest.approx(np.exp(4.0), rel=1e-9) and margin > 10
+    assert total_h == pytest.approx(4.0, rel=1e-12)
