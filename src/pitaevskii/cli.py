@@ -115,15 +115,13 @@ def cmd_simulate(cfg):
     dt = max(np.diff(traj.times) if cfg.integrator.adaptive else (), default=cfg.integrator.dt_init)
     mass_tol = 1e-8 * max(1.0, (dt / 5e-4) ** 2)
     for rec, y_int in zip(traj.records, y_ints):
-        for check in bounds_report(rec, cfg.params, reference=first, y_integral=y_int,
-                                   mass_tol=mass_tol):
-            if not check.passed and not check.observation:
-                failed.append((rec.t, check))
+        checks = bounds_report(rec, cfg.params, reference=first, y_integral=y_int,
+                               mass_tol=mass_tol)
+        failed += [(rec.t, check) for check in checks if not check.passed and not check.observation]
     for t, check in failed[:5]:
         print(f"BOUND FAILED at t={_fmt(t)}: {check.name} (margin {_fmt(check.margin)})")
-    summary = bounds_report(last, cfg.params, reference=first, y_integral=y_ints[-1],
-                            mass_tol=mass_tol)
-    for check in summary:
+    # the summary is the last record's checks
+    for check in checks:
         tag = "observation" if check.observation else "assertion"
         status = "pass" if check.passed else "FAIL"
         print(f"bound {check.name}: {status} ({tag}, margin {_fmt(check.margin)})")
@@ -168,17 +166,22 @@ def cmd_convergence(cfg):
     if cfg.integrator.adaptive:
         raise ValueError("the convergence study refines a fixed step: set integrator.adaptive = false")
     grid, state = _build(cfg)
+
+    def residual(initial, dt, label):
+        # max|r|/E0 of a run at fixed dt, or None (with a line) if it ended early
+        step_cfg = replace(cfg.integrator, dt_init=dt, dt_min=min(cfg.integrator.dt_min, dt))
+        traj = run(initial, cfg.params, step_cfg, cfg.experiment.horizon)
+        if traj.event is not None:
+            print(f"{label} ended early: {traj.event.message}")
+            return None
+        return float(np.abs(energy_budget(traj.records)).max() / traj.records[0].energy)
+
     residuals = []
     dts = [cfg.integrator.dt_init, cfg.integrator.dt_init / 2, cfg.integrator.dt_init / 4]
     for dt in dts:
-        step_cfg = replace(cfg.integrator, dt_init=dt, dt_min=min(cfg.integrator.dt_min, dt))
-        traj = run(state.copy(), cfg.params, step_cfg, cfg.experiment.horizon)
-        if traj.event is not None:
-            print(f"run at dt={_fmt(dt)} ended early: {traj.event.message}")
+        residuals.append(residual(state.copy(), dt, f"run at dt={_fmt(dt)}"))
+        if residuals[-1] is None:
             return 1
-        r = energy_budget(traj.records)
-        e0 = traj.records[0].energy
-        residuals.append(float(np.abs(r).max() / e0))
         print(f"dt={_fmt(dt)}: max|r|/E0 = {_fmt(residuals[-1])}")
     orders = [float(np.log2(a / b)) for a, b in zip(residuals, residuals[1:])]
     ok = True
@@ -190,14 +193,10 @@ def cmd_convergence(cfg):
     # residual barely moves because the spatial error is spectrally small
     fine_n = tuple(int(np.ceil(v * 1.5 / 2)) * 2 for v in cfg.grid.n)
     fine_grid = replace(cfg.grid, n=fine_n).build()
-    fine_state = build_initial_state(fine_grid, cfg.params, cfg.ic)
-    step_cfg = replace(cfg.integrator, dt_init=dts[-1], dt_min=min(cfg.integrator.dt_min, dts[-1]))
-    traj = run(fine_state, cfg.params, step_cfg, cfg.experiment.horizon)
-    if traj.event is not None:
-        print(f"refined-grid run ended early: {traj.event.message}")
+    fine_res = residual(build_initial_state(fine_grid, cfg.params, cfg.ic), dts[-1],
+                        "refined-grid run")
+    if fine_res is None:
         return 1
-    r = energy_budget(traj.records)
-    fine_res = float(np.abs(r).max() / traj.records[0].energy)
     rel_change = abs(fine_res - residuals[-1]) / residuals[-1]
     print(f"grid {cfg.grid.n} -> {fine_n} at dt={_fmt(dts[-1])}: "
           f"max|r|/E0 = {_fmt(fine_res)} (change {_fmt(rel_change)}; "
@@ -218,10 +217,15 @@ def cmd_validate(cfg):
     # the ik table, the exchange field velocity_rhs_hat returns and dt psi as
     # the wave substep integrates it; momentum_source_conservative is the
     # one independent form
-    worst_quad = worst_form = worst_exchange = worst_div = 0.0
+    worst_quad = worst_form = worst_exchange = worst_div = worst_split = 0.0
     for _ in range(100):
         st = random_smooth_state(grid, params, 0.5, rng)
-        st.u, _ = plan.leray_project(st.u)
+        # the projector on the raw velocity v: div w = 0 and w + grad chi = v
+        v = st.u
+        st.u, chi = plan.leray_project(v)
+        vmax = max(np.abs(v).max(), 1e-300)
+        worst_div = max(worst_div, float(np.abs(plan.divergence(st.u)).max() / vmax))
+        worst_split = max(worst_split, float(np.abs(st.u + plan.gradient(chi) - v).max() / vmax))
         psi, u = st.psi, st.u
         psi_hat = plan.fft(psi)
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
@@ -254,14 +258,11 @@ def cmd_validate(cfg):
         bound = 2.0 * lp_norm(grid, psi, 2) * lp_norm(grid, dt_psi, 2)
         worst_exchange = max(worst_exchange, abs(src + dmass) / max(bound, 1e-300))
 
-        w, _ = plan.leray_project(st.u)
-        worst_div = max(worst_div, float(
-            np.abs(plan.divergence(w)).max() / max(np.abs(st.u).max(), 1e-300)))
-
     checks.append(("coupling quadratic form", worst_quad, 1e-10))
     checks.append(("source-form equivalence", worst_form, 1e-10))
     checks.append(("mass-exchange antisymmetry", worst_exchange, 1e-10))
     checks.append(("projector divergence", worst_div, 1e-12))
+    checks.append(("projector decomposition", worst_split, 1e-12))
 
     f = gaussian_random_field(grid, np.random.default_rng(cfg.ic.seed + 1), band_limit=False)
     hs = plan.helmholtz_solve(f, 0.7)

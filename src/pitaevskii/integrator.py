@@ -34,15 +34,16 @@ One step of size dt is the composition
     on solve by PCG.
 * run() carries a StepHistory from step to step.  It holds:
   - the pressure spectra of the last four steps.  A PCG solve starts from
-    their extrapolation in time: the predictor's from the cubic through the
-    predictor pressures, the corrector's from this step's predictor
-    pressure plus the quadratic through the last three corrector -
-    predictor offsets (lower orders while fewer steps exist).  The split's
-    p* takes lines through the last two of each instead: with quadratic
-    offsets it is unstable from contrast 2.  After one step the predictor's
-    line runs through that step's predictor and corrector pressures, at its
-    start and its midpoint.  step() on its own starts the predictor cold
-    and the corrector from the predictor;
+    their extrapolation in time, StepHistory.pcg_guess: the predictor's
+    from the cubic through the predictor pressures, the corrector's from
+    this step's predictor pressure plus the quadratic through the last
+    three corrector - predictor offsets (lower orders while fewer steps
+    exist).  The split's p*, StepHistory.split_guess, takes lines through
+    the last two of each instead: with quadratic offsets it is unstable
+    from contrast 2.  After one step the predictor's line runs through
+    that step's predictor and corrector pressures, at its start and its
+    midpoint.  step() on its own starts the predictor cold and the
+    corrector from the predictor;
   - one slot, carried = (state, psi_hat, u_hat, [psi, grad(psi)]): the
     accepted state, the spectra that the last wave substep and the fluid
     substep form before their inverse transforms, and the stack that step()
@@ -226,18 +227,20 @@ class StepHistory:
     pressure and its corrector - predictor offset.  Every guess for a step
     from t extrapolates to t through the stored steps that started strictly
     before t, so a step retried from t never uses its own discarded attempt.
-    - PCG warm starts: the predictor's guess is the Lagrange polynomial
-      through the stored predictor pressures, cubic once four steps exist,
-      linear after two; the corrector's is this step's predictor pressure
-      plus the Lagrange extrapolation of the last three offsets, quadratic
-      once three exist.  No guess (predictor) or the predictor's pressure
-      (corrector) while no step is stored.
-    - The pressure split's p*: the same with lines through the last two
-      predictor pressures and the last two offsets.  With one stored step
-      (a run's second step) the predictor's line runs through that step's
-      two pressure nodes in time, its predictor pressure at its start t1
-      and its corrector pressure at its midpoint t1 + dt1/2, where the
-      corrector stage is evaluated; the corrector's p* is its predictor
+    Both guesses take the step's start t and, for the corrector, this
+    step's predictor pressure; without it they are the predictor's.
+    - PCG warm starts (pcg_guess): the predictor's guess is the Lagrange
+      polynomial through the stored predictor pressures, cubic once four
+      steps exist, linear after two; the corrector's is this step's
+      predictor pressure plus the Lagrange extrapolation of the last three
+      offsets, quadratic once three exist.  No guess (predictor) or the
+      predictor's pressure (corrector) while no step is stored.
+    - The pressure split's p* (split_guess): the same with lines through
+      the last two predictor pressures and the last two offsets.  With one
+      stored step (a run's second step) the predictor's line runs through
+      that step's two pressure nodes in time, its predictor pressure at its
+      start t1 and its corrector pressure at its midpoint t1 + dt1/2, where
+      the corrector stage is evaluated; the corrector's p* is its predictor
       pressure plus the stored offset.  Both are O(dt^2).  None while no
       step is stored.  Only lines keep the split stable: with quadratic
       offsets its error recurrence z^3 = a (3 z^2 - 3 z + 1),
@@ -267,28 +270,27 @@ class StepHistory:
         """The last `count` stored steps that started strictly before t."""
         return [s for s in self._steps if s[0] < t][-count:]
 
-    def predictor_guess(self, t):
-        steps = self._before(t, 4)
-        return _lagrange(steps, 2, t) if steps else None
-
-    def corrector_guess(self, t, predictor):
+    def pcg_guess(self, t, predictor=None):
+        """The PCG warm start of the predictor (predictor None) or of the
+        corrector whose step's predictor pressure is `predictor`."""
+        if predictor is None:
+            steps = self._before(t, 4)
+            return _lagrange(steps, 2, t) if steps else None
         steps = self._before(t, 3)
         return predictor + _lagrange(steps, 3, t) if steps else predictor
 
-    def split_predictor(self, t):
-        """p* of the predictor's pressure split, or None."""
+    def split_guess(self, t, predictor=None):
+        """p* of the predictor's (predictor None) or the corrector's pressure
+        split, or None."""
         steps = self._before(t, 2)
-        if len(steps) == 2:
-            return _lagrange(steps, 2, t)
         if not steps:
             return None
-        t1, dt1, predictor, offset = steps[0]
-        return predictor + ((t - t1) / (0.5 * dt1)) * offset
-
-    def split_corrector(self, t, predictor):
-        """p* of the corrector's pressure split, or None."""
-        steps = self._before(t, 2)
-        return predictor + _lagrange(steps, 3, t) if steps else None
+        if predictor is not None:
+            return predictor + _lagrange(steps, 3, t)
+        if len(steps) == 2:
+            return _lagrange(steps, 2, t)
+        t1, dt1, p1, offset = steps[0]
+        return p1 + ((t - t1) / (0.5 * dt1)) * offset
 
     def push(self, t, dt, predictor, corrector):
         """Record the step of size dt from t; it replaces a step pushed from
@@ -323,47 +325,40 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
     the gradient stays energy-orthogonal to the velocity and u remains
     divergence-free.  With uniform density this is the plain Leray
-    projection.  The projections and the Helmholtz solves act on spectra:
-    each projected acceleration spectrum feeds its Helmholtz solve directly,
-    the predictor's u_hat also serves the corrector's lap(u), and the
-    midpoint velocity's spectrum feeds the corrector's acceleration.
-    Each stage solves by PCG from the StepHistory's guess, or takes the
-    pressure split with the history's p* (see the module docstring).
-    |psi|^2 is formed once, and each stage's exchange field
-    Re(conj(psi) C[psi]) serves its drag and its density source.  Returns
-    (u, its spectrum, rho, predictor pressure spectrum, corrector pressure
-    spectrum).
+    projection.  Predictor and corrector are one stage body: from (u_s,
+    rho_s) it projects the explicit acceleration a (by the pressure split
+    when _split_applies and the history has a p*, else by PCG from the
+    history's guess; see the module docstring), solves
+    (I - alpha lap) u' = start + h a on spectra and advances rho by h,
+    checking the floor at t0 + h.  The predictor starts from u_hat with
+    h = dt/2, the corrector from (1 - alpha |k|^2) u_hat with h = dt and
+    the predictor's pressure.  |psi|^2 is formed once, and each stage's
+    exchange field Re(conj(psi) C[psi]) serves its drag and its density
+    source.  Returns (u, its spectrum, rho, predictor pressure spectrum,
+    corrector pressure spectrum).
     """
     rho_bar = 0.5 * (params.m + params.M)
     alpha = params.nu * dt / (2.0 * rho_bar)
     psi2 = psi.real ** 2 + psi.imag ** 2
-    alpha_k2 = alpha * plan.tables(u_hat).k2
 
-    accel0_hat, exchange0 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat,
-                                                  rho, params, rho_bar)
-    p_star = history.split_predictor(t0) if _split_applies(rho) else None
-    if p_star is None:
-        accel0_hat, p_pred = plan.weighted_leray_hat(
-            accel0_hat, rho, initial_pressure_hat=history.predictor_guess(t0))
-    else:
-        accel0_hat, p_pred = plan.split_leray_hat(accel0_hat, rho, p_star)
-    u_half_hat = plan.helmholtz_hat(u_hat + 0.5 * dt * accel0_hat, alpha)
-    u_half = plan.ifft(u_half_hat, u)
-    rho_half = rho + 0.5 * dt * _density_rhs(plan, u, rho, params, exchange0)
-    density_floor_check(rho_half, params, t0 + 0.5 * dt)
+    def stage(u_s, u_s_hat, rho_s, start_hat, h, p_pred=None):
+        accel_hat, exchange = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_s,
+                                                    u_s_hat, rho_s, params, rho_bar)
+        p_star = history.split_guess(t0, p_pred) if _split_applies(rho_s) else None
+        if p_star is None:
+            accel_hat, p = plan.weighted_leray_hat(
+                accel_hat, rho_s, initial_pressure_hat=history.pcg_guess(t0, p_pred))
+        else:
+            accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
+        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, alpha)
+        new = plan.ifft(new_hat, u)
+        rho_new = rho + h * _density_rhs(plan, u_s, rho_s, params, exchange)
+        density_floor_check(rho_new, params, t0 + h)
+        return new, new_hat, rho_new, p
 
-    accel1_hat, exchange1 = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_half,
-                                                  u_half_hat, rho_half, params, rho_bar)
-    p_star = history.split_corrector(t0, p_pred) if _split_applies(rho_half) else None
-    if p_star is None:
-        accel1_hat, p_corr = plan.weighted_leray_hat(
-            accel1_hat, rho_half, initial_pressure_hat=history.corrector_guess(t0, p_pred))
-    else:
-        accel1_hat, p_corr = plan.split_leray_hat(accel1_hat, rho_half, p_star)
-    u_new_hat = plan.helmholtz_hat((1.0 - alpha_k2) * u_hat + dt * accel1_hat, alpha)
-    u_new = plan.ifft(u_new_hat, u)
-    rho_new = rho + dt * _density_rhs(plan, u_half, rho_half, params, exchange1)
-    density_floor_check(rho_new, params, t0 + dt)
+    u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, rho, u_hat, 0.5 * dt)
+    start_hat = (1.0 - alpha * plan.tables(u_hat).k2) * u_hat
+    u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, rho_half, start_hat, dt, p_pred)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
 

@@ -26,8 +26,8 @@ def test_cli_subcommand_smoke(tmp_path, capsys, command, written, verdict):
 
 
 IDENTITY_CHECKS = ["coupling quadratic form", "source-form equivalence",
-                   "mass-exchange antisymmetry", "projector divergence", "helmholtz residual",
-                   "parseval"]
+                   "mass-exchange antisymmetry", "projector divergence",
+                   "projector decomposition", "helmholtz residual", "parseval"]
 
 
 @pytest.mark.parametrize("d, n", [
@@ -59,6 +59,21 @@ def test_validate_fails_on_a_broken_exchange_body(tmp_path, capsys, monkeypatch)
     assert cli_main(["validate", str(cfg)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(ln.startswith("mass-exchange antisymmetry: FAIL") for ln in lines)
+    assert lines[-1] == "verdict: FAIL"
+
+
+def test_validate_fails_on_a_broken_projector(tmp_path, capsys, monkeypatch):
+    # the projector is checked on the raw random velocity v: a projector
+    # that returns zeros keeps div w = 0 but loses w + grad chi = v
+    from pitaevskii.spectral import SpectralPlan
+
+    monkeypatch.setattr(SpectralPlan, "leray_project",
+                        lambda self, v: (np.zeros_like(v), np.zeros_like(v[0])))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\n")
+    assert cli_main(["validate", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("projector decomposition: FAIL (worst 1.0,") for ln in lines)
     assert lines[-1] == "verdict: FAIL"
 
 
@@ -156,3 +171,71 @@ def test_convergence_rejects_adaptive_dt(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the convergence study refines a fixed step")
+
+
+@pytest.mark.parametrize("drift, code", [(1e-7, 1), (1e-9, 0)])
+def test_simulate_fails_a_total_mass_drift_above_1e_8(tmp_path, capsys, monkeypatch, drift, code):
+    # at dt = 5e-4 the total mass may drift by 1e-8 of itself: the last
+    # record moved by 1e-7 fails the run, by 1e-9 it passes
+    from pitaevskii import cli
+
+    inner = cli.run
+
+    def drifting(*args, **kwargs):
+        traj = inner(*args, **kwargs)
+        first = traj.records[0]
+        traj.records[-1].mass_fluid += drift * (first.mass_wave + first.mass_fluid)
+        return traj
+
+    monkeypatch.setattr(cli, "run", drifting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nintegrator.dt_init = 0.0005\n"
+                   f"experiment.T = 0.001\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    status = "FAIL" if code else "pass"
+    assert any(ln.startswith(f"bound total_mass_constant: {status}") for ln in lines)
+    assert any(ln.startswith("BOUND FAILED") for ln in lines) == bool(code)
+
+
+@pytest.mark.parametrize("order, code", [(1.5, 1), (2.0, 0), (2.5, 1)])
+def test_convergence_verdict_holds_the_order_to_2_within_0_3(tmp_path, capsys, monkeypatch,
+                                                              order, code):
+    # residuals that fall as dt^order: only order 2 +/- 0.3 passes
+    from types import SimpleNamespace
+
+    from pitaevskii import cli
+
+    def fake_run(initial, params, step_cfg, horizon):
+        return SimpleNamespace(event=None,
+                               records=[SimpleNamespace(energy=1.0, dt=step_cfg.dt_init)])
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(cli, "energy_budget", lambda records: np.array([records[0].dt ** order]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["convergence", str(cfg)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("observed order 0.002 -> 0.001: ")
+    assert float(lines[3].rsplit(" ", 1)[1]) == pytest.approx(order, rel=1e-12)
+    verdict = "FAIL" if code else "pass"
+    assert lines[-1] == f"verdict: {verdict} (expected order 2.0 +/- 0.3)"
+
+
+@pytest.mark.parametrize("second, status", [(0.5, "FAIL"), (0.85, "pass")])
+def test_validate_fails_an_inequality_ratio_that_spreads_past_0_2(tmp_path, capsys, monkeypatch,
+                                                                  second, status):
+    # two samples whose ratios are 1.0 and 0.5 (spread 0.5) fail; 1.0 and
+    # 0.85 (spread 0.15) pass
+    from pitaevskii import cli
+    from pitaevskii.diagnostics import ValidatorReport
+
+    ratios = iter([1.0, second])
+    monkeypatch.setattr(cli, "inequality_validator", lambda grid, fields: ValidatorReport(
+        {"poincare": next(ratios)}, len(fields), 0, 100.0, True))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 16, 16\n")
+    assert cli_main(["validate", str(cfg)]) == (1 if status == "FAIL" else 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith(f"inequality poincare: {status} (ratios 1.0 / {second}, ")
+    assert lines[-1] == f"verdict: {status}"

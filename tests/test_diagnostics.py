@@ -178,6 +178,18 @@ def test_bounds_report_flags_floor_violation(grid2d):
     assert check.margin == pytest.approx(PARAMS.eps / 2 - PARAMS.eps)
 
 
+@pytest.mark.parametrize("factor, passed", [(30.0, True), (40.0, False), (61.0, False)])
+def test_second_dissipation_integral_is_capped_at_31_times_the_initial_energy(
+        grid2d, factor, passed):
+    # the cap is 31 X0: an integral between 31 and 62 X0 fails, below 31 passes
+    rec = measure(plane_wave_state(grid2d, (1, 0), 0.5, (0.1, 0.0), 1.0), PARAMS)
+    report = {c.name: c for c in bounds_report(rec, PARAMS, reference=rec,
+                                               y_integral=factor * rec.second_energy)}
+    check = report["second_diss_integral"]
+    assert check.passed == passed and check.observation
+    assert check.margin == pytest.approx((31.0 - factor) * rec.second_energy)
+
+
 def test_bounds_report_constant_reduction_mass_decreases():
     g = make_grid(1, [8], [2 * np.pi])
     st = plane_wave_state(g, (0,), 0.8, (0.0,), 1.0)

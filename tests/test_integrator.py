@@ -533,16 +533,16 @@ def test_wave_substep_is_second_order(grid2d):
 
 def test_pressure_history_extrapolates_in_time():
     history = StepHistory()
-    assert history.predictor_guess(0.0) is None         # cold start
-    assert history.corrector_guess(0.0, 3.0) == 3.0
+    assert history.pcg_guess(0.0) is None                # cold start
+    assert history.pcg_guess(0.0, 3.0) == 3.0
     history.push(0.0, 0.1, 1.0, 1.5)                     # step from t = 0
-    assert history.predictor_guess(0.1) == 1.0
-    assert history.corrector_guess(0.1, 2.0) == 2.5
+    assert history.pcg_guess(0.1) == 1.0
+    assert history.pcg_guess(0.1, 2.0) == 2.5
     history.push(0.1, 0.2, 2.0, 2.25)                    # step from t = 0.1
     # the lines through (0, 1), (0.1, 2) and (0, 0.5), (0.1, 0.25) at the
     # next step's start, t = 0.3
-    assert history.predictor_guess(0.3) == pytest.approx(4.0, rel=1e-14)
-    assert history.corrector_guess(0.3, 4.0) == pytest.approx(4.0 - 0.25, rel=1e-14)
+    assert history.pcg_guess(0.3) == pytest.approx(4.0, rel=1e-14)
+    assert history.pcg_guess(0.3, 4.0) == pytest.approx(4.0 - 0.25, rel=1e-14)
 
     # pressures cubic and offsets quadratic in time are extrapolated exactly
     # from four steps of unequal dt; a fifth step drops the oldest
@@ -558,11 +558,11 @@ def test_pressure_history_extrapolates_in_time():
     for t, t_next in zip(starts[1:4], starts[2:5]):
         history.push(t, t_next - t, cubic(t), cubic(t) + quadratic(t))
     # four steps: the oldest, off the cubic, still bends the guess
-    assert np.abs(history.predictor_guess(starts[4]) - cubic(starts[4])).max() > 1.0
+    assert np.abs(history.pcg_guess(starts[4]) - cubic(starts[4])).max() > 1.0
     history.push(starts[4], 0.1, cubic(starts[4]), cubic(starts[4]) + quadratic(starts[4]))
     t = 0.5
-    np.testing.assert_allclose(history.predictor_guess(t), cubic(t), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(history.corrector_guess(t, cubic(t)), cubic(t) + quadratic(t),
+    np.testing.assert_allclose(history.pcg_guess(t), cubic(t), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(history.pcg_guess(t, cubic(t)), cubic(t) + quadratic(t),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -581,8 +581,8 @@ def test_split_guesses_are_exact_on_lines_in_time():
         return np.array([0.25 * t - 1.0, -t])
 
     history = StepHistory()
-    assert history.split_predictor(0.1) is None
-    assert history.split_corrector(0.1, line(0.1)) is None
+    assert history.split_guess(0.1) is None
+    assert history.split_guess(0.1, line(0.1)) is None
 
     # one step from t1 whose pressure is linear in time: the next step's
     # predictor p* is exact at its start t1 + dt1, whatever its own dt
@@ -592,32 +592,32 @@ def test_split_guesses_are_exact_on_lines_in_time():
         history = StepHistory()
         history.push(t1, dt1, line(t1), line(t1 + 0.5 * dt1))
         for t in (t1 + dt1, t1 + 3.7 * dt1):
-            np.testing.assert_allclose(history.split_predictor(t), line(t), rtol=1e-14,
+            np.testing.assert_allclose(history.split_guess(t), line(t), rtol=1e-14,
                                        atol=1e-14)
         t2 = t1 + dt1
-        np.testing.assert_allclose(history.split_corrector(t2, line(t2)), line(t2 + 0.5 * dt1),
+        np.testing.assert_allclose(history.split_guess(t2, line(t2)), line(t2 + 0.5 * dt1),
                                    rtol=1e-14, atol=1e-14)
         # a retry from t1, whose only stored step is its own attempt
-        assert history.split_predictor(t1) is None
-        assert history.split_corrector(t1, line(t1)) is None
+        assert history.split_guess(t1) is None
+        assert history.split_guess(t1, line(t1)) is None
 
     history = StepHistory()
     history.push(0.0, 0.03, line(0.0) + 7.0, line(0.0) - 9.0)    # off both lines
     for t, dt in ((0.03, 0.17), (0.2, 0.15)):
         history.push(t, dt, line(t), line(t) + offset(t))
     t = 0.35
-    np.testing.assert_allclose(history.split_predictor(t), line(t), rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(history.split_corrector(t, line(t)), line(t) + offset(t),
+    np.testing.assert_allclose(history.split_guess(t), line(t), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(history.split_guess(t, line(t)), line(t) + offset(t),
                                rtol=1e-14, atol=1e-14)
     # only steps that started before t count: at t = 0.2 the lines run
     # through the steps from 0 and 0.03, and a retry from 0.03 takes the
     # line through the two nodes of the step from 0, (0, line(0) + 7) and
     # (0.015, line(0) - 9), which reaches line(0) - 25 at 0.03
-    assert np.abs(history.split_predictor(0.2) - line(0.2)).max() > 1.0
-    np.testing.assert_allclose(history.split_predictor(0.03), line(0.0) - 25.0, rtol=1e-14,
+    assert np.abs(history.split_guess(0.2) - line(0.2)).max() > 1.0
+    np.testing.assert_allclose(history.split_guess(0.03), line(0.0) - 25.0, rtol=1e-14,
                                atol=1e-14)
-    assert history.split_predictor(0.0) is None
-    assert np.array_equal(history.predictor_guess(0.03), line(0.0) + 7.0)
+    assert history.split_guess(0.0) is None
+    assert np.array_equal(history.pcg_guess(0.03), line(0.0) + 7.0)
 
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):

@@ -265,6 +265,32 @@ def test_stability_zero_perturbation_identical(grid2d):
     assert report.passed
 
 
+@pytest.mark.parametrize("shift, failure", [(1e-8, True), (1e-13, False)])
+def test_zero_pair_determinism_threshold(grid2d, monkeypatch, shift, failure):
+    # the zero pair's member scaled by 1 + shift in u after the first
+    # record: D / ||psi||^2 is about 0.85 shift^2, 8e-17 at shift 1e-8,
+    # above the 1e-20 threshold (determinism fails), and 8e-27 at 1e-13
+    from pitaevskii import stability
+
+    inner = stability.run
+    runs = []
+
+    def shifted(*args, **kwargs):
+        traj = inner(*args, **kwargs)
+        runs.append(traj)
+        if len(runs) == 2:          # the perturbed member
+            for st in traj.snapshots[1:]:
+                st.u = st.u * (1.0 + shift)
+        return traj
+
+    monkeypatch.setattr(stability, "run", shifted)
+    report = stability_experiment(smooth_state(grid2d), PARAMS, StepConfig(dt_init=2e-3),
+                                  PerturbationSpec(amplitude=0.0), 0.006)
+    assert len(runs) == 2 and report.records[0].total == 0.0
+    assert report.records[-1].total > 0.0
+    assert report.determinism_failure == failure
+
+
 @pytest.mark.parametrize("amplitude", [0.0, 1e-4])
 def test_stability_rejects_a_base_without_every_state(grid2d, amplitude):
     st = smooth_state(grid2d)
