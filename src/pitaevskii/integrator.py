@@ -28,10 +28,9 @@ One step of size dt is the composition
     history, so the stage costs one exact Leray projection and one flux (d
     inverse and d forward transforms) instead of an iteration.  A stage
     takes it when the history holds a step that started before this one
-    and the stage density's contrast max/min is below
-    spectral.DENSITY_PRECONDITIONER_CONTRAST (4): from a run's second step
-    on.  A run's first step, a lone step() and every stage from contrast 4
-    on solve by PCG.
+    and the stage density's contrast max/min is below SPLIT_MAX_CONTRAST
+    (4): from a run's second step on.  A run's first step, a lone step()
+    and every stage from contrast 4 on solve by PCG.
 * run() carries a StepHistory from step to step.  It holds:
   - the pressure spectra of the last four steps.  A PCG solve starts from
     their extrapolation in time, StepHistory.pcg_guess: the predictor's
@@ -88,7 +87,7 @@ from .model import (
     wave_nonlinear_hat,
 )
 from .norms import lp_norm
-from .spectral import DENSITY_PRECONDITIONER_CONTRAST, ProjectionNotConverged, plan_for
+from .spectral import ProjectionNotConverged, plan_for
 
 
 @dataclass(frozen=True)
@@ -310,11 +309,17 @@ class StepHistory:
         return lin
 
 
+# Density contrast max/min from which a stage solves its pressure by PCG
+# instead of the split: from there on the split's explicit remainder costs
+# accuracy (at contrast 16 it raised a 16-step 64^2 run's energy residual by
+# 16%)
+SPLIT_MAX_CONTRAST = 4.0
+
+
 def _split_applies(rho):
     """Whether a stage at density rho may take the pressure split: its
-    contrast max/min is below DENSITY_PRECONDITIONER_CONTRAST.  From there
-    on the split's explicit remainder grows and PCG keeps the stage."""
-    return float(rho.max()) / float(rho.min()) < DENSITY_PRECONDITIONER_CONTRAST
+    contrast max/min is below SPLIT_MAX_CONTRAST."""
+    return float(rho.max()) / float(rho.min()) < SPLIT_MAX_CONTRAST
 
 
 def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, history):
@@ -439,7 +444,7 @@ def ingest(state, params):
     psi = plan.dealias(state.psi)
     rho = plan.dealias(state.rho)
     u = plan.dealias(state.u)
-    u = plan.ifft(plan._leray_hat(plan.fft(u))[0], u)
+    u = plan.ifft(plan.leray_hat(plan.fft(u))[0], u)
     return State(0.0, psi, u, rho, state.grid)
 
 

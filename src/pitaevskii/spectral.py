@@ -36,16 +36,12 @@ Conventions:
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,
   and 2 elsewhere.  The full layout has weight 1 everywhere.
 * Pressure: weighted_leray_hat solves -div((1/rho) grad p) = -div v by
-  preconditioned conjugate gradients.  Below a density contrast max/min of
-  DENSITY_PRECONDITIONER_CONTRAST (4) the preconditioner is the
-  constant-coefficient inverse 1/(r_bar |k'|^2), a multiply; from it on it
-  is |k'|^-1 rho |k'|^-1, one inverse and one forward transform, whose
-  iteration count grows far more slowly with the contrast.  It takes the
-  velocity's half spectrum and an optional pressure spectrum as initial
-  guess, and returns the spectra of the projected velocity and of the
-  pressure, so a caller that holds spectra pays only the d inverse and d
-  forward transforms of each iteration (d + 1 of each from the threshold
-  on).
+  conjugate gradients preconditioned with |k'|^-1 rho |k'|^-1, one inverse
+  and one forward transform.  It takes the velocity's half spectrum and an
+  optional pressure spectrum as initial guess, and returns the spectra of
+  the projected velocity and of the pressure, so a caller that holds
+  spectra pays only the d + 1 inverse and d + 1 forward transforms of each
+  iteration.
   weighted_leray_project is its physical wrapper: it transforms v in and
   (w, p) back out.  The solve either meets its tolerance or raises
   ProjectionNotConverged; it never returns a pressure that missed it.
@@ -54,7 +50,7 @@ Conventions:
   (1/rho) grad p = (1/rho0) grad p + (1/rho - 1/rho0) grad p* and returns
   one exact Leray projection, for one flux (d inverse and d forward
   transforms) and no iteration.  The integrator takes it on a run's warm
-  stages below DENSITY_PRECONDITIONER_CONTRAST.
+  stages of low density contrast.
 * Memory: building the first plan of a process sets glibc's allocator to
   keep freed memory (_retain_heap), so the large temporaries of every step,
   scipy.fft's own buffers and outputs among them, reuse resident pages
@@ -70,13 +66,6 @@ import scipy.fft
 from .grid import GridError, pointwise_dot
 
 _heap_retained = None
-
-# Density contrast max/min from which weighted_leray_hat preconditions with
-# |k'|^-1 weight |k'|^-1 instead of the constant-coefficient 1/(r_bar |k'|^2).
-# Below it the integrator's warm stages take split_leray_hat instead of a
-# solve; from it on the split's explicit remainder costs accuracy (at
-# contrast 16 it raised a 16-step 64^2 run's energy residual by 16%)
-DENSITY_PRECONDITIONER_CONTRAST = 4.0
 
 
 def _retain_heap():
@@ -232,7 +221,7 @@ class SpectralPlan:
         """2/3-rule truncation of a spectrum."""
         return fhat * self.tables(fhat).mask
 
-    def _leray_hat(self, vhat):
+    def leray_hat(self, vhat):
         """(what, chihat): divergence-free part and gradient potential."""
         tab = self.tables(vhat)
         div = self.div_hat(vhat)
@@ -272,7 +261,7 @@ class SpectralPlan:
         uniform flows pass through the projector.
         """
         v = self._check(v, vector=True)
-        what, chihat = self._leray_hat(self.fft(v))
+        what, chihat = self.leray_hat(self.fft(v))
         return self.ifft(what, v), self.ifft(chihat, v[0])
 
     def weighted_leray_project(self, v, weight, tol=1e-10, max_iter=200,
@@ -306,16 +295,13 @@ class SpectralPlan:
         Solved by preconditioned conjugate gradients on the symmetric
         positive system -div(r grad p) = -div(v), r = 1/weight.  Each
         iteration applies r in physical space: d inverse and d forward
-        transforms.  The preconditioner depends on the contrast
-        max weight / min weight:
-          below DENSITY_PRECONDITIONER_CONTRAST, the constant-coefficient
-          inverse 1/(r_bar |k'|^2), r_bar the midrange of r: a multiply, but
-          iterations grow with the square root of max r / min r;
-          from it on, |k'|^-1 weight |k'|^-1, which inverts the operator's
-          variable coefficient as well: one more inverse and forward
-          transform an iteration, and far fewer iterations (cold solves on
-          smooth 64^2 densities took 11-14 against 21-23 at contrast 4,
-          and 26-64 against 140-188 at contrast 256).
+        transforms.  The preconditioner |k'|^-1 weight |k'|^-1 inverts the
+        operator's variable coefficient as well as its Laplacian, for one
+        more inverse and forward transform an iteration; its iteration
+        count grows far more slowly with the contrast max weight / min
+        weight than the constant-coefficient inverse's (cold solves on
+        smooth 64^2 densities took 11-14 against 21-23 at contrast 4, and
+        26-64 against 140-188 at contrast 256).
         initial_pressure_hat, a pressure spectrum, warm-starts the
         iteration.  The solve stops once the L^2 norm of the
         pressure-equation residual is at most tol times that of div(v);
@@ -348,19 +334,13 @@ class SpectralPlan:
             return self.fft(r * self.ifft(tab.ik * phat, weight))
 
         if r_hi - r_lo <= 1e-14 * r_bar:
-            # uniform weight: the constant preconditioner is the exact
-            # inverse, and r grad(p) is a pure gradient, which the Leray
-            # projection removes
-            return self._leray_hat(vhat)[0], rhs * (tab.inv_kk / r_bar)
-        if float(weight.max()) / wmin >= DENSITY_PRECONDITIONER_CONTRAST:
-            def precondition(res):
-                # |k'|^-1 weight |k'|^-1: one inverse and one forward transform
-                return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))
-        else:
-            constant = tab.inv_kk / r_bar
+            # uniform weight: 1/(r_bar |k'|^2) is the exact inverse, and
+            # r grad(p) is a pure gradient, which the Leray projection removes
+            return self.leray_hat(vhat)[0], rhs * (tab.inv_kk / r_bar)
 
-            def precondition(res):
-                return res * constant
+        def precondition(res):
+            # |k'|^-1 weight |k'|^-1: one inverse and one forward transform
+            return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))
 
         if initial_pressure_hat is None:
             phat = np.zeros_like(rhs)
@@ -388,7 +368,7 @@ class SpectralPlan:
             res = res - step * a_dir
             iterations += 1
             res_norm = np.sqrt(tab.dot(res, res))
-        return self._leray_hat(vhat - flux_p)[0], phat
+        return self.leray_hat(vhat - flux_p)[0], phat
 
     def split_leray_hat(self, vhat, weight, pressure_hat):
         """The constant-coefficient pressure split of weighted_leray_hat:
@@ -412,7 +392,7 @@ class SpectralPlan:
         if not rho0 > 0:
             raise ValueError(f"projection weight must be positive, got min {rho0}")
         grad_p = self.ifft(self._half.ik * pressure_hat, weight)
-        what, chihat = self._leray_hat(vhat - self.fft((1.0 / weight - 1.0 / rho0) * grad_p))
+        what, chihat = self.leray_hat(vhat - self.fft((1.0 / weight - 1.0 / rho0) * grad_p))
         return what, rho0 * chihat
 
     def dealias(self, f):

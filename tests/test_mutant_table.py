@@ -40,6 +40,7 @@ def test_mutant_source_occurs_once_in_its_function(m):
     assert first <= line <= last
     for killer in m.killers:
         path, _, test = killer.partition("::")
+        test = test.partition("[")[0]       # a parametrized test's id
         with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
             assert not test or f"def {test}(" in fh.read()
 

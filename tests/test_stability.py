@@ -291,6 +291,25 @@ def test_zero_pair_determinism_threshold(grid2d, monkeypatch, shift, failure):
     assert report.determinism_failure == failure
 
 
+def test_zero_pair_that_differs_from_the_start_fails_determinism(monkeypatch):
+    # a zero pair whose member already differs at t = 0 (psi scaled by
+    # 1 + 1e-6, D about 4.7e-12 at every record) is not deterministic
+    from pitaevskii import stability
+
+    def scaled(state, spec, params):
+        out = state.copy()
+        out.psi = out.psi * (1.0 + 1e-6)
+        return out
+
+    monkeypatch.setattr(stability, "perturb_state", scaled)
+    grid = make_grid(2, [16, 16], [2 * np.pi, 2 * np.pi])
+    report = stability_experiment(smooth_state(grid), PARAMS, StepConfig(dt_init=2e-3),
+                                  PerturbationSpec(amplitude=0.0), 0.006)
+    assert len(report.records) == 4 and report.records[0].total > 0.0
+    assert report.determinism_failure
+    assert report.verdict == "FAIL"
+
+
 @pytest.mark.parametrize("amplitude", [0.0, 1e-4])
 def test_stability_rejects_a_base_without_every_state(grid2d, amplitude):
     st = smooth_state(grid2d)

@@ -48,9 +48,20 @@ MUTANTS = (
     Mutant("pcg-stops-at-10-tol", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
            "while res_norm > tol * rhs_norm:", "while res_norm > 10 * tol * rhs_norm:",
            ("tests/test_spectral_ops.py::test_weighted_projection_meets_its_tolerance",)),
+    # the constant-coefficient preconditioner 1/(r_bar |k'|^2) in place of
+    # |k'|^-1 rho |k'|^-1: the cold step on the workloads' data costs more
+    Mutant("constant-preconditioner", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
+           "return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))",
+           "return res * (tab.inv_kk / r_bar)",
+           ("tests/test_transform_budget.py::test_step_transform_budget[smooth]",)),
     Mutant("zero-pair-threshold-1e-10", "pitaevskii.stability:stability_experiment",
            "r.total > 1e-20 * scale", "r.total > 1e-10 * scale",
            ("tests/test_stability.py::test_zero_pair_determinism_threshold",)),
+    Mutant("zero-pair-from-equal-starts-only", "pitaevskii.stability:stability_experiment",
+           "determinism_failure = any(r.total",
+           "determinism_failure = records[0].total == 0.0 and any(r.total",
+           ("tests/test_stability.py::"
+            "test_zero_pair_that_differs_from_the_start_fails_determinism",)),
     Mutant("envelope-fits-the-whole-run", "pitaevskii.stability:fit_envelope",
            "if ts[i + 1] > t_mid:", "if ts[i + 1] > ts[-1]:",
            ("tests/test_stability.py::"
@@ -74,7 +85,7 @@ MUTANTS = (
            ("tests/test_diagnostics.py::"
             "test_second_dissipation_integral_is_capped_at_31_times_the_initial_energy",)),
     Mutant("split-threshold-2", "pitaevskii.integrator:_split_applies",
-           "< DENSITY_PRECONDITIONER_CONTRAST", "< 2.0",
+           "< SPLIT_MAX_CONTRAST", "< 2.0",
            ("tests/test_integrator.py::test_run_takes_the_split_on_warm_low_contrast_stages",)),
     Mutant("horizon-slack-1e-6", "pitaevskii.integrator:run",
            "tiny = 1e-12 * max(1.0, horizon)", "tiny = 1e-6 * max(1.0, horizon)",
