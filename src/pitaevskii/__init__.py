@@ -3,7 +3,7 @@ two-fluid model: a nonlinear Schrodinger wavefunction coupled to the
 inhomogeneous incompressible Navier-Stokes equations on a periodic torus."""
 
 from .grid import Grid, GridError, make_grid
-from .model import BlowUp, DensityFloorViolation, Params, State
+from .model import Params, PhysicsEvent, State
 from .norms import inner_product
 from .spectral import SpectralPlan, plan_for
 
@@ -15,8 +15,7 @@ __all__ = [
     "make_grid",
     "Params",
     "State",
-    "BlowUp",
-    "DensityFloorViolation",
+    "PhysicsEvent",
     "inner_product",
     "SpectralPlan",
     "plan_for",

@@ -13,7 +13,8 @@ Subcommands (each takes one config file):
 Exit codes: 0 = every asserted invariant passed; 1 = a physics event ended
 the run (density floor, blow-up, CFL, a pressure projection that missed its
 tolerance) or an asserted verdict failed or was inconclusive (a stability
-envelope never tested); 2 = usage or configuration error.
+envelope never tested); 2 = usage or configuration error, non-finite
+initial fields included.
 """
 
 import argparse
@@ -50,6 +51,10 @@ from .stability import PerturbationSpec, reduced_ode_oracle, stability_experimen
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _print_event(event):
+    print(f"physics event [{event.kind}] at t={_fmt(event.time)}: {event.message}")
 
 
 def _load(path):
@@ -128,7 +133,7 @@ def cmd_simulate(cfg):
     print(f"series: {series_path}")
 
     if traj.event is not None:
-        print(f"physics event [{traj.event.kind}] at t={_fmt(traj.event.time)}: {traj.event.message}")
+        _print_event(traj.event)
         return 1
     return 1 if failed else 0
 
@@ -155,6 +160,8 @@ def cmd_stability(cfg):
     print(f"determinism failure: {str(report.determinism_failure).lower()}")
     print(f"verdict: {report.verdict}")
     print(f"series: {path}")
+    if report.event is not None:
+        _print_event(report.event)
     return 0 if report.passed else 1
 
 

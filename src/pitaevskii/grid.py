@@ -138,9 +138,3 @@ def pointwise_dot(a, b):
         out += a[i] * b[i]
     return out
 
-
-def require_finite(f, name="field"):
-    """Raise FloatingPointError if the array contains NaN or Inf."""
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError(f"{name} contains non-finite values")
-    return f

@@ -64,11 +64,13 @@ One step of size dt is the composition
   and start the second.
 
 Each piece has local error O(dt^3), so the composition is second order.
-A step that would drag the density below the configured floor raises
-DensityFloorViolation; non-finite values raise BlowUp with the last valid
-time; a pressure projection that misses its tolerance raises
-ProjectionNotConverged.  run() converts each into a structured event on the
-trajectory.
+A step that leaves the admissible set raises model.PhysicsEvent: of kind
+"density-floor" where a stage would drag the density below the configured
+floor, "blow-up" with the last valid time where its output is not finite.
+adaptive_dt raises one of kind "cfl".  run() keeps the raised event,
+without its traceback, as the trajectory's event; a pressure projection
+that misses its tolerance (ProjectionNotConverged) becomes one of kind
+"projection" at the step's start time.
 """
 
 from dataclasses import dataclass, field
@@ -79,8 +81,7 @@ import numpy as np
 from .diagnostics import measure
 from .grid import check_constraints, pointwise_dot
 from .model import (
-    BlowUp,
-    DensityFloorViolation,
+    PhysicsEvent,
     State,
     density_floor_check,
     velocity_rhs_hat,
@@ -106,32 +107,11 @@ class StepConfig:
         ])
 
 
-class CflViolation(Exception):
-    """The CFL-admissible step fell below dt_min."""
-
-    def __init__(self, proposal, dt_min, time):
-        self.proposal = proposal
-        self.dt_min = dt_min
-        self.time = time
-        super().__init__(
-            f"CFL-admissible dt {proposal:.3e} below dt_min {dt_min:.3e} at t={time:.6g}"
-        )
-
-
-@dataclass
-class PhysicsEvent:
-    kind: str                 # "density-floor", "blow-up", "cfl" or "projection"
-    time: float
-    message: str
-    location: Optional[tuple] = None
-    value: Optional[float] = None
-
-
 @dataclass
 class Trajectory:
     records: list
     snapshots: list = field(default_factory=list)   # copies of the accepted States
-    event: Optional[PhysicsEvent] = None
+    event: Optional[PhysicsEvent] = None       # what ended the run early
     final_state: Optional[State] = None
     # the moderate halves of the Gronwall driver that stability experiments
     # on this base computed, by (params, bundle, record index)
@@ -409,7 +389,8 @@ def step(state, params, dt, *, history=None):
     psi = fields[0].copy()
     new = State(state.t + dt, psi, u, rho, state.grid)
     if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(u)) and np.all(np.isfinite(rho))):
-        raise BlowUp(state.t, "step output")
+        raise PhysicsEvent("blow-up", float(state.t),
+                           f"non-finite values in step output; last valid time t={state.t:.6g}")
     history.push(state.t, dt, p_pred, p_corr)
     history.carried = (new, psi_hat, u_hat, fields)
     return new
@@ -418,13 +399,14 @@ def step(state, params, dt, *, history=None):
 def adaptive_dt(state, config):
     """CFL-limited step: min(cfl * dx / (||u||_inf + c0), dt_max) with
     c0 = max(1, k_max/2) covering the explicit dispersive residuals; a
-    proposal below dt_min raises CflViolation."""
+    proposal below dt_min raises a "cfl" PhysicsEvent."""
     g = state.grid
     umax = lp_norm(g, state.u, np.inf)
     c0 = max(1.0, 0.5 * g.k_max)
     proposal = config.cfl * min(g.dx) / (umax + c0)
     if proposal < config.dt_min:
-        raise CflViolation(proposal, config.dt_min, state.t)
+        raise PhysicsEvent("cfl", state.t, f"CFL-admissible dt {proposal:.3e} below dt_min "
+                                           f"{config.dt_min:.3e} at t={state.t:.6g}")
     return min(proposal, config.dt_max)
 
 
@@ -470,9 +452,10 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     grad(psi) from the slot; run() holds none of them while the next step
     runs.
 
-    Density-floor violations, blow-ups, CFL failures and a pressure
-    projection that misses its tolerance end the run early with a structured
-    event on the trajectory; the records collected so far are kept.
+    A PhysicsEvent (a density-floor breach, a blow-up, a CFL failure) or a
+    pressure projection that misses its tolerance ends the run early: the
+    trajectory's event is the PhysicsEvent, of kind "projection" for the
+    latter, and the records collected so far are kept.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -494,14 +477,9 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
             dt = adaptive_dt(state, config) if config.adaptive else config.dt_init
             dt = min(dt, horizon - state.t)
             new_state = step(state, params, dt, history=history)
-        except DensityFloorViolation as exc:
-            event = PhysicsEvent("density-floor", exc.time, str(exc), exc.location, exc.value)
-            break
-        except BlowUp as exc:
-            event = PhysicsEvent("blow-up", exc.last_valid_time, str(exc))
-            break
-        except CflViolation as exc:
-            event = PhysicsEvent("cfl", exc.time, str(exc))
+        except PhysicsEvent as exc:
+            # without its traceback the event holds no step frame or field
+            event = exc.with_traceback(None)
             break
         except ProjectionNotConverged as exc:
             event = PhysicsEvent("projection", state.t, str(exc))

@@ -29,6 +29,12 @@ tracer, which wraps them by name.  momentum_source_conservative is the one
 independent form, the cross-check: it differs from the non-conservative
 source by a pure gradient plus the mass-exchange drag term.
 
+A run is admissible while the density stays above the floor eps and the
+fields stay finite.  PhysicsEvent is the one exception that ends a run
+which leaves that set or whose step cannot be taken, with a kind, a time
+and a message: density_floor_check raises the "density-floor" kind, the
+integrator the others, and run() keeps the event on the trajectory.
+
 Every nonlinear product is truncated by the 2/3 rule.  In the velocity
 right-hand side one truncation covers the whole acceleration: the momentum
 source enters it untruncated, and the advection is the divergence form
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_constraints, pointwise_dot, require_finite
+from .grid import Grid, check_constraints, pointwise_dot
 from .spectral import plan_for
 
 
@@ -110,36 +116,39 @@ class State:
             raise ValueError("u must be a real vector field on the state grid")
         if not g.is_scalar(self.rho) or np.iscomplexobj(self.rho):
             raise ValueError("rho must be a real scalar field on the state grid")
-        require_finite(self.psi, "psi")
-        require_finite(self.u, "u")
-        require_finite(self.rho, "rho")
+        for name in ("psi", "u", "rho"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite values")
         return self
 
     def copy(self):
         return State(self.t, self.psi.copy(), self.u.copy(), self.rho.copy(), self.grid)
 
 
-class DensityFloorViolation(Exception):
-    """The density dropped to the configured floor; carries the event data."""
+class PhysicsEvent(Exception):
+    """A run left the admissible set, on which the weak-strong uniqueness
+    argument holds, or could not take its step: the one exception that ends
+    a run early, kept as the trajectory's event.
 
-    def __init__(self, time, location, value, floor):
-        self.time = float(time)
-        self.location = tuple(int(i) for i in location)
-        self.value = float(value)
-        self.floor = float(floor)
-        super().__init__(
-            f"density {value:.6g} fell below the floor {floor:.6g} "
-            f"at t={time:.6g}, node {self.location}"
-        )
+    kind     -- "density-floor", "blow-up", "cfl" or "projection"
+    time     -- when it happened: the stage time of a floor breach, the last
+                valid time of a blow-up, the start of the step otherwise
+    message  -- the text str(event) gives
+    location -- the grid node of a floor breach, else None
+    value    -- the density there, else None
+    """
 
+    def __init__(self, kind, time, message, location=None, value=None):
+        super().__init__(message)
+        self.kind = kind
+        self.time = time
+        self.message = message
+        self.location = location
+        self.value = value
 
-class BlowUp(Exception):
-    """Non-finite values appeared; carries the last valid time."""
-
-    def __init__(self, last_valid_time, where):
-        self.last_valid_time = float(last_valid_time)
-        self.where = where
-        super().__init__(f"non-finite values in {where}; last valid time t={last_valid_time:.6g}")
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the event from its fields, not from args
+        return PhysicsEvent, (self.kind, self.time, self.message, self.location, self.value)
 
 
 def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params):
@@ -247,13 +256,15 @@ def momentum_source_conservative(state, params, coupling=None):
 
 
 def density_floor_check(rho, params, time):
-    """Raise DensityFloorViolation, stamped with time, if the density rho
-    dips below the floor anywhere."""
+    """Raise a "density-floor" PhysicsEvent, stamped with time, the node and
+    the value there, if the density rho dips below the floor anywhere."""
     idx_flat = int(np.argmin(rho))
     value = float(rho.flat[idx_flat])
     if value < params.eps:
-        loc = np.unravel_index(idx_flat, rho.shape)
-        raise DensityFloorViolation(time, loc, value, params.eps)
+        loc = tuple(int(i) for i in np.unravel_index(idx_flat, rho.shape))
+        raise PhysicsEvent("density-floor", float(time),
+                           f"density {value:.6g} fell below the floor {params.eps:.6g} "
+                           f"at t={time:.6g}, node {loc}", loc, value)
 
 
 def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params):

@@ -38,7 +38,7 @@ from .diagnostics import cumulative_trapezoid, trapezoid_steps
 from .grid import check_constraints, pointwise_dot
 from .initial_conditions import lattice_wavevector
 from .integrator import run
-from .model import coupling_hat
+from .model import PhysicsEvent, coupling_hat
 from .spectral import plan_for
 
 TARGETS = ("psi", "u", "rho", "all")
@@ -231,7 +231,7 @@ class StabilityReport:
     driver_integral: float
     determinism_failure: bool
     amplitude: float
-    event: Optional[object] = None
+    event: Optional[PhysicsEvent] = None   # the base run's, else the perturbed run's
     notes: list = field(default_factory=list)
 
     @property
@@ -311,13 +311,14 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
     at each record, which depends on the base alone, is computed once per
     params and bundle and kept on the base (Trajectory.moderate_halves).  A
     base without a stored state for every record is a ValueError.  An
-    unknown bundle is rejected before any run.
+    unknown bundle is rejected before any run.  A run that ends early with a
+    physics event leaves the records to the states both runs reached; the
+    report's event is the base run's, else the perturbed run's, and its
+    notes name each run that ended early.
     """
     check_constraints(bundle_constraints(bundle))
     if base is None:
         base = run(initial, params, step_config, horizon, store_states=True, diagnostics=False)
-    if base.event is not None:
-        raise RuntimeError(f"base run did not reach the horizon: {base.event.message}")
     if not base.snapshots or (base.records and len(base.snapshots) != len(base.records)):
         raise ValueError("the base trajectory lacks a state per record: run it with store_states=True")
     perturbed = run(perturb_state(initial, spec, params), params, step_config, horizon,
@@ -346,9 +347,8 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
         determinism_failure = any(r.total > 1e-20 * scale for r in records)
 
     c_hat, margin, total_h = fit_envelope(records) if spec.amplitude > 0 else (None, None, 0.0)
-    notes = []
-    if perturbed.event is not None:
-        notes.append(f"perturbed run ended early: {perturbed.event.message}")
+    notes = [f"{label} run ended early: {traj.event.message}"
+             for label, traj in (("base", base), ("perturbed", perturbed)) if traj.event is not None]
     return StabilityReport(
         records=records,
         c_hat=c_hat,
@@ -356,7 +356,7 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
         driver_integral=total_h,
         determinism_failure=determinism_failure,
         amplitude=spec.amplitude,
-        event=perturbed.event,
+        event=base.event or perturbed.event,
         notes=notes,
     )
 

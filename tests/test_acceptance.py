@@ -298,6 +298,25 @@ def test_criterion_8_density_floor_semantics(tmp_path, capsys, reference_runs):
     assert worst < ceiling
 
 
+def test_stability_reports_a_base_run_floor_event_as_simulate_does(tmp_path, capsys):
+    # a base run that ends early is a physics event with exit code 1, as
+    # for simulate and the perturbed run, not a configuration error
+    cfg_path = tmp_path / "floor.cfg"
+    cfg_path.write_text(FLOOR_CONFIG + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg_path)]) == 1
+    event_line = capsys.readouterr().out.splitlines()[-1]
+    assert event_line.startswith("physics event [density-floor] at t=0.026")
+    assert cli_main(["stability", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert "verdict: FAIL" in lines and lines[-1] == event_line
+    notes = [ln for ln in (tmp_path / "out" / "stability.csv").read_text().splitlines()
+             if ln.startswith("# note: ")]
+    assert [ln.split(" ended early: ")[0] for ln in notes] == ["# note: base run",
+                                                              "# note: perturbed run"]
+
+
 def test_criterion_9_format_contracts(tmp_path, rng):
     # snapshot round trip is bitwise
     grid = make_grid(2, [32, 32], [2 * np.pi, 2 * np.pi])

@@ -134,6 +134,27 @@ def test_stability_without_a_fitted_margin_is_inconclusive(tmp_path, capsys):
     assert "verdict: inconclusive" in lines
 
 
+def test_simulate_rejects_a_snapshot_holding_a_nan(tmp_path, capsys):
+    # non-finite initial data is a configuration error (exit code 2), not a
+    # traceback with the exit code of a physics event
+    from pitaevskii.config import parse_config
+    from pitaevskii.initial_conditions import build_initial_state
+    from pitaevskii.snapshot_io import write_snapshot
+
+    small = parse_config(SMALL_RUN)
+    state = build_initial_state(small.grid.build(), small.params, small.ic)
+    state.psi[3, 5] = np.nan
+    snap = tmp_path / "nan.pitv"
+    write_snapshot(state, small.params, snap)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN + f"ic.family = snapshot\nic.path = {snap}\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: psi contains non-finite values\n"
+
+
 def test_snapshot_cadence(tmp_path, capsys):
     # every third step plus the initial and final states, written as the run
     # takes them

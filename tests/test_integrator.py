@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from pitaevskii.diagnostics import energy_budget
 from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import build_initial_state, plane_wave_state, smooth_state
 from pitaevskii.integrator import (
-    CflViolation,
     StepConfig,
     StepHistory,
     _psi_and_gradient,
@@ -19,7 +20,7 @@ from pitaevskii.integrator import (
     run,
     step,
 )
-from pitaevskii.model import DensityFloorViolation, Params, State
+from pitaevskii.model import Params, PhysicsEvent, State
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import reduced_ode_oracle
@@ -132,8 +133,9 @@ def test_adaptive_dt_formula(grid2d):
     ratio = adaptive_dt(st_fast, cfg) / adaptive_dt(st_faster, cfg)
     assert ratio == pytest.approx(2.0, rel=0.05)
 
-    with pytest.raises(CflViolation):
+    with pytest.raises(PhysicsEvent) as err:
         adaptive_dt(st_faster, StepConfig(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3))
+    assert err.value.kind == "cfl"
 
 
 def test_run_zero_horizon(grid2d):
@@ -268,8 +270,9 @@ def test_density_floor_breach_at_the_midpoint_is_stamped_there(grid1d):
     t0, dt = 0.25, 0.125
     st = State(t0, psi.astype(complex), np.zeros((1,) + grid1d.shape),
                np.full(grid1d.shape, 1.0), grid1d)
-    with pytest.raises(DensityFloorViolation) as err:
+    with pytest.raises(PhysicsEvent) as err:
         step(st, params, dt)
+    assert err.value.kind == "density-floor"
     assert err.value.time == t0 + 0.5 * dt
     assert err.value.value < params.eps
 
@@ -285,17 +288,6 @@ def one_iteration_projection(monkeypatch):
     monkeypatch.setattr(SpectralPlan, "weighted_leray_hat", capped)
 
 
-def test_projection_failure_event(grid2d, one_iteration_projection):
-    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
-    st = smooth_2d_state(grid2d, m=params.m, M=params.M)
-    traj = run(st, params, StepConfig(dt_init=1e-3), 0.01)
-    assert traj.event is not None
-    assert traj.event.kind == "projection"
-    assert traj.event.time == 0.0
-    assert "did not converge" in traj.event.message
-    assert len(traj.records) == 1
-
-
 def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection):
     cfg = tmp_path / "contrast.cfg"
     cfg.write_text("grid.d = 2\ngrid.n = 16, 16\nparams.m = 0.1\nparams.M = 10.0\n"
@@ -303,6 +295,56 @@ def test_projection_failure_exit_code(tmp_path, capsys, one_iteration_projection
                    f"experiment.T = 0.002\noutput.dir = {tmp_path / 'out'}\n")
     assert cli_main(["simulate", str(cfg)]) == 1
     assert "physics event [projection]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["density-floor", "blow-up", "cfl", "projection"])
+def test_run_keeps_one_event_per_kind_without_its_traceback(grid2d, request, monkeypatch, kind):
+    # each way a run ends early gives one PhysicsEvent, kept without the
+    # traceback that would hold the failed step's frames and fields, and
+    # the records taken before it
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    initial, cfg = smooth_2d_state(grid2d), StepConfig(dt_init=1e-3)
+    if kind == "density-floor":
+        params = Params(lam=5.0, mu=0.05, nu=0.1, m=1.0, M=1.0, eps=0.98)
+        initial, cfg = _floor_breach_2d(grid2d), StepConfig(dt_init=4e-3)
+    elif kind == "blow-up":
+        fluid = integrator._fluid_substep
+
+        def nan_velocity(*args):
+            u, *rest = fluid(*args)
+            return (np.full_like(u, np.nan), *rest)
+
+        monkeypatch.setattr(integrator, "_fluid_substep", nan_velocity)
+    elif kind == "cfl":
+        cfg = StepConfig(dt_init=0.5, dt_min=0.5, dt_max=0.5, adaptive=True)
+    else:
+        request.getfixturevalue("one_iteration_projection")
+        params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+        initial = smooth_2d_state(grid2d, m=params.m, M=params.M)
+    traj = run(initial, params, cfg, 0.05)
+    event = traj.event
+    assert isinstance(event, PhysicsEvent) and event.kind == kind
+    assert len(traj.records) == (7 if kind == "density-floor" else 1)
+    assert event.__traceback__ is None
+    assert str(event) == event.message
+    fields = (event.kind, event.time, event.message, event.location, event.value)
+    copied = pickle.loads(pickle.dumps(event))
+    assert (copied.kind, copied.time, copied.message, copied.location, copied.value) == fields
+    if kind == "density-floor":
+        assert event.time == pytest.approx(0.026, rel=1e-12)
+        assert event.location == (21, 0) and event.value < params.eps
+        assert event.message == (f"density {event.value:.6g} fell below the floor 0.98 at "
+                                 f"t=0.026, node (21, 0)")
+        return
+    assert event.time == 0.0 and event.location is None and event.value is None
+    if kind == "projection":
+        assert event.message.startswith("density-weighted projection did not converge: ")
+        assert event.message.endswith(" after 1 iterations")
+        return
+    assert event.message == {
+        "blow-up": "non-finite values in step output; last valid time t=0",
+        "cfl": "CFL-admissible dt 9.350e-03 below dt_min 5.000e-01 at t=0",
+    }[kind]
 
 
 @pytest.mark.parametrize("m, M, eps, adaptive", [
@@ -781,7 +823,11 @@ def test_run_without_diagnostics_takes_the_same_steps(grid2d, monkeypatch, case)
     assert measured == [] and bare.records == [] and len(bare.times) == 0
     assert len(seen) == len(full.records) - 1 > 2
     assert bare_seen == [(t, None) for t, _ in seen]
-    assert (full.event is None) == (case != "density-floor") and bare.event == full.event
+    # an event compares by identity, so its fields are compared
+    fields = [None if e is None else (e.kind, e.time, e.message, e.location, e.value)
+              for e in (full.event, bare.event)]
+    assert (full.event is None) == (case != "density-floor") and fields[1] == fields[0]
+    assert full.event is None or full.event.kind == "density-floor"
     if case == "adaptive":
         assert len(np.unique(np.diff(full.times)[:-1])) > 1
     states = full.snapshots + [full.final_state]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pitaevskii.model import (
-    DensityFloorViolation,
     Params,
+    PhysicsEvent,
     State,
     coupling_term,
     density_floor_check,
@@ -299,8 +299,9 @@ def test_velocity_rhs_exchange_is_the_mass_source(d, n):
 def test_density_floor_check_reports_the_node(grid2d):
     rho = np.full(grid2d.shape, 1.0)
     rho.flat[7] = PARAMS.eps / 2
-    with pytest.raises(DensityFloorViolation) as err:
+    with pytest.raises(PhysicsEvent) as err:
         density_floor_check(rho, PARAMS, 0.125)
+    assert err.value.kind == "density-floor"
     assert err.value.time == 0.125
     assert err.value.value == pytest.approx(PARAMS.eps / 2)
     assert err.value.location == np.unravel_index(7, grid2d.shape)

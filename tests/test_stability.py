@@ -401,7 +401,7 @@ def test_a_short_pair_takes_the_base_rate_centred_at_its_last_record(grid2d, mon
     # a perturbed run that ends early leaves the base holding the state after
     # its last pair: the moderate dt u there is centred, not one-sided
     from pitaevskii import stability
-    from pitaevskii.integrator import PhysicsEvent
+    from pitaevskii.model import PhysicsEvent
 
     def truncated(*args, **kwargs):
         traj = run(*args, **kwargs)

@@ -90,6 +90,11 @@ MUTANTS = (
     Mutant("horizon-slack-1e-6", "pitaevskii.integrator:run",
            "tiny = 1e-12 * max(1.0, horizon)", "tiny = 1e-6 * max(1.0, horizon)",
            ("tests/test_integrator.py::test_run_takes_a_last_step_of_1e9_to_the_horizon",)),
+    # a stored event that keeps its traceback holds the failed step's frames
+    # and fields for as long as the trajectory lives
+    Mutant("stored-event-keeps-its-traceback", "pitaevskii.integrator:run",
+           "event = exc.with_traceback(None)", "event = exc",
+           ("tests/test_integrator.py::test_run_keeps_one_event_per_kind_without_its_traceback",)),
     Mutant("projector-check-on-the-projected-field", "pitaevskii.cli:cmd_validate",
            "float(np.abs(st.u + plan.gradient(chi) - v).max() / vmax)",
            "float(np.abs(st.u + plan.gradient(chi) - st.u - plan.gradient(chi)).max() / vmax)",
