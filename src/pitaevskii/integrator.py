@@ -25,11 +25,14 @@ One step of size dt is the composition
   - the constant-coefficient pressure split (SpectralPlan.split_leray_hat):
     (1/rho) grad p = (1/rho0) grad p + (1/rho - 1/rho0) grad p*, with rho0
     the stage density's minimum and p* the pressure extrapolated from the
-    history, so the stage costs one exact Leray projection and one flux (d
-    inverse and d forward transforms) instead of an iteration.  A stage
-    takes it when the history holds a step that started before this one
-    and the stage density's contrast max/min is below SPLIT_MAX_CONTRAST
-    (4): from a run's second step on.  A run's first step, a lone step()
+    history.  The stage's acceleration takes -(1/rho) grad p* in with its
+    viscous term (model.velocity_rhs_hat), so the remainder passes through
+    the acceleration's transforms and its 2/3 truncation, and
+    (1/rho0) grad p* is a gradient the projection removes.  The split then
+    costs one exact Leray projection on spectra, with no transform and no
+    iteration.  A stage takes it when the history holds a step that
+    started before this one and the stage density's contrast max/min is
+    below SPLIT_MAX_CONTRAST (4): from a run's second step on.  A run's first step, a lone step()
     and every stage from contrast 4 on solve by PCG.
 * run() carries a StepHistory from step to step.  It holds:
   - the pressure spectra of the last four steps.  A PCG solve starts from
@@ -49,12 +52,15 @@ One step of size dt is the composition
     takes back in one inverse transform at its end.  measure() reads the
     spectra and grad(psi) from it, and the next step empties it and starts
     from it instead of transforming the state again;
-  - the wave propagator of the last step size, reused while dt and the
+  - the wave propagator and the fluid stages' Helmholtz factor
+    1/(1 + alpha |k|^2) of the last step size, reused while dt and the
     parameters stay the same.
   Below contrast 4 a run and a loop of lone step() calls are therefore two
   discretizations, whose gap falls with dt: at 32^2 over 10 * 2^-10 it is
-  1.6e-10 relative in u at dt = 2^-10, 1.1e-11 at 2^-11 and 1.3e-12 at
-  2^-12.
+  1.6e-10 relative in u at dt = 2^-10, 1.1e-11 at 2^-11 and 1.6e-12 at
+  2^-12, down to the gap between the split's truncated remainder and
+  PCG's untruncated correction, which falls with the grid instead (5.6e-13
+  at 2^-13).
   From contrast 4 on both solve every stage to the same PCG tolerance and
   agree to round-off times that tolerance.
 * The density advances with the same midpoint staging: spectral dealiased
@@ -166,14 +172,22 @@ def _wave_substep(plan, psi_hat, fields, u, params, tau, lin):
     return lin * (lin * psi_hat + tau * nonlinear_hat(_psi_and_gradient(plan, mid_hat)))
 
 
-def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, rho_bar):
+def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, p_star):
     """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
-    part, and the exchange field Re(conj(psi) C[psi]); u_hat is the
-    spectrum of u, psi_hat, grad_psi and psi2 the spectrum, gradient and
-    squared modulus of the frozen psi."""
+    part, rho_bar = (m+M)/2, with -grad(p*) / rho in it for the pressure
+    split's p* (p_star, None for PCG), and the exchange field
+    Re(conj(psi) C[psi]); u_hat is the spectrum of u, psi_hat, grad_psi and
+    psi2 the spectrum, gradient and squared modulus of the frozen psi."""
     accel_hat, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho,
-                                           params)
-    return accel_hat + (params.nu / rho_bar) * plan.tables(u_hat).k2 * u_hat, exchange
+                                           params, p_star)
+    nu_bar = 2.0 * params.nu / (params.m + params.M)
+    return accel_hat + nu_bar * plan.tables(u_hat).k2 * u_hat, exchange
+
+
+def _helmholtz_alpha(params, dt):
+    """The Crank-Nicolson coefficient nu dt / (2 rho_bar) of a fluid step of
+    size dt, at the reference density rho_bar = (m+M)/2."""
+    return params.nu * dt / (params.m + params.M)
 
 
 def _density_rhs(plan, u, rho, params, exchange):
@@ -200,7 +214,7 @@ class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
     spectra of the last four steps, which start both projections of the
     next one, the accepted state with what step() formed of it, and the
-    wave propagator of the last step size.
+    wave propagator and Helmholtz factor of the last step size.
 
     Pressures: each entry holds a step's start time, its dt, its predictor
     pressure and its corrector - predictor offset.  Every guess for a step
@@ -236,14 +250,14 @@ class StepHistory:
     returned.  run() reads them for measure(); the next step() takes the
     slot, empties it and uses what it holds only if it is for that very
     state object, so the stack lives until that step's first wave stage and
-    no longer.  The propagator is reused only for the same plan, tau and
+    no longer.  The propagators are reused only for the same plan, dt and
     params.
     """
 
     def __init__(self):
         self._steps = []      # (start time, dt, predictor, corrector - predictor), newest last
         self.carried = None
-        self._propagator = None   # (plan, tau, params, lin)
+        self._propagators = None   # (plan, dt, params, lin, helm)
 
     def _before(self, t, count):
         """The last `count` stored steps that started strictly before t."""
@@ -278,15 +292,18 @@ class StepHistory:
         kept = [s for s in self._steps if s[0] != t]
         self._steps = kept[-3:] + [(t, dt, predictor, corrector - predictor)]
 
-    def propagator(self, plan, psi_hat, params, tau):
-        """_wave_propagator(plan, psi_hat, params, tau), reused while the
-        plan, tau and params stay those of the last call."""
-        cached = self._propagator
-        if cached is not None and cached[0] is plan and cached[1] == tau and cached[2] == params:
-            return cached[3]
-        lin = _wave_propagator(plan, psi_hat, params, tau)
-        self._propagator = (plan, tau, params, lin)
-        return lin
+    def propagators(self, plan, psi_hat, u_hat, params, dt):
+        """(lin, helm) of a step of size dt: the wave half-steps' propagator
+        _wave_propagator(plan, psi_hat, params, dt/2) and the fluid stages'
+        Helmholtz factor 1/(1 + alpha |k|^2) on u_hat's layout, alpha =
+        _helmholtz_alpha(params, dt); reused while the plan, dt and params
+        stay those of the last call."""
+        cached = self._propagators
+        if cached is None or cached[:3] != (plan, dt, params):
+            cached = self._propagators = (
+                plan, dt, params, _wave_propagator(plan, psi_hat, params, 0.5 * dt),
+                plan.helmholtz_factor(u_hat, _helmholtz_alpha(params, dt)))
+        return cached[3:]
 
 
 # Density contrast max/min from which a stage solves its pressure by PCG
@@ -302,7 +319,7 @@ def _split_applies(rho):
     return float(rho.max()) / float(rho.min()) < SPLIT_MAX_CONTRAST
 
 
-def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, history):
+def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, history, helm):
     """Midpoint IMEX step for (u, rho) with psi frozen; psi_hat and grad_psi
     are the spectrum and gradient of psi, u_hat the spectrum of u.
 
@@ -312,37 +329,36 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     divergence-free.  With uniform density this is the plain Leray
     projection.  Predictor and corrector are one stage body: from (u_s,
     rho_s) it projects the explicit acceleration a (by the pressure split
-    when _split_applies and the history has a p*, else by PCG from the
-    history's guess; see the module docstring), solves
-    (I - alpha lap) u' = start + h a on spectra and advances rho by h,
-    checking the floor at t0 + h.  The predictor starts from u_hat with
-    h = dt/2, the corrector from (1 - alpha |k|^2) u_hat with h = dt and
+    when _split_applies and the history has a p*, which a then carries,
+    else by PCG from the history's guess; see the module docstring), solves
+    (I - alpha lap) u' = start + h a on spectra with helm, the factor
+    1/(1 + alpha |k|^2) of this dt, and advances rho by h, checking the
+    floor at t0 + h.  The predictor starts from u_hat with h = dt/2, the
+    corrector from (1 - alpha |k|^2) u_hat with h = dt and
     the predictor's pressure.  |psi|^2 is formed once, and each stage's
     exchange field Re(conj(psi) C[psi]) serves its drag and its density
     source.  Returns (u, its spectrum, rho, predictor pressure spectrum,
     corrector pressure spectrum).
     """
-    rho_bar = 0.5 * (params.m + params.M)
-    alpha = params.nu * dt / (2.0 * rho_bar)
     psi2 = psi.real ** 2 + psi.imag ** 2
 
     def stage(u_s, u_s_hat, rho_s, start_hat, h, p_pred=None):
-        accel_hat, exchange = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_s,
-                                                    u_s_hat, rho_s, params, rho_bar)
         p_star = history.split_guess(t0, p_pred) if _split_applies(rho_s) else None
+        accel_hat, exchange = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_s,
+                                                    u_s_hat, rho_s, params, p_star)
         if p_star is None:
             accel_hat, p = plan.weighted_leray_hat(
                 accel_hat, rho_s, initial_pressure_hat=history.pcg_guess(t0, p_pred))
         else:
             accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
-        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, alpha)
+        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, helm)
         new = plan.ifft(new_hat, u)
         rho_new = rho + h * _density_rhs(plan, u_s, rho_s, params, exchange)
         density_floor_check(rho_new, params, t0 + h)
         return new, new_hat, rho_new, p
 
     u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, rho, u_hat, 0.5 * dt)
-    start_hat = (1.0 - alpha * plan.tables(u_hat).k2) * u_hat
+    start_hat = (1.0 - _helmholtz_alpha(params, dt) * plan.tables(u_hat).k2) * u_hat
     u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, rho_half, start_hat, dt, p_pred)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
@@ -358,7 +374,8 @@ def step(state, params, dt, *, history=None):
     empties the history's carried slot and starts from the spectra and the
     [psi, grad(psi)] stack it holds if they are for this very state object;
     otherwise, as a lone step(), it forms them from the state.  It takes
-    the wave propagator of an equal step size from the history.  An
+    the wave propagator and Helmholtz factor of an equal step size from the
+    history.  An
     accepted step is pushed onto the history with its dt, and the slot then
     carries its output with that output's spectra and stack.
     """
@@ -375,14 +392,14 @@ def step(state, params, dt, *, history=None):
         carried = None   # the old stack goes with the first wave stage
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
-        lin = history.propagator(plan, psi_hat, params, tau)
+        lin, helm = history.propagators(plan, psi_hat, u_hat, params, dt)
         psi_hat = _wave_substep(plan, psi_hat, fields, state.u, params, tau, lin)
         # the frozen psi and grad(psi) of the fluid substep start the second
         # wave half-step
         fields = _psi_and_gradient(plan, psi_hat)
         u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:],
                                                        state.u, u_hat, state.rho, params, dt,
-                                                       state.t, history)
+                                                       state.t, history, helm)
         psi_hat = _wave_substep(plan, psi_hat, fields, u, params, tau, lin)
         fields = _psi_and_gradient(plan, psi_hat)
     # a copy, so that the state does not hold the carried stack
@@ -445,7 +462,7 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     stability harness pairs them at desk scales.
 
     One StepHistory carries pressures, the accepted state with its spectra
-    and [psi, grad(psi)] stack, and the wave propagator from step to step,
+    and [psi, grad(psi)] stack, and the propagators from step to step,
     so from the second step on a stage below contrast 4 takes the pressure
     split (see the module docstring).  run() fills its carried slot for the
     ingested state, and measure() reads each accepted state's spectra and

@@ -40,11 +40,13 @@ right-hand side one truncation covers the whole acceleration: the momentum
 source enters it untruncated, and the advection is the divergence form
 -div(u u), which equals -u.grad(u) for solenoidal u.  Initial data is
 ingested band-limited, and psi and rho stay inside the dealias ball.  u
-stays there only up to the correction (1/rho) grad(p) of the
+leaves it only through PCG's correction (1/rho) grad(p) in the
 density-weighted projection, which is not truncated and leaves a small
 fraction of u's norm outside (1e-11 to 1e-7 of its fluctuation norm at
-64^2, growing with the density contrast).  Truncation makes the
-quadratic-form and source-equivalence identities below hold to round-off
+64^2, growing with the density contrast).  The pressure split's remainder
+enters the velocity right-hand side as -grad(p*) / rho and is truncated
+with it, so a split stage adds nothing outside the ball.  Truncation makes
+the quadratic-form and source-equivalence identities below hold to round-off
 on the discrete grid.
 """
 
@@ -267,25 +269,31 @@ def density_floor_check(rho, params, time):
                            f"at t={time:.6g}, node {loc}", loc, value)
 
 
-def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params):
+def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, p_star=None):
     """Spectrum of the pre-projection acceleration of the non-conservative
-    momentum equation, -div(u u) + (nu lap(u) + momentum source) / rho,
-    and the exchange field Re(conj(psi) C[psi]), which the density equation's
-    source 2 lam Re(conj(psi) C[psi]) shares with the source's drag.  One
-    2/3-rule truncation covers the whole sum, the untruncated source
+    momentum equation, -div(u u) + (nu lap(u) - grad(p*) + momentum
+    source) / rho, and the exchange field Re(conj(psi) C[psi]), which the
+    density equation's source 2 lam Re(conj(psi) C[psi]) shares with the
+    source's drag.  p_star is the spectrum of p*, which the pressure split
+    (SpectralPlan.split_leray_hat) passes and the density-weighted
+    projection does not (None: no pressure term).  One 2/3-rule truncation
+    covers the whole sum, the untruncated source and grad(p*) / rho
     included; the divergence form of the advection equals -u.grad(u) for
     solenoidal u.  psi_hat, grad_psi and psi2 = psi.real**2 + psi.imag**2
     are the spectrum, gradient and squared modulus of psi, u_hat the
     spectrum of u.  Three transform calls besides the coupling's two (its
-    forward transform and C[psi] back to physical space): lap(u) back to
-    physical space, and (nu lap(u) + source) / rho forward together with
-    the d(d+1)/2 products u_i u_j, stacked in one call."""
+    forward transform and C[psi] back to physical space):
+    nu lap(u) - grad(p*) back to physical space, and
+    (nu lap(u) - grad(p*) + source) / rho forward together with the
+    d(d+1)/2 products u_i u_j, stacked in one call."""
     coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2,
                                       params), psi)
     exchange = _exchange_field(psi, coupling)
     tab = plan.tables(u_hat)
-    explicit = plan.ifft(-tab.k2 * u_hat, u)
-    explicit *= params.nu
+    explicit = (-params.nu * tab.k2) * u_hat
+    if p_star is not None:
+        explicit -= tab.ik * p_star
+    explicit = plan.ifft(explicit, u)
     explicit += _momentum_source_raw(grad_psi, u, coupling, exchange, params)
     del coupling
     # -div(u u): d(d+1)/2 forward transforms of the products u_i u_j, where

@@ -45,12 +45,18 @@ Conventions:
   weighted_leray_project is its physical wrapper: it transforms v in and
   (w, p) back out.  The solve either meets its tolerance or raises
   ProjectionNotConverged; it never returns a pressure that missed it.
-  split_leray_hat takes the same spectra and an extrapolated pressure p*
-  in place of the solve: with rho0 the weight's minimum it splits
-  (1/rho) grad p = (1/rho0) grad p + (1/rho - 1/rho0) grad p* and returns
-  one exact Leray projection, for one flux (d inverse and d forward
-  transforms) and no iteration.  The integrator takes it on a run's warm
-  stages of low density contrast.
+  split_leray_hat takes an extrapolated pressure p* in place of the
+  solve: with rho0 the weight's minimum it splits
+  (1/rho) grad p = (1/rho0) grad p + (1/rho - 1/rho0) grad p*.  The caller
+  has already taken -(1/rho) grad p* into the velocity before its
+  truncated forward transform, and the rest of the remainder,
+  (1/rho0) grad p*, is a gradient the projection removes exactly.  So the
+  split is one exact Leray projection on spectra: no transform and no
+  iteration.  The integrator takes it on a run's warm stages of low
+  density contrast.
+* Helmholtz: helmholtz_hat multiplies a spectrum by the factor
+  1/(1 + alpha |k|^2) that helmholtz_factor builds, so a caller that
+  solves with one alpha many times (a run at fixed dt) builds it once.
 * Memory: building the first plan of a process sets glibc's allocator to
   keep freed memory (_retain_heap), so the large temporaries of every step,
   scipy.fft's own buffers and outputs among them, reuse resident pages
@@ -371,29 +377,37 @@ class SpectralPlan:
         return self.leray_hat(vhat - flux_p)[0], phat
 
     def split_leray_hat(self, vhat, weight, pressure_hat):
-        """The constant-coefficient pressure split of weighted_leray_hat:
-        with rho0 = min weight and p* = pressure_hat, an extrapolated
-        pressure spectrum, returns the spectra (what, phat) of (w, p) with
+        """The constant-coefficient pressure split of weighted_leray_hat, on
+        spectra and with no transform.  With rho0 = min weight and p* =
+        pressure_hat, an extrapolated pressure spectrum, the split writes
 
-            w = v - (1/weight - 1/rho0) grad(p*) - (1/rho0) grad(p),
-            div(w) = 0 (to round-off).
+            (1/weight) grad(p) = (1/rho0) grad(p) + (1/weight - 1/rho0) grad(p*)
 
-        (1/weight) grad(p) is split into a constant-coefficient part, which
-        one exact Leray projection removes with p = rho0 chi (chi its
-        gradient potential), and an explicit remainder at p*.  So w differs
-        from weighted_leray_hat's by the Leray projection of
-        (1/weight - 1/rho0) grad(p_w - p*), p_w that solve's pressure, and
-        equals it when p* = p_w.  The cost is one flux: d inverse and d
-        forward transforms, no iteration and no tolerance.  Guermond &
+        and takes its explicit remainder with the acceleration: vhat must be
+        the 2/3-truncated spectrum of v - (1/weight) grad(p*), as
+        model.velocity_rhs_hat forms it from p*.  Since
+        -(1/weight - 1/rho0) grad(p*) = -(1/weight) grad(p*) + (1/rho0) grad(p*)
+        and the Leray projection removes the constant-coefficient gradient
+        (1/rho0) grad(p*) exactly, the split is one exact Leray projection of
+        vhat: returns the spectra (what, phat) of (w, p) with
+
+            w = T[v - (1/weight - 1/rho0) grad(p*)] - (1/rho0) grad(p),
+            div(w) = 0 (to round-off),
+
+        T the 2/3-rule truncation, and p = rho0 chi + T p* on the modes
+        k' != 0, chi the gradient potential of vhat.  So w and p differ from
+        weighted_leray_hat's only through (1/weight - 1/rho0)
+        grad(p_w - p*), p_w that solve's pressure, and the truncation: at
+        p* = p_w and a band-limited v they are T w_w and T p_w.  Guermond &
         Salgado, J. Comput. Phys. 228 (2009); Dong & Shen, J. Comput. Phys.
         231 (2012).
         """
         rho0 = float(np.min(weight))
         if not rho0 > 0:
             raise ValueError(f"projection weight must be positive, got min {rho0}")
-        grad_p = self.ifft(self._half.ik * pressure_hat, weight)
-        what, chihat = self.leray_hat(vhat - self.fft((1.0 / weight - 1.0 / rho0) * grad_p))
-        return what, rho0 * chihat
+        tab = self._half
+        what, chihat = self.leray_hat(vhat)
+        return what, rho0 * chihat + (tab.mask & (tab.inv_kk > 0)) * pressure_hat
 
     def dealias(self, f):
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""
@@ -409,11 +423,19 @@ class SpectralPlan:
         self.grid.check_field(f)
         if alpha == 0:
             return f.copy()
-        return self.ifft(self.helmholtz_hat(self.fft(f), alpha), f)
+        fhat = self.fft(f)
+        return self.ifft(self.helmholtz_hat(fhat, self.helmholtz_factor(fhat, alpha)), f)
 
-    def helmholtz_hat(self, fhat, alpha):
-        """Spectrum of (I - alpha * Laplacian)^-1 applied to spectrum fhat."""
-        return fhat / (1.0 + alpha * self.tables(fhat).k2)
+    def helmholtz_factor(self, fhat, alpha):
+        """1/(1 + alpha |k|^2) on the layout of spectrum fhat: the multiplier
+        of helmholtz_hat, which a caller that solves with one alpha many
+        times builds once."""
+        return 1.0 / (1.0 + alpha * self.tables(fhat).k2)
+
+    def helmholtz_hat(self, fhat, factor):
+        """Spectrum of (I - alpha * Laplacian)^-1 applied to spectrum fhat,
+        factor = helmholtz_factor(fhat, alpha)."""
+        return fhat * factor
 
 
 def plan_for(grid):

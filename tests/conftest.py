@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pitaevskii import integrator
 from pitaevskii.grid import make_grid, pointwise_dot
 from pitaevskii.initial_conditions import gaussian_random_field
 from pitaevskii.model import State, velocity_rhs_hat, wave_nonlinear_hat
-from pitaevskii.spectral import plan_for
+from pitaevskii.spectral import SpectralPlan, plan_for
 
 
 def random_vector_field(grid, rng, kc=3.0, band_limit=True):
@@ -56,6 +57,33 @@ def velocity_accel(state, params):
     accel_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
                                     u, plan.fft(u), state.rho, params)
     return plan.ifft(accel_hat, u)
+
+
+def fold_pressure(plan, vhat, weight, pressure_hat):
+    """vhat - T fft((1/weight) grad(p*)), T the 2/3 truncation: for a
+    band-limited vhat, the acceleration spectrum with the pressure split's
+    p* folded in, as velocity_rhs_hat forms it."""
+    grad_p = plan.ifft(plan.grad_hat(pressure_hat), weight)
+    return vhat - plan.dealias_hat(plan.fft(grad_p / weight))
+
+
+def untruncated_split_leray_hat(plan, vhat, weight, pressure_hat):
+    """The pressure split with an untruncated remainder, which forms its own
+    flux (d inverse and d forward transforms): the exact Leray projection of
+    vhat - fft((1/weight - 1/rho0) grad(p*)), rho0 = min weight, with
+    pressure rho0 chi.  vhat is the acceleration without p*."""
+    rho0 = float(np.min(weight))
+    grad_p = plan.ifft(plan.grad_hat(pressure_hat), weight)
+    what, chihat = plan.leray_hat(vhat - plan.fft((1.0 / weight - 1.0 / rho0) * grad_p))
+    return what, rho0 * chihat
+
+
+def use_untruncated_split(monkeypatch):
+    """Make run() take untruncated_split_leray_hat for the pressure split,
+    its stages' accelerations formed without p*."""
+    accel = integrator._fluid_explicit_accel
+    monkeypatch.setattr(integrator, "_fluid_explicit_accel", lambda *args: accel(*args[:9], None))
+    monkeypatch.setattr(SpectralPlan, "split_leray_hat", untruncated_split_leray_hat)
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import reduced_ode_oracle
 
-from conftest import random_state_fields, smooth_2d_state
+from conftest import random_state_fields, smooth_2d_state, use_untruncated_split
 
 PARAMS = Params(lam=1.0, mu=1.0, nu=0.1, m=0.5, M=1.5, eps=0.2)
 
@@ -386,9 +386,12 @@ def test_split_run_converges_to_cold_steps(grid2d):
     # split, a different discretization from cold step()'s PCG solves: over
     # the same horizon 10 * 2^-10 their gap must fall at least 6x at each
     # halving of dt (a third-order gap falls 8x).  Measured
-    # max|diff|/max|cold|: u 1.61e-10 -> 1.06e-11 -> 1.32e-12 (and 1.65e-13
-    # at 2^-13), psi 1.9e-13 -> 2.4e-14, rho 7.2e-13 -> 8.9e-14; the bounds
-    # at 2^-11 are these with less than 2x headroom
+    # max|diff|/max|cold|: u 1.61e-10 -> 1.06e-11 -> 1.62e-12, psi 1.9e-13
+    # -> 2.5e-14, rho 7.2e-13 -> 8.9e-14; the bounds at 2^-11 are these with
+    # less than 2x headroom.  At 2^-13 u's gap is 5.6e-13: the split's
+    # remainder is truncated and PCG's correction is not, a gap that falls
+    # with the grid, not with dt (1.32e-12 and 1.65e-13 at 2^-12 and 2^-13
+    # with an untruncated remainder)
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     initial = smooth_2d_state(grid2d)
     horizon = 10 * 2.0 ** -10
@@ -413,9 +416,10 @@ def test_split_run_converges_to_cold_steps(grid2d):
 
 def test_run_drops_the_propagator_when_dt_changes(grid2d):
     # horizon 7.5 dt: the last step is clamped to dt/2, so the wave
-    # propagator the history carries from the seven full steps must not be
-    # reused for it.  The replay takes the same steps through one shared
-    # history, as run() does, whose propagator is built afresh on every call
+    # propagator and the Helmholtz factor the history carries from the seven
+    # full steps must not be reused for it.  The replay takes the same steps
+    # through one shared history, as run() does, whose propagators are built
+    # afresh on every call
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     dt = 2.0 ** -10
     initial = smooth_2d_state(grid2d)
@@ -424,8 +428,8 @@ def test_run_drops_the_propagator_when_dt_changes(grid2d):
     assert np.diff(traj.times)[-1] == 0.5 * dt
 
     class Rebuilding(StepHistory):
-        def propagator(self, plan, psi_hat, params, tau):
-            return StepHistory().propagator(plan, psi_hat, params, tau)
+        def propagators(self, plan, psi_hat, u_hat, params, dt):
+            return StepHistory().propagators(plan, psi_hat, u_hat, params, dt)
 
     history = Rebuilding()
     replay = ingest(initial, params)
@@ -664,8 +668,9 @@ def test_split_guesses_are_exact_on_lines_in_time():
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     # 8 steps: at contrast 1.44 and 3.90 (just below the split's threshold
-    # of 4) PCG solves only the two stages of the first step, the split the
-    # other fourteen; at contrast 16 PCG solves all sixteen
+    # of 4) PCG solves only the two stages of the first step, the split's
+    # body split_leray_hat the other fourteen; at contrast 16 PCG solves all
+    # sixteen
     calls = []
 
     def counting(name):
@@ -687,6 +692,68 @@ def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
         assert calls.count("weighted_leray_hat") == weighted
         assert calls.count("split_leray_hat") == 16 - weighted
         assert calls[:2] == ["weighted_leray_hat"] * 2
+
+
+def test_truncated_split_converges_to_the_untruncated_split_with_the_grid(monkeypatch):
+    # the split's remainder rides the acceleration's 2/3 truncation; the
+    # untruncated split keeps its modes outside the dealias ball.  Their
+    # gap in u after 20 steps at the default contrast is spectrally small in
+    # the grid: measured 1.1e-7 at 16^2, 4.6e-13 at 32^2, 1.4e-16 at 64^2
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
+    config = StepConfig(dt_init=5e-4)
+    gaps = []
+    for n in (16, 32, 64):
+        initial = smooth_2d_state(make_grid(2, [n, n], [2 * np.pi] * 2))
+        finals = []
+        for untruncated in (False, True):
+            if untruncated:
+                use_untruncated_split(monkeypatch)
+            traj = run(initial, params, config, 20 * config.dt_init, diagnostics=False)
+            assert traj.event is None
+            finals.append(traj.final_state.u)
+            monkeypatch.undo()
+        truncated, untruncated = finals
+        gaps.append(float(np.abs(truncated - untruncated).max() / np.abs(untruncated).max()))
+    coarse, mid, fine = gaps
+    assert 1e-9 < coarse < 1e-5
+    assert mid <= 1e-3 * coarse
+    assert fine <= 1e-2 * mid
+
+
+def test_split_steps_add_nothing_outside_the_dealias_ball(grid2d, monkeypatch):
+    # on a warm split run at contrast 3.9 only the first step's PCG
+    # correction puts modes of u outside the 2/3 ball (2.1e-10 of max|u_hat|
+    # at 32^2).  Later steps leave them as they are: outside the ball the
+    # projected acceleration is only the explicit (nu/rho_bar) lap(u), which
+    # the Crank-Nicolson solve at rho_bar cancels.  So u's out-of-ball part
+    # stays where the first step left it, to round-off (measured 2e-16 of
+    # max|u_hat| a step); the untruncated split adds 2.1e-10 a step
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=1.0, M=4.84, eps=0.5)
+    plan = plan_for(grid2d)
+    outside = ~plan.tables(plan.fft(grid2d.meshes()[0])).mask
+    dt = 2.0 ** -11
+    initial = smooth_2d_state(grid2d, m=params.m, M=params.M)
+
+    def outside_ball(untruncated):
+        """u's out-of-ball part after the first step and the most a later
+        step changed it, relative to max|u_hat|."""
+        if untruncated:
+            use_untruncated_split(monkeypatch)
+        spectra = []
+        traj = run(initial, params, StepConfig(dt_init=dt), 8 * dt,
+                   observers=[lambda t, st, rec: spectra.append(plan.fft(st.u))],
+                   diagnostics=False)
+        monkeypatch.undo()
+        assert traj.event is None and len(spectra) == 8
+        scale = max(np.abs(u_hat).max() for u_hat in spectra)
+        parts = [u_hat * outside for u_hat in spectra]
+        added = max(float(np.abs(b - a).max()) for a, b in zip(parts, parts[1:]))
+        return float(np.abs(parts[0]).max()) / scale, added / scale
+
+    first, added = outside_ball(False)
+    assert first > 1e-12
+    assert added <= 1e-15
+    assert outside_ball(True)[1] > 1e-11
 
 
 def test_run_takes_a_last_step_of_1e9_to_the_horizon(grid2d):

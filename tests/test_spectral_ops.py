@@ -4,7 +4,8 @@ import pytest
 from pitaevskii.norms import inner_product, lp_norm
 from pitaevskii.spectral import ProjectionNotConverged, plan_for
 
-from conftest import gaussian_random_field, random_vector_field
+from conftest import (fold_pressure, gaussian_random_field, random_vector_field,
+                      untruncated_split_leray_hat)
 
 
 def test_gradient_single_mode(grid2d):
@@ -249,24 +250,33 @@ def test_weighted_projection_warm_start_at_the_solution_takes_no_iteration(grid2
 
 def test_split_projection_at_the_solved_pressure_is_the_weighted_projection(grid2d, rng):
     # p* = the solved pressure makes the split's explicit remainder the whole
-    # variable-coefficient part, so it returns the same velocity and
-    # pressure; any p* leaves a divergence-free velocity; uniform weight is
-    # the plain Leray projection whatever p*
+    # variable-coefficient part.  Without truncation the split returns the
+    # weighted projection's velocity and pressure; the split takes its
+    # remainder with the acceleration's 2/3 truncation T (fold_pressure), so
+    # for a band-limited v it returns their truncations T w and T p.  Any p*
+    # leaves a divergence-free velocity; at uniform weight the split is the
+    # weighted projection, the plain Leray projection, whatever p*
     plan = plan_for(grid2d)
     g = gaussian_random_field(grid2d, rng, kc=4.0)
     rho = 1.44 ** ((g - g.min()) / (g.max() - g.min()))     # [1, 1.44]
     vhat = plan.fft(random_vector_field(grid2d, rng))
     what, phat = plan.weighted_leray_hat(vhat, rho, tol=1e-12)
-    what_s, phat_s = plan.split_leray_hat(vhat, rho, phat)
-    assert np.abs(phat_s - phat).max() <= 1e-10 * np.abs(phat).max()
-    assert np.abs(what_s - what).max() <= 1e-10 * np.abs(what).max()
+    what_x, phat_x = untruncated_split_leray_hat(plan, vhat, rho, phat)
+    assert np.abs(phat_x - phat).max() <= 1e-10 * np.abs(phat).max()
+    assert np.abs(what_x - what).max() <= 1e-10 * np.abs(what).max()
+    what_s, phat_s = plan.split_leray_hat(fold_pressure(plan, vhat, rho, phat), rho, phat)
+    assert np.abs(phat_s - plan.dealias_hat(phat)).max() <= 1e-10 * np.abs(phat).max()
+    assert np.abs(what_s - plan.dealias_hat(what)).max() <= 1e-10 * np.abs(what).max()
     what_0, _ = plan.split_leray_hat(vhat, rho, np.zeros_like(phat))
     assert np.abs(plan.div_hat(what_0)).max() <= 1e-12 * grid2d.k_max * np.abs(what_0).max()
     assert np.abs(what_0 - what).max() > 1e-3 * np.abs(what).max()
     uniform = np.full(grid2d.shape, 2.0)
-    what_u, phat_u = plan.split_leray_hat(vhat, uniform, phat)
     what_w, phat_w = plan.weighted_leray_hat(vhat, uniform)
-    assert np.array_equal(what_u, what_w)
+    # the body's velocity is the Leray projection of what it is given, bit
+    # for bit; folded in, (1/2) grad(p*) is a pure gradient, which it removes
+    assert np.array_equal(plan.split_leray_hat(vhat, uniform, phat)[0], what_w)
+    what_u, phat_u = plan.split_leray_hat(fold_pressure(plan, vhat, uniform, phat), uniform, phat)
+    assert np.abs(what_u - what_w).max() <= 1e-14 * np.abs(what_w).max()
     assert np.abs(phat_u - phat_w).max() <= 1e-14 * np.abs(phat_w).max()
 
 

@@ -25,6 +25,7 @@ from pitaevskii import integrator, stability
 from pitaevskii.grid import make_grid
 from pitaevskii.integrator import StepConfig, ingest, run, step
 from pitaevskii.model import Params, State
+from pitaevskii.spectral import SpectralPlan
 from pitaevskii.stability import PerturbationSpec, gronwall_bundle, stability_experiment
 
 from conftest import random_state_fields, smooth_2d_state
@@ -47,9 +48,12 @@ STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 259}
 # spectra and from the carried [psi, grad(psi)] stack, so each wave
 # half-step's first stage transforms nothing back; the step's end takes
 # grad(psi) back with psi.  At the default contrast the second step on
-# takes the pressure split in both stages, one flux (d inverse and d
-# forward transforms) a stage: 2D 32^2 52, 3D 16^3 74.  Both first stages
-# inverting their own d + 1 fields made it 56 and 79; the second step took
+# takes the pressure split in both stages, which transforms nothing: p*
+# enters the inverse transform of nu lap(u) in the acceleration, and its
+# remainder the acceleration's forward transform: 2D 32^2 44, 3D 16^3 62.
+# A split that formed its own flux (d inverse and d forward transforms a
+# stage) made it 52 and 74, and both first stages inverting their own
+# d + 1 fields 56 and 79; the second step took
 # 96 (3D 145) when it solved by PCG, before its p* came from the first
 # step's two stage pressures.  Warm-started PCG took 68 and 97 from the
 # fifth step on (1 + 1 iterations) and 84, 76 (3D 121, 109) in the third
@@ -57,7 +61,7 @@ STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 259}
 # steps take 76 to 88 with 2 or 3 iterations a solve (80 to 92 before the
 # carried stack), and the third and fourth 124 and 88 (128 and 92 before
 # the carried stack).
-RUN_BUDGETS = {2: {1: 52}, 3: {1: 74}, "contrast": {4: 92, 2: 128}}
+RUN_BUDGETS = {2: {1: 44}, 3: {1: 62}, "contrast": {4: 92, 2: 128}}
 # Per measure() call on an accepted step of a run(), which hands it the
 # carried spectra and grad(psi): the coupling's one forward transform and
 # the H^-1 norm of the density's time difference.  It was d + 2 (4 in 2D,
@@ -83,12 +87,13 @@ MAX_LATER_RECORD_TRANSFORMS = {(2, "full"): 7, (2, "core"): 4, (3, "full"): 9, (
 # each wave midpoint stage takes psi and grad(psi) back in one call, so do
 # the first wave half-step's result for the fluid substep and the second
 # half-step's result, and each fluid acceleration transforms its explicit
-# part with the products u_i u_j in one: 26 calls.  Each wave half-step's
-# first stage took its own call before it started from the carried stack
-# (28), separate calls made 35 and a separate grad(psi) for the fluid
-# substep 29.  measure() makes 2: the coupling and the H^-1 norm of the
+# part with the products u_i u_j in one: 22 calls.  The split's own flux
+# took 2 calls a stage (26); before that each wave half-step's first stage
+# took its own call before it started from the carried stack (28),
+# separate calls made 35 and a separate grad(psi) for the fluid substep
+# 29.  measure() makes 2: the coupling and the H^-1 norm of the
 # density difference (3 with its own grad(psi)).
-MAX_RUN_STEP_CALLS = 26
+MAX_RUN_STEP_CALLS = 22
 MAX_MEASURE_CALLS = 2
 
 
@@ -226,3 +231,26 @@ def test_run_steady_state_call_budget(counted, monkeypatch, d):
     assert traj.event is None and len(per_step) == 8 and len(per_measure) == 9
     assert 0 < max(per_step[1:]) <= MAX_RUN_STEP_CALLS
     assert 0 < max(per_measure[1:]) <= MAX_MEASURE_CALLS
+
+
+def test_split_stage_takes_no_transform(counted, monkeypatch):
+    # the pressure split transforms nothing, and the acceleration it projects
+    # costs the same with p* folded in as without (the PCG stages of the
+    # first step)
+    state, params = seeded_state("smooth")
+    split = []
+    inner = SpectralPlan.split_leray_hat
+
+    def counted_split(*args):
+        before = counted["calls"]
+        out = inner(*args)
+        split.append(counted["calls"] - before)
+        return out
+
+    monkeypatch.setattr(SpectralPlan, "split_leray_hat", counted_split)
+    per_accel = counting(counted, monkeypatch, "_fluid_explicit_accel")
+    dt = 2.0 ** -11
+    traj = run(state, params, StepConfig(dt_init=dt), 8 * dt)
+    assert traj.event is None
+    assert split == [0] * 14
+    assert len(per_accel) == 16 and len(set(per_accel)) == 1

@@ -101,8 +101,8 @@ MUTANTS = (
            ("tests/test_cli.py::test_validate_fails_on_a_broken_projector",)),
     # the fluid stage body and the pressure guesses
     Mutant("stage-half-update", "pitaevskii.integrator:_fluid_substep.stage",
-           "plan.helmholtz_hat(start_hat + h * accel_hat, alpha)",
-           "plan.helmholtz_hat(start_hat + 0.5 * h * accel_hat, alpha)",
+           "plan.helmholtz_hat(start_hat + h * accel_hat, helm)",
+           "plan.helmholtz_hat(start_hat + 0.5 * h * accel_hat, helm)",
            ("tests/test_reference_runs.py",)),
     Mutant("stage-density-from-the-stage", "pitaevskii.integrator:_fluid_substep.stage",
            "rho_new = rho + h * _density_rhs(", "rho_new = rho_s + h * _density_rhs(",
@@ -129,10 +129,23 @@ MUTANTS = (
            "return predictor\n        if len(steps) == 2:",
            ("tests/test_integrator.py::test_split_guesses_are_exact_on_lines_in_time",
             "tests/test_reference_runs.py")),
+    # rho0 reaches the velocity only through the split's stored pressure,
+    # which the next stage's p* extrapolates: the reference runs see it
     Mutant("split-rho0-max", "pitaevskii.spectral:SpectralPlan.split_leray_hat",
            "rho0 = float(np.min(weight))", "rho0 = float(np.max(weight))",
+           ("tests/test_reference_runs.py",)),
+    # the fold of p* into the acceleration: the split's pressure without its
+    # p* term, and grad(p*) folded in with the wrong sign
+    Mutant("split-pressure-without-p-star", "pitaevskii.spectral:SpectralPlan.split_leray_hat",
+           "return what, rho0 * chihat + (tab.mask & (tab.inv_kk > 0)) * pressure_hat",
+           "return what, rho0 * chihat",
            ("tests/test_spectral_ops.py::"
             "test_split_projection_at_the_solved_pressure_is_the_weighted_projection",
+            "tests/test_reference_runs.py")),
+    Mutant("fold-sign", "pitaevskii.model:velocity_rhs_hat",
+           "explicit -= tab.ik * p_star", "explicit += tab.ik * p_star",
+           ("tests/test_integrator.py::"
+            "test_truncated_split_converges_to_the_untruncated_split_with_the_grid",
             "tests/test_reference_runs.py")),
     # the wave stage as it was before the Lawson rule (the first stage at
     # E psi_hat, not at psi_hat): the reference runs see the change of scheme
