@@ -1,8 +1,11 @@
 """Line-based run configuration: ``section.key = value`` pairs.
 
 The format is deliberately primitive so any tool can read and write it:
-one assignment per line, ``#`` starts a comment, arrays are comma lists,
-booleans are ``true``/``false``.  README.md lists every key with its
+one assignment per line, ``#`` at the start of a line or after whitespace
+starts a comment, arrays are comma lists, booleans are ``true``/``false``.
+A string value holds no ``#`` and no line break and neither starts nor
+ends with whitespace, so that serialize_config writes every valid Config
+as text that parses back to it.  README.md lists every key with its
 default.
 
 Each key is declared once, as a field of a Config section dataclass: the
@@ -17,6 +20,7 @@ every constraint violation, are reported together, each at the line of
 the first of its keys that the file sets (line 0: none).
 """
 
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -35,6 +39,14 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         lines = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.errors)
         super().__init__(lines)
+
+
+def _verbatim(section, key, value):
+    """The constraint that the string `value` of key section.`key` parses
+    back from its serialized line as itself."""
+    return ((key,), f"{section}.{key} must hold no '#' or line break and neither start nor "
+                    f"end with whitespace, got {value!r}",
+            "#" not in value and value == value.strip() and len(value.splitlines()) <= 1)
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,7 @@ class IcConfig:
             (("family", "path"), "ic.path is required for the snapshot family",
              self.family != "snapshot" or self.path),
             (("amplitude",), "amplitude must be >= 0", self.amplitude >= 0),
+            _verbatim("ic", "path", self.path),
         ])
 
 
@@ -82,6 +95,8 @@ class OutputConfig:
         check_constraints([
             (("snapshot_every",), "snapshot_every must be >= 0", self.snapshot_every >= 0),
             (("csv_every",), "csv_every must be >= 1", self.csv_every >= 1),
+            _verbatim("output", "dir", self.dir),
+            _verbatim("output", "timeseries", self.timeseries),
         ])
 
 
@@ -178,6 +193,8 @@ SCHEMA = {
     for s in fields(Config) for f in fields(s.type)
 }
 _KEYS = {(section, attr): key for key, (section, attr, _) in SCHEMA.items()}
+# a comment: "#" at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def _blame(keys, lines):
@@ -210,7 +227,7 @@ def parse_config(text):
     lines = {}
     errors = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub("", line, count=1).strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -30,22 +30,33 @@ One step of size dt is the composition
     the acceleration's transforms and its 2/3 truncation, and
     (1/rho0) grad p* is a gradient the projection removes.  The split then
     costs one exact Leray projection on spectra, with no transform and no
-    iteration.  A stage takes it when the history holds a step that
-    started before this one and the stage density's contrast max/min is
-    below SPLIT_MAX_CONTRAST (4): from a run's second step on.  A run's first step, a lone step()
-    and every stage from contrast 4 on solve by PCG.
+    iteration.
+  Both truncate what they take out of the velocity by the 2/3 rule, so u
+  never leaves the dealias ball.  A run's first step and a lone step()
+  solve every stage by PCG.  From a run's second step on (the history
+  holds a step that started before this one):
+  - the predictor takes the split at every density contrast.  Its
+    projection feeds only the corrector's evaluation point, so a defect
+    delta in it reaches the new u as O(dt^2 delta) a step (Guermond &
+    Salgado, J. Comput. Phys. 228, 2009);
+  - the corrector takes the split while the stage density's contrast
+    max/min is below SPLIT_MAX_CONTRAST (4), and solves by PCG from there
+    on.
 * run() carries a StepHistory from step to step.  It holds:
-  - the pressure spectra of the last four steps.  A PCG solve starts from
-    their extrapolation in time, StepHistory.pcg_guess: the predictor's
-    from the cubic through the predictor pressures, the corrector's from
-    this step's predictor pressure plus the quadratic through the last
-    three corrector - predictor offsets (lower orders while fewer steps
-    exist).  The split's p*, StepHistory.split_guess, takes lines through
-    the last two of each instead: with quadratic offsets it is unstable
-    from contrast 2.  After one step the predictor's line runs through
-    that step's predictor and corrector pressures, at its start and its
-    midpoint.  step() on its own starts the predictor cold and the
-    corrector from the predictor;
+  - the predictor and corrector pressure spectra of the last four steps,
+    from which the history extrapolates in time.  Below contrast 4 the
+    split's p* (StepHistory.split_guess) takes lines through the last two
+    of each: the predictor's through the predictor pressures, the
+    corrector's through the corrector - predictor offsets added to this
+    step's predictor pressure.  After one step the predictor's line runs
+    through that step's predictor and corrector pressures, at its start
+    and its midpoint.  From contrast 4 on both stages read the curve
+    through the corrector pressures, which PCG solved to its tolerance,
+    each at its step's midpoint (StepHistory.corrector_curve): the
+    predictor's p* is the line through the last two at the step's start,
+    the corrector's PCG warm start the cubic through the last four at its
+    midpoint.  A run's first step starts the predictor cold and the
+    corrector from the predictor's pressure, as step() on its own does;
   - one slot, carried = (state, psi_hat, u_hat, [psi, grad(psi)]): the
     accepted state, the spectra that the last wave substep and the fluid
     substep form before their inverse transforms, and the stack that step()
@@ -55,14 +66,14 @@ One step of size dt is the composition
   - the wave propagator and the fluid stages' Helmholtz factor
     1/(1 + alpha |k|^2) of the last step size, reused while dt and the
     parameters stay the same.
-  Below contrast 4 a run and a loop of lone step() calls are therefore two
-  discretizations, whose gap falls with dt: at 32^2 over 10 * 2^-10 it is
-  1.6e-10 relative in u at dt = 2^-10, 1.1e-11 at 2^-11 and 1.6e-12 at
-  2^-12, down to the gap between the split's truncated remainder and
-  PCG's untruncated correction, which falls with the grid instead (5.6e-13
-  at 2^-13).
-  From contrast 4 on both solve every stage to the same PCG tolerance and
-  agree to round-off times that tolerance.
+  A run and a loop of lone step() calls are therefore two
+  discretizations, whose gap falls with dt.  At 32^2 over 10 * 2^-10 it
+  is, relative in u, 1.6e-10 at dt = 2^-10, 1.1e-11 at 2^-11 and 1.3e-12
+  at 2^-12 below contrast 4 (third order), and 2.3e-9, 5.8e-10 and
+  1.5e-10 at contrast 16 (second order).  There the predictor's p* misses
+  its PCG pressure by O(dt), 5.7e-4 relative at dt = 2^-10: both stages
+  freeze psi at the step's midpoint, so the predictor's pressure lies off
+  the corrector pressures' curve by that much.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
   each stage forms once for it and the momentum drag.  The frozen psi and
@@ -197,16 +208,15 @@ def _density_rhs(plan, u, rho, params, exchange):
     return -plan.ifft(div_hat, rho) + 2.0 * params.lam * exchange
 
 
-def _lagrange(steps, column, t):
-    """The polynomial through the points (start time, step[column]) of the
-    history entries steps, at t."""
+def _lagrange(nodes, values, t):
+    """The polynomial through the points (nodes[i], values[i]), at t."""
     total = 0.0
-    for i, si in enumerate(steps):
+    for i, (ti, vi) in enumerate(zip(nodes, values)):
         weight = 1.0
-        for j, sj in enumerate(steps):
+        for j, tj in enumerate(nodes):
             if j != i:
-                weight *= (t - sj[0]) / (si[0] - sj[0])
-        total = total + weight * si[column]
+                weight *= (t - tj) / (ti - tj)
+        total = total + weight * vi
     return total
 
 
@@ -217,29 +227,31 @@ class StepHistory:
     wave propagator and Helmholtz factor of the last step size.
 
     Pressures: each entry holds a step's start time, its dt, its predictor
-    pressure and its corrector - predictor offset.  Every guess for a step
-    from t extrapolates to t through the stored steps that started strictly
-    before t, so a step retried from t never uses its own discarded attempt.
-    Both guesses take the step's start t and, for the corrector, this
-    step's predictor pressure; without it they are the predictor's.
-    - PCG warm starts (pcg_guess): the predictor's guess is the Lagrange
-      polynomial through the stored predictor pressures, cubic once four
-      steps exist, linear after two; the corrector's is this step's
-      predictor pressure plus the Lagrange extrapolation of the last three
-      offsets, quadratic once three exist.  No guess (predictor) or the
-      predictor's pressure (corrector) while no step is stored.
-    - The pressure split's p* (split_guess): the same with lines through
-      the last two predictor pressures and the last two offsets.  With one
-      stored step (a run's second step) the predictor's line runs through
-      that step's two pressure nodes in time, its predictor pressure at its
-      start t1 and its corrector pressure at its midpoint t1 + dt1/2, where
-      the corrector stage is evaluated; the corrector's p* is its predictor
-      pressure plus the stored offset.  Both are O(dt^2).  None while no
-      step is stored.  Only lines keep the split stable: with quadratic
-      offsets its error recurrence z^3 = a (3 z^2 - 3 z + 1),
-      a = 1 - min rho / max rho, has a root of modulus 1 at contrast 2,
-      and 32^2 runs at contrast 2.78 and 3.9 broke down before T = 0.5;
-      with lines |z| = sqrt(a) < 1.
+    pressure and its corrector - predictor offset, whose sum is its
+    corrector pressure.  Every guess for a step from t
+    extrapolates through the stored steps that started strictly before t,
+    so a step retried from t never uses its own discarded attempt.
+    - The pressure split's p* below SPLIT_MAX_CONTRAST (split_guess), at
+      the step's start t: the predictor's is the line through the last two
+      predictor pressures; the corrector's is this step's predictor
+      pressure plus the line through the last two corrector - predictor
+      offsets.  With one stored step (a run's second step) the predictor's
+      line runs through that step's two pressure nodes in time, its
+      predictor pressure at its start t1 and its corrector pressure at its
+      midpoint t1 + dt1/2, where the corrector stage is evaluated; the
+      corrector's p* is its predictor pressure plus the stored offset.
+      Both are O(dt^2).  None while no step is stored.  Only lines keep
+      the split stable: these guesses feed on the split's own pressures,
+      and with quadratic offsets the error recurrence z^3 = a (3 z^2 -
+      3 z + 1), a = 1 - min rho / max rho, has a root of modulus 1 at
+      contrast 2 (32^2 runs at contrast 2.78 and 3.9 broke down before
+      T = 0.5); with lines |z| = sqrt(a) < 1.
+    - From contrast 4 on (corrector_curve): the Lagrange polynomial
+      through the last stored corrector pressures, each at its step's
+      midpoint t_k + dt_k/2.  The predictor's p* is the line through the
+      last two at t, the corrector's PCG warm start the cubic through the
+      last four at its midpoint t + dt/2.  Those pressures come from PCG
+      solves, so the split's error does not feed back into its p*.
     The nodes must be start times: a node at each step's end is off by that
     step's dt, which cancels only at fixed dt.  Memory is O(1) in the
     horizon.
@@ -263,25 +275,27 @@ class StepHistory:
         """The last `count` stored steps that started strictly before t."""
         return [s for s in self._steps if s[0] < t][-count:]
 
-    def pcg_guess(self, t, predictor=None):
-        """The PCG warm start of the predictor (predictor None) or of the
-        corrector whose step's predictor pressure is `predictor`."""
-        if predictor is None:
-            steps = self._before(t, 4)
-            return _lagrange(steps, 2, t) if steps else None
-        steps = self._before(t, 3)
-        return predictor + _lagrange(steps, 3, t) if steps else predictor
+    def corrector_curve(self, t, count, at):
+        """The Lagrange polynomial through the corrector pressures of the
+        last `count` steps that started before t, each at its midpoint time
+        t_k + dt_k/2, where its corrector stage is evaluated, at time `at`;
+        None while no such step is stored."""
+        steps = self._before(t, count)
+        if not steps:
+            return None
+        return _lagrange([s[0] + 0.5 * s[1] for s in steps], [s[2] + s[3] for s in steps], at)
 
     def split_guess(self, t, predictor=None):
         """p* of the predictor's (predictor None) or the corrector's pressure
-        split, or None."""
+        split below SPLIT_MAX_CONTRAST, or None."""
         steps = self._before(t, 2)
         if not steps:
             return None
+        starts = [s[0] for s in steps]
         if predictor is not None:
-            return predictor + _lagrange(steps, 3, t)
+            return predictor + _lagrange(starts, [s[3] for s in steps], t)
         if len(steps) == 2:
-            return _lagrange(steps, 2, t)
+            return _lagrange(starts, [s[2] for s in steps], t)
         t1, dt1, p1, offset = steps[0]
         return p1 + ((t - t1) / (0.5 * dt1)) * offset
 
@@ -306,16 +320,19 @@ class StepHistory:
         return cached[3:]
 
 
-# Density contrast max/min from which a stage solves its pressure by PCG
-# instead of the split: from there on the split's explicit remainder costs
-# accuracy (at contrast 16 it raised a 16-step 64^2 run's energy residual by
-# 16%)
+# Density contrast max/min from which the corrector solves its pressure by
+# PCG, and the predictor's split takes p* from the PCG-solved corrector
+# pressures instead of its own guesses.  Below it the split feeds on its own
+# pressures and stays stable with lines (StepHistory).  Splitting both
+# stages at contrast 16 with split_guess's p* raised the energy residual of
+# a 16-step 64^2 run 1.8e-9 -> 4.6e-8
 SPLIT_MAX_CONTRAST = 4.0
 
 
 def _split_applies(rho):
-    """Whether a stage at density rho may take the pressure split: its
-    contrast max/min is below SPLIT_MAX_CONTRAST."""
+    """Whether a stage at density rho has contrast max/min below
+    SPLIT_MAX_CONTRAST, where its pressure split takes split_guess's p*
+    and the corrector takes the split too."""
     return float(rho.max()) / float(rho.min()) < SPLIT_MAX_CONTRAST
 
 
@@ -329,8 +346,10 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     divergence-free.  With uniform density this is the plain Leray
     projection.  Predictor and corrector are one stage body: from (u_s,
     rho_s) it projects the explicit acceleration a (by the pressure split
-    when _split_applies and the history has a p*, which a then carries,
-    else by PCG from the history's guess; see the module docstring), solves
+    where the history has a p*, which a then carries: for the predictor
+    from a run's second step on, for the corrector below
+    SPLIT_MAX_CONTRAST; else by PCG from the history's warm start; see the
+    module docstring), solves
     (I - alpha lap) u' = start + h a on spectra with helm, the factor
     1/(1 + alpha |k|^2) of this dt, and advances rho by h, checking the
     floor at t0 + h.  The predictor starts from u_hat with h = dt/2, the
@@ -343,12 +362,19 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     psi2 = psi.real ** 2 + psi.imag ** 2
 
     def stage(u_s, u_s_hat, rho_s, start_hat, h, p_pred=None):
-        p_star = history.split_guess(t0, p_pred) if _split_applies(rho_s) else None
+        # p* of the pressure split, None where the stage solves by PCG
+        if _split_applies(rho_s):
+            p_star = history.split_guess(t0, p_pred)
+        else:
+            p_star = history.corrector_curve(t0, 2, t0) if p_pred is None else None
         accel_hat, exchange = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_s,
                                                     u_s_hat, rho_s, params, p_star)
         if p_star is None:
+            # the corrector's midpoint t0 + dt/2; a predictor gets here only
+            # on a history with no earlier step, and so starts cold
+            guess = history.corrector_curve(t0, 4, t0 + 0.5 * h)
             accel_hat, p = plan.weighted_leray_hat(
-                accel_hat, rho_s, initial_pressure_hat=history.pcg_guess(t0, p_pred))
+                accel_hat, rho_s, initial_pressure_hat=p_pred if guess is None else guess)
         else:
             accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
         new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, helm)
@@ -369,15 +395,15 @@ def step(state, params, dt, *, history=None):
 
     The pressure projections are cold PCG solves unless a StepHistory is
     passed; run() passes its own.  With an earlier step on it (from a
-    run's second step on), a stage below contrast 4 takes the pressure
-    split; a run's first step and a lone step() solve by PCG.  The step
-    empties the history's carried slot and starts from the spectra and the
-    [psi, grad(psi)] stack it holds if they are for this very state object;
-    otherwise, as a lone step(), it forms them from the state.  It takes
-    the wave propagator and Helmholtz factor of an equal step size from the
-    history.  An
-    accepted step is pushed onto the history with its dt, and the slot then
-    carries its output with that output's spectra and stack.
+    run's second step on), the predictor takes the pressure split, and so
+    does the corrector below contrast 4; a run's first step and a lone
+    step() solve by PCG.  The step empties the history's carried slot and
+    starts from the spectra and the [psi, grad(psi)] stack it holds if they
+    are for this very state object; otherwise, as a lone step(), it forms
+    them from the state.  It takes the wave propagator and Helmholtz factor
+    of an equal step size from the history.  An accepted step is pushed
+    onto the history with its dt, and the slot then carries its output with
+    that output's spectra and stack.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -463,11 +489,11 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
 
     One StepHistory carries pressures, the accepted state with its spectra
     and [psi, grad(psi)] stack, and the propagators from step to step,
-    so from the second step on a stage below contrast 4 takes the pressure
-    split (see the module docstring).  run() fills its carried slot for the
-    ingested state, and measure() reads each accepted state's spectra and
-    grad(psi) from the slot; run() holds none of them while the next step
-    runs.
+    so from the second step on the predictor takes the pressure split, and
+    so does the corrector below contrast 4 (see the module docstring).
+    run() fills its carried slot for the ingested state, and measure()
+    reads each accepted state's spectra and grad(psi) from the slot; run()
+    holds none of them while the next step runs.
 
     A PhysicsEvent (a density-floor breach, a blow-up, a CFL failure) or a
     pressure projection that misses its tolerance ends the run early: the

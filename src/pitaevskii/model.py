@@ -39,13 +39,13 @@ Every nonlinear product is truncated by the 2/3 rule.  In the velocity
 right-hand side one truncation covers the whole acceleration: the momentum
 source enters it untruncated, and the advection is the divergence form
 -div(u u), which equals -u.grad(u) for solenoidal u.  Initial data is
-ingested band-limited, and psi and rho stay inside the dealias ball.  u
-leaves it only through PCG's correction (1/rho) grad(p) in the
-density-weighted projection, which is not truncated and leaves a small
-fraction of u's norm outside (1e-11 to 1e-7 of its fluctuation norm at
-64^2, growing with the density contrast).  The pressure split's remainder
-enters the velocity right-hand side as -grad(p*) / rho and is truncated
-with it, so a split stage adds nothing outside the ball.  Truncation makes
+ingested band-limited, and psi, rho and u stay inside the dealias ball.
+The pressure split's remainder enters the velocity right-hand side as
+-grad(p*) / rho and is truncated with it, and PCG's correction
+(1/rho) grad(p) in the density-weighted projection is truncated before the
+final exact Leray projection, so no stage puts u outside the ball (at
+most 3.2e-16 of u's L^2 norm over 8 steps of a 64^2 run at contrast 16;
+8.4e-8 while PCG's correction was not truncated).  Truncation makes
 the quadratic-form and source-equivalence identities below hold to round-off
 on the discrete grid.
 """

@@ -52,8 +52,8 @@ Conventions:
   truncated forward transform, and the rest of the remainder,
   (1/rho0) grad p*, is a gradient the projection removes exactly.  So the
   split is one exact Leray projection on spectra: no transform and no
-  iteration.  The integrator takes it on a run's warm stages of low
-  density contrast.
+  iteration.  The integrator takes it for a run's warm predictor stages,
+  and for its warm corrector stages of low density contrast.
 * Helmholtz: helmholtz_hat multiplies a spectrum by the factor
   1/(1 + alpha |k|^2) that helmholtz_factor builds, so a caller that
   solves with one alpha many times (a run at fixed dt) builds it once.
@@ -312,8 +312,12 @@ class SpectralPlan:
         iteration.  The solve stops once the L^2 norm of the
         pressure-equation residual is at most tol times that of div(v);
         after max_iter iterations above it, ProjectionNotConverged is
-        raised.  The divergence of w is exact to round-off regardless of
-        tol: the final correction passes through the exact Leray projection.
+        raised.  The final correction (1/weight) grad(p) is truncated by the
+        2/3 rule (Orszag, J. Atmos. Sci. 28, 1971) and passes through the
+        exact Leray projection: w stays inside the dealias ball when v does,
+        and its divergence is exact to round-off regardless of tol.  So for
+        a band-limited v, w = T[v - (1/weight) grad(p)] up to the Leray
+        clean-up of the residual, T the truncation.
         """
         tab = self._half
         vhat = np.asarray(vhat)
@@ -374,7 +378,7 @@ class SpectralPlan:
             res = res - step * a_dir
             iterations += 1
             res_norm = np.sqrt(tab.dot(res, res))
-        return self.leray_hat(vhat - flux_p)[0], phat
+        return self.leray_hat(vhat - tab.mask * flux_p)[0], phat
 
     def split_leray_hat(self, vhat, weight, pressure_hat):
         """The constant-coefficient pressure split of weighted_leray_hat, on

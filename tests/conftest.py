@@ -78,6 +78,15 @@ def untruncated_split_leray_hat(plan, vhat, weight, pressure_hat):
     return what, rho0 * chihat
 
 
+def untruncated_weighted_leray_hat(plan, vhat, weight, pressure_hat):
+    """The density-weighted projection's velocity with its final correction
+    untruncated, from the pressure spectrum its PCG solve returned: the
+    exact Leray projection of vhat - fft((1/weight) grad(p)).  The shipped
+    body truncates the correction by the 2/3 rule."""
+    grad_p = plan.ifft(plan.grad_hat(pressure_hat), weight)
+    return plan.leray_hat(vhat - plan.fft(grad_p / weight))[0]
+
+
 def use_untruncated_split(monkeypatch):
     """Make run() take untruncated_split_leray_hat for the pressure split,
     its stages' accelerations formed without p*."""

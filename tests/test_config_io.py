@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,38 @@ experiment.delta_p = 1e-07
 experiment.bundle = core
 """
     cfg = parse_config(text)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _verbatim_message(key, value):
+    return (f"{key} must hold no '#' or line break and neither start nor end with "
+            f"whitespace, got {value!r}")
+
+
+@pytest.mark.parametrize("key", ["ic.path", "output.dir", "output.timeseries"])
+@pytest.mark.parametrize("value", ["runs/snap#3.pitv", "out#1", " out", "out ", "a\nb"])
+def test_config_rejects_strings_that_do_not_round_trip(key, value):
+    # each string value must parse back from its serialized line as itself:
+    # '#' started a comment, so `ic.path = runs/snap#3.pitv` silently loaded
+    # runs/snap, and the parser strips a value's outer whitespace.  The
+    # owning section rejects such a value built through the API, and the
+    # parser reports it at its line
+    section, attr, _ = SCHEMA[key]
+    with pytest.raises(ValueError) as err:
+        replace(getattr(Config(), section), **{attr: value})
+    assert str(err.value) == _verbatim_message(key, value)
+    if "#" in value:
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"grid.d = 2\n{key} = {value}\n")
+        assert err.value.errors == [(2, _verbatim_message(key, value))]
+
+
+def test_config_comment_needs_whitespace_before_it():
+    # '#' starts a comment at the start of a line or after whitespace; a
+    # string with a space inside it round-trips
+    cfg = parse_config("# header\n  # indented\noutput.dir = my out  # the run's files\n"
+                       "ic.family = snapshot\nic.path = runs/snap 3.pitv\t# tab\n")
+    assert cfg.output.dir == "my out" and cfg.ic.path == "runs/snap 3.pitv"
     assert parse_config(serialize_config(cfg)) == cfg
 
 

@@ -347,38 +347,57 @@ def test_run_keeps_one_event_per_kind_without_its_traceback(grid2d, request, mon
     }[kind]
 
 
-@pytest.mark.parametrize("m, M, eps, adaptive", [
-    pytest.param(0.1, 10.0, 0.05, False, id="0.1-10.0-0.05"),
-    pytest.param(0.1, 10.0, 0.05, True, id="0.1-10.0-0.05-adaptive"),
+@pytest.mark.parametrize("m, M, eps, adaptive, bounds", [
+    pytest.param(0.1, 10.0, 0.05, False, {"psi": 8e-13, "u": 1e-9, "rho": 5e-11},
+                 id="0.1-10.0-0.05"),
+    pytest.param(0.1, 10.0, 0.05, True, {"psi": 1.2e-12, "u": 1.5e-9, "rho": 8e-11},
+                 id="0.1-10.0-0.05-adaptive"),
 ])
-def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive):
-    # at contrast 16 run() solves every pressure by PCG, warm-started from
-    # its pressure history; a loop of step() calls starts each step cold.
-    # Both solve to the same tolerance.
-    # At fixed dt the cold loop takes 10 steps of dt_init on its own.
-    # Adaptive steps put the history's extrapolation nodes at unequal
-    # spacing (the CFL proposal drifts with max|u|, and the last step is cut
-    # to the horizon); there the cold loop replays the run's accepted dts.
+def test_warm_started_run_matches_cold_steps(grid2d, m, M, eps, adaptive, bounds):
+    # at contrast 16 a run's predictor stages take the pressure split from
+    # the second step on, with p* the line through the last two corrector
+    # pressures, and its correctors solve by PCG from the history's cubic;
+    # a loop of step() calls solves every stage cold by PCG.  The two are
+    # different discretizations: over the horizon 10 * 2^-10 their gap must
+    # fall at least 3.5x at each halving of dt (a second-order gap falls
+    # 4x).  At fixed dt the cold loop takes the run's steps of dt_init.
+    # Adaptive steps put the history's nodes at unequal spacing (the CFL
+    # proposal drifts with max|u|, and the last step is cut to the
+    # horizon); there cfl halves with dt_init and the cold loop replays the
+    # run's accepted dts.  Measured max|diff|/max|cold| in u at 2^-10 to
+    # 2^-13: 2.34e-9, 5.82e-10, 1.45e-10, 3.63e-11 (x4.01, x4.01, x4.00);
+    # adaptive 3.23e-9, 8.17e-10, 2.06e-10 (x3.95, x3.97).  The bounds at
+    # 2^-11 are the measured gaps with less than 2x headroom
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
-    cfg = StepConfig(dt_init=2.0 ** -10, cfl=0.05, adaptive=adaptive)
     initial = smooth_2d_state(grid2d, m=m, M=M)
-    traj = run(initial, params, cfg, 10 * cfg.dt_init)
-    assert traj.event is None
-    if adaptive:
-        dts = np.diff(traj.times)
-        assert len(dts) >= 8 and len(np.unique(dts[:-1])) > 1
-    else:
-        dts = [cfg.dt_init] * 10
-    cold = ingest(initial, params)
-    for dt in dts:
-        cold = step(cold, params, dt)
-    warm = traj.final_state
-    if adaptive:
-        assert warm.t == pytest.approx(cold.t, rel=1e-14)
-    else:
-        assert warm.t == cold.t
-    for a, b in ((warm.psi, cold.psi), (warm.u, cold.u), (warm.rho, cold.rho)):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    horizon = 10 * 2.0 ** -10
+    gaps = []
+    for halvings in range(3):
+        cfg = StepConfig(dt_init=2.0 ** (-10 - halvings), cfl=0.05 / 2 ** halvings,
+                         adaptive=adaptive)
+        traj = run(initial, params, cfg, horizon)
+        assert traj.event is None
+        if adaptive:
+            dts = np.diff(traj.times)
+            assert len(dts) >= 8 and len(np.unique(dts[:-1])) > 1
+        else:
+            dts = [cfg.dt_init] * round(horizon / cfg.dt_init)
+        cold = ingest(initial, params)
+        for dt in dts:
+            cold = step(cold, params, dt)
+        warm = traj.final_state
+        if adaptive:
+            assert warm.t == pytest.approx(cold.t, rel=1e-14)
+        else:
+            assert warm.t == cold.t
+        gaps.append({name: float(np.abs(getattr(warm, name) - getattr(cold, name)).max()
+                                 / np.abs(getattr(cold, name)).max())
+                     for name in ("psi", "u", "rho")})
+    coarse, mid, fine = gaps
+    for name in ("psi", "u", "rho"):
+        assert coarse[name] >= 3.5 * mid[name], name
+        assert mid[name] >= 3.5 * fine[name], name
+        assert mid[name] <= bounds[name], name
 
 
 def test_split_run_converges_to_cold_steps(grid2d):
@@ -386,12 +405,12 @@ def test_split_run_converges_to_cold_steps(grid2d):
     # split, a different discretization from cold step()'s PCG solves: over
     # the same horizon 10 * 2^-10 their gap must fall at least 6x at each
     # halving of dt (a third-order gap falls 8x).  Measured
-    # max|diff|/max|cold|: u 1.61e-10 -> 1.06e-11 -> 1.62e-12, psi 1.9e-13
-    # -> 2.5e-14, rho 7.2e-13 -> 8.9e-14; the bounds at 2^-11 are these with
-    # less than 2x headroom.  At 2^-13 u's gap is 5.6e-13: the split's
-    # remainder is truncated and PCG's correction is not, a gap that falls
-    # with the grid, not with dt (1.32e-12 and 1.65e-13 at 2^-12 and 2^-13
-    # with an untruncated remainder)
+    # max|diff|/max|cold|: u 1.61e-10 -> 1.06e-11 -> 1.32e-12 (x15.2,
+    # x8.02; 1.73e-13 at 2^-13, x7.62), psi 1.9e-13 -> 2.4e-14, rho 7.2e-13
+    # -> 8.9e-14; the bounds at 2^-11 are these with less than 2x headroom.
+    # While PCG's correction was not truncated and the split's remainder
+    # was, u's gap fell only x6.56 and then x2.91, to 5.6e-13 at 2^-13: a
+    # gap between the two that fell with the grid, not with dt
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.8, M=1.2, eps=0.4)
     initial = smooth_2d_state(grid2d)
     horizon = 10 * 2.0 ** -10
@@ -578,38 +597,40 @@ def test_wave_substep_is_second_order(grid2d):
 
 
 def test_pressure_history_extrapolates_in_time():
+    # the corrector pressures' curve: the Lagrange polynomial through the
+    # last `count` stored corrector pressures at their steps' midpoints
     history = StepHistory()
-    assert history.pcg_guess(0.0) is None                # cold start
-    assert history.pcg_guess(0.0, 3.0) == 3.0
-    history.push(0.0, 0.1, 1.0, 1.5)                     # step from t = 0
-    assert history.pcg_guess(0.1) == 1.0
-    assert history.pcg_guess(0.1, 2.0) == 2.5
-    history.push(0.1, 0.2, 2.0, 2.25)                    # step from t = 0.1
-    # the lines through (0, 1), (0.1, 2) and (0, 0.5), (0.1, 0.25) at the
-    # next step's start, t = 0.3
-    assert history.pcg_guess(0.3) == pytest.approx(4.0, rel=1e-14)
-    assert history.pcg_guess(0.3, 4.0) == pytest.approx(4.0 - 0.25, rel=1e-14)
+    assert history.corrector_curve(0.0, 4, 0.0) is None     # cold start
+    history.push(0.0, 0.1, 1.0, 1.5)                        # step from t = 0
+    assert history.corrector_curve(0.1, 4, 0.15) == 1.5
+    assert history.corrector_curve(0.0, 4, 0.05) is None    # a retry from 0
+    history.push(0.1, 0.2, 2.0, 2.25)                       # step from t = 0.1
+    # the line through (0.05, 1.5) and (0.2, 2.25), at 0.3 and 0.35
+    assert history.corrector_curve(0.3, 2, 0.3) == pytest.approx(2.75, rel=1e-14)
+    assert history.corrector_curve(0.3, 4, 0.35) == pytest.approx(3.0, rel=1e-14)
 
-    # pressures cubic and offsets quadratic in time are extrapolated exactly
-    # from four steps of unequal dt; a fifth step drops the oldest
+    # corrector pressures cubic in time are extrapolated exactly from four
+    # steps of unequal dt, lines from two; the predictor pressures play no
+    # part, and a fifth step drops the oldest
     def cubic(t):
         return np.array([1.0 + 2.0 * t - 3.0 * t ** 2 + 5.0 * t ** 3, -0.5 * t ** 3 + t])
 
-    def quadratic(t):
-        return np.array([0.5 - t + 4.0 * t ** 2, 0.3 * t ** 2])
+    def line(t):
+        return np.array([0.5 - t, 3.0 * t])
 
     starts = [0.0, 0.05, 0.2, 0.23, 0.4]
-    history = StepHistory()
-    history.push(starts[0], starts[1], cubic(starts[0]) + 7.0, cubic(starts[0]) - 9.0)  # off both
-    for t, t_next in zip(starts[1:4], starts[2:5]):
-        history.push(t, t_next - t, cubic(t), cubic(t) + quadratic(t))
-    # four steps: the oldest, off the cubic, still bends the guess
-    assert np.abs(history.pcg_guess(starts[4]) - cubic(starts[4])).max() > 1.0
-    history.push(starts[4], 0.1, cubic(starts[4]), cubic(starts[4]) + quadratic(starts[4]))
-    t = 0.5
-    np.testing.assert_allclose(history.pcg_guess(t), cubic(t), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(history.pcg_guess(t, cubic(t)), cubic(t) + quadratic(t),
-                               rtol=1e-12, atol=1e-12)
+    for curve, count in ((cubic, 4), (line, 2)):
+        history = StepHistory()
+        history.push(starts[0], starts[1], 3.0, curve(0.5 * starts[1]) - 9.0)   # off the curve
+        for t, t_next in zip(starts[1:4], starts[2:5]):
+            history.push(t, t_next - t, np.sin(t), curve(0.5 * (t + t_next)))
+        if count == 4:
+            # four steps: the oldest, off the cubic, still bends the guess
+            assert np.abs(history.corrector_curve(0.4, 4, 0.45) - cubic(0.45)).max() > 1.0
+        history.push(starts[4], 0.1, -7.0, curve(0.45))
+        for at in (0.5, 0.55):
+            np.testing.assert_allclose(history.corrector_curve(0.5, count, at), curve(at),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_split_guesses_are_exact_on_lines_in_time():
@@ -663,14 +684,15 @@ def test_split_guesses_are_exact_on_lines_in_time():
     np.testing.assert_allclose(history.split_guess(0.03), line(0.0) - 25.0, rtol=1e-14,
                                atol=1e-14)
     assert history.split_guess(0.0) is None
-    assert np.array_equal(history.pcg_guess(0.03), line(0.0) + 7.0)
+    assert np.array_equal(history.corrector_curve(0.03, 4, 0.03), line(0.0) - 9.0)
 
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     # 8 steps: at contrast 1.44 and 3.90 (just below the split's threshold
     # of 4) PCG solves only the two stages of the first step, the split's
-    # body split_leray_hat the other fourteen; at contrast 16 PCG solves all
-    # sixteen
+    # body split_leray_hat the other fourteen; at contrast 16 PCG solves the
+    # first step's two stages and the seven later correctors, and the seven
+    # later predictors take the split
     calls = []
 
     def counting(name):
@@ -684,14 +706,14 @@ def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):
     for name in ("weighted_leray_hat", "split_leray_hat"):
         monkeypatch.setattr(SpectralPlan, name, counting(name))
     dt = 2.0 ** -11
-    for m, M, eps, weighted in ((0.8, 1.2, 0.4, 2), (1.0, 4.84, 0.5, 2), (0.1, 10.0, 0.05, 16)):
+    for m, M, eps, warm in ((0.8, 1.2, 0.4, ["split_leray_hat"] * 2),
+                            (1.0, 4.84, 0.5, ["split_leray_hat"] * 2),
+                            (0.1, 10.0, 0.05, ["split_leray_hat", "weighted_leray_hat"])):
         params = Params(lam=1.0, mu=1.0, nu=0.1, m=m, M=M, eps=eps)
         calls.clear()
         traj = run(smooth_2d_state(grid2d, m=m, M=M), params, StepConfig(dt_init=dt), 8 * dt)
         assert traj.event is None and len(traj.records) == 9
-        assert calls.count("weighted_leray_hat") == weighted
-        assert calls.count("split_leray_hat") == 16 - weighted
-        assert calls[:2] == ["weighted_leray_hat"] * 2
+        assert calls == ["weighted_leray_hat"] * 2 + warm * 7
 
 
 def test_truncated_split_converges_to_the_untruncated_split_with_the_grid(monkeypatch):
@@ -721,13 +743,14 @@ def test_truncated_split_converges_to_the_untruncated_split_with_the_grid(monkey
 
 
 def test_split_steps_add_nothing_outside_the_dealias_ball(grid2d, monkeypatch):
-    # on a warm split run at contrast 3.9 only the first step's PCG
-    # correction puts modes of u outside the 2/3 ball (2.1e-10 of max|u_hat|
-    # at 32^2).  Later steps leave them as they are: outside the ball the
-    # projected acceleration is only the explicit (nu/rho_bar) lap(u), which
-    # the Crank-Nicolson solve at rho_bar cancels.  So u's out-of-ball part
-    # stays where the first step left it, to round-off (measured 2e-16 of
-    # max|u_hat| a step); the untruncated split adds 2.1e-10 a step
+    # on a warm split run at contrast 3.9 the first step's PCG correction is
+    # truncated and puts nothing outside the 2/3 ball (it put 2.1e-10 of
+    # max|u_hat| there at 32^2 untruncated).  Later steps leave the modes
+    # outside as they are: there the projected acceleration is only the
+    # explicit (nu/rho_bar) lap(u), which the Crank-Nicolson solve at
+    # rho_bar cancels.  So u's out-of-ball part stays at round-off
+    # (measured 2e-16 of max|u_hat| a step); the untruncated split adds
+    # 2.1e-10 a step
     params = Params(lam=1.0, mu=1.0, nu=0.1, m=1.0, M=4.84, eps=0.5)
     plan = plan_for(grid2d)
     outside = ~plan.tables(plan.fft(grid2d.meshes()[0])).mask
@@ -751,9 +774,31 @@ def test_split_steps_add_nothing_outside_the_dealias_ball(grid2d, monkeypatch):
         return float(np.abs(parts[0]).max()) / scale, added / scale
 
     first, added = outside_ball(False)
-    assert first > 1e-12
+    assert first <= 1e-15
     assert added <= 1e-15
     assert outside_ball(True)[1] > 1e-11
+
+
+def test_pcg_steps_keep_u_inside_the_dealias_ball(grid2d):
+    # at contrast 16 every corrector solves by PCG, whose correction
+    # (1/rho) grad(p) is truncated before the final Leray projection: u's
+    # L^2 fraction outside the 2/3 ball stays at round-off (measured
+    # 2.5e-16 at every step of 8 at 32^2).  Untruncated, the correction put
+    # 2e-7 more outside at each step
+    params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+    plan = plan_for(grid2d)
+    outside = ~plan.tables(plan.fft(grid2d.meshes()[0])).mask
+    fractions = []
+
+    def observe(t, st, rec):
+        u_hat = plan.fft(st.u)
+        fractions.append(float(np.linalg.norm(u_hat * outside) / np.linalg.norm(u_hat)))
+
+    dt = 2.0 ** -11
+    traj = run(smooth_2d_state(grid2d, m=params.m, M=params.M), params, StepConfig(dt_init=dt),
+               8 * dt, observers=[observe], diagnostics=False)
+    assert traj.event is None and len(fractions) == 8
+    assert max(fractions) <= 1e-14
 
 
 def test_run_takes_a_last_step_of_1e9_to_the_horizon(grid2d):
@@ -806,13 +851,15 @@ def test_retried_step_replaces_its_history_entry(grid2d):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("case", ["2d-contrast-3.9", "2d-contrast-16", "3d"])
+@pytest.mark.parametrize("case", ["2d-contrast-3.9", "2d-contrast-16", "2d-contrast-100", "3d"])
 def test_energy_equality_is_second_order(case):
     # max|r|/E0 of the energy budget at dt = 2e-3 and 1e-3:
     # 2D 32^2 at density range [1, 4.84] (contrast 3.90, the top of the
-    # pressure split's range) to T = 0.5 measured 9.90e-7 and 2.48e-7;
-    # 2D 32^2 at density range [0.1, 10] (the high-contrast preconditioner)
-    # to T = 0.1 measured 2.80e-7 and 7.07e-8; 3D 16^3 standard smooth data
+    # corrector split's range) to T = 0.5 measured 9.89e-7 and 2.47e-7;
+    # 2D 32^2 at density range [0.6, 9.5] (contrast 16: split predictors,
+    # PCG correctors) to T = 0.1 measured 2.79e-7 and 6.98e-8 (2.80e-7 and
+    # 7.07e-8 with PCG in both stages); rho = 10^(cos x cos y) (contrast
+    # 100) to T = 0.1 6.47e-7 and 1.62e-7; 3D 16^3 standard smooth data
     # to T = 0.1 1.12e-6 and 2.81e-7
     horizon = 0.1
     if case == "3d":
@@ -823,10 +870,15 @@ def test_energy_equality_is_second_order(case):
         grid = make_grid(2, [32] * 2, [2 * np.pi] * 2)
         if case == "2d-contrast-16":
             params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.1, M=10.0, eps=0.05)
+        elif case == "2d-contrast-100":
+            params = Params(lam=1.0, mu=1.0, nu=0.1, m=0.09, M=11.0, eps=0.045)
         else:
             params = Params(lam=1.0, mu=1.0, nu=0.1, m=1.0, M=4.84, eps=0.5)
             horizon = 0.5
         initial = smooth_2d_state(grid, m=params.m, M=params.M)
+        if case == "2d-contrast-100":
+            x, y = grid.meshes()
+            initial.rho = 10.0 ** (np.cos(x) * np.cos(y))
     residuals = []
     for dt in (2e-3, 1e-3):
         traj = run(initial, params, StepConfig(dt_init=dt), horizon)

@@ -7,15 +7,16 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_table():
+def _load_runner():
     spec = importlib.util.spec_from_file_location("mutants", os.path.join(ROOT, "tools",
                                                                           "mutants.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = _load_table()
+RUNNER = _load_runner()
+MUTANTS = RUNNER.MUTANTS
 
 
 def _function_lines(tree, qualname):
@@ -47,4 +48,24 @@ def test_mutant_source_occurs_once_in_its_function(m):
 
 def test_table_covers_the_stage_body_and_both_guesses():
     sites = {m.site.split(":")[1] for m in MUTANTS}
-    assert {"_fluid_substep.stage", "StepHistory.pcg_guess", "StepHistory.split_guess"} <= sites
+    assert {"_fluid_substep.stage", "StepHistory.corrector_curve",
+            "StepHistory.split_guess"} <= sites
+
+
+def test_runner_makes_its_workdir_and_rejects_unknown_names(tmp_path, monkeypatch):
+    # --workdir names a directory that need not exist yet; the copies go
+    # there.  A name outside the table is an error, not an empty selection
+    # whose baseline is the whole suite
+    workdirs = []
+
+    def fake_run_tests(killers, workdir, prefix, mutant=None):
+        assert os.path.isdir(workdir)
+        workdirs.append(workdir)
+        return 0 if mutant is None else 1
+
+    monkeypatch.setattr(RUNNER, "_run_tests", fake_run_tests)
+    workdir = str(tmp_path / "new" / "dir")
+    assert RUNNER.main(["--workdir", workdir, MUTANTS[0].name]) == 0
+    assert workdirs == [workdir, workdir]
+    with pytest.raises(SystemExit):
+        RUNNER.main(["--workdir", workdir, "no-such-mutant"])

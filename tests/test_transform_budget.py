@@ -42,7 +42,7 @@ ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "i
 # "smooth": the smooth 2D 32^2 state at the default density range
 # [0.8, 1.2] (contrast 1.44), the benchmark workloads' data family.
 # "contrast": the same state at density range [0.6, 9.5] (contrast 16).
-STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 259}
+STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 258}
 # Per step of a run(), measure() excluded, as {first step covered (0-based):
 # bound on that step and every later one}.  Each step starts from carried
 # spectra and from the carried [psi, grad(psi)] stack, so each wave
@@ -57,11 +57,13 @@ STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 259}
 # 96 (3D 145) when it solved by PCG, before its p* came from the first
 # step's two stage pressures.  Warm-started PCG took 68 and 97 from the
 # fifth step on (1 + 1 iterations) and 84, 76 (3D 121, 109) in the third
-# and fourth.  At contrast 16 every stage keeps PCG: the fifth to eighth
-# steps take 76 to 88 with 2 or 3 iterations a solve (80 to 92 before the
-# carried stack), and the third and fourth 124 and 88 (128 and 92 before
-# the carried stack).
-RUN_BUDGETS = {2: {1: 44}, 3: {1: 62}, "contrast": {4: 92, 2: 128}}
+# and fourth.  At contrast 16 the second step on takes the split in the
+# predictor, whose p* is the line through the last two corrector pressures,
+# and one PCG solve in the corrector, warm-started from the cubic through
+# the last four: the second to eighth steps take 132, 102, 84, 84, 78, 60
+# and 60.  With PCG in both stages they took 178, 124, 88, 82, 76, 82 and
+# 88 (from the fifth step on 76 to 88, 2 or 3 iterations a solve).
+RUN_BUDGETS = {2: {1: 44}, 3: {1: 62}, "contrast": {1: 132, 2: 102, 3: 84, 5: 78, 6: 60}}
 # Per measure() call on an accepted step of a run(), which hands it the
 # carried spectra and grad(psi): the coupling's one forward transform and
 # the H^-1 norm of the density's time difference.  It was d + 2 (4 in 2D,

@@ -50,6 +50,11 @@ MUTANTS = (
            ("tests/test_spectral_ops.py::test_weighted_projection_meets_its_tolerance",)),
     # the constant-coefficient preconditioner 1/(r_bar |k'|^2) in place of
     # |k'|^-1 rho |k'|^-1: the cold step on the workloads' data costs more
+    # PCG's final correction left untruncated: u leaves the dealias ball
+    Mutant("untruncated-pcg-correction", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
+           "return self.leray_hat(vhat - tab.mask * flux_p)[0], phat",
+           "return self.leray_hat(vhat - flux_p)[0], phat",
+           ("tests/test_integrator.py::test_pcg_steps_keep_u_inside_the_dealias_ball",)),
     Mutant("constant-preconditioner", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
            "return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))",
            "return res * (tab.inv_kk / r_bar)",
@@ -112,21 +117,30 @@ MUTANTS = (
            "density_floor_check(rho_new, params, t0 + dt)",
            ("tests/test_integrator.py::"
             "test_density_floor_breach_at_the_midpoint_is_stamped_there",)),
-    Mutant("pcg-guess-three-steps", "pitaevskii.integrator:StepHistory.pcg_guess",
-           "steps = self._before(t, 4)", "steps = self._before(t, 3)",
+    # the curve through the corrector pressures, which gives the
+    # high-contrast predictor's p* (a line) and the corrector's PCG warm
+    # start (a cubic)
+    Mutant("pcg-guess-three-steps", "pitaevskii.integrator:StepHistory.corrector_curve",
+           "steps = self._before(t, count)", "steps = self._before(t, min(count, 3))",
            ("tests/test_integrator.py::test_pressure_history_extrapolates_in_time",)),
-    Mutant("pcg-guess-constant-offset", "pitaevskii.integrator:StepHistory.pcg_guess",
-           "return predictor + _lagrange(steps, 3, t) if steps else predictor",
-           "return predictor + steps[-1][3] if steps else predictor",
+    Mutant("pcg-guess-constant-offset", "pitaevskii.integrator:StepHistory.corrector_curve",
+           "return _lagrange([s[0] + 0.5 * s[1] for s in steps], [s[2] + s[3] for s in steps], at)",
+           "return steps[-1][2] + steps[-1][3]",
            ("tests/test_integrator.py::test_pressure_history_extrapolates_in_time",)),
+    # the high-contrast predictor solves by PCG again, from the corrector
+    # pressures' cubic: each warm step pays a second solve
+    Mutant("predictor-pcg-above-4", "pitaevskii.integrator:_fluid_substep.stage",
+           "p_star = history.corrector_curve(t0, 2, t0) if p_pred is None else None",
+           "p_star = None",
+           ("tests/test_transform_budget.py::test_run_steady_state_transform_budget",)),
     Mutant("split-guess-first-slope", "pitaevskii.integrator:StepHistory.split_guess",
            "return p1 + ((t - t1) / (0.5 * dt1)) * offset",
            "return p1 + ((t - t1) / dt1) * offset",
            ("tests/test_integrator.py::test_split_guesses_are_exact_on_lines_in_time",
             "tests/test_reference_runs.py")),
     Mutant("split-guess-corrector-offset", "pitaevskii.integrator:StepHistory.split_guess",
-           "return predictor + _lagrange(steps, 3, t)\n        if len(steps) == 2:",
-           "return predictor\n        if len(steps) == 2:",
+           "return predictor + _lagrange(starts, [s[3] for s in steps], t)",
+           "return predictor",
            ("tests/test_integrator.py::test_split_guesses_are_exact_on_lines_in_time",
             "tests/test_reference_runs.py")),
     # rho0 reaches the velocity only through the split's stored pressure,
@@ -212,6 +226,11 @@ def main(argv=None):
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--workdir", default=None, help="where the mutated copies go")
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.names) - {m.name for m in MUTANTS})
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    if args.workdir is not None:
+        os.makedirs(args.workdir, exist_ok=True)
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     check_baseline(chosen, args.workdir)
     survivors = []
