@@ -169,17 +169,26 @@ def cumulative_trapezoid(ts, values):
 
 @dataclass
 class BoundCheck:
+    """One a priori bound as its signed margin, bound minus value: it passes
+    on a positive margin when strict, else on a nonnegative one.  For finite
+    operands that sign decides exactly as the comparison of the two does."""
+
     name: str
-    passed: bool
     margin: float
+    strict: bool = False
     observation: bool = False  # True: reported, never fatal
+
+    @property
+    def passed(self):
+        return self.margin > 0 if self.strict else self.margin >= 0
 
 
 def bounds_report(record, params, reference=None, y_integral=None, mass_tol=None):
     """Evaluate the a priori bounds on one record.
 
     reference is the initial record (defaults to the record itself, so the
-    initial record passes everything).  The growth checks on the second-order
+    initial record passes everything).  The density bounds are strict, the
+    others admit equality.  The growth checks on the second-order
     quantities are observations: they are guaranteed only up to the model's
     own existence horizon, which the artifact does not compute.  mass_tol
     overrides the 1e-8 relative tolerance for the total-mass check; that
@@ -191,43 +200,21 @@ def bounds_report(record, params, reference=None, y_integral=None, mass_tol=None
         reference = record
     if mass_tol is None:
         mass_tol = tol
+    total_0 = reference.mass_wave + reference.mass_fluid
+    drift = abs(record.mass_wave + record.mass_fluid - total_0)
     checks = [
-        BoundCheck(
-            "wave_mass_nonincreasing",
-            record.mass_wave <= reference.mass_wave * (1.0 + tol),
-            reference.mass_wave * (1.0 + tol) - record.mass_wave,
-        ),
-        BoundCheck(
-            "density_above_floor",
-            record.rho_min > params.eps,
-            record.rho_min - params.eps,
-        ),
-        BoundCheck(
-            "density_below_ceiling",
-            record.rho_max < params.m_prime * (1.0 + tol),
-            params.m_prime * (1.0 + tol) - record.rho_max,
-        ),
-        BoundCheck(
-            "total_mass_constant",
-            abs((record.mass_wave + record.mass_fluid) - (reference.mass_wave + reference.mass_fluid))
-            <= mass_tol * abs(reference.mass_wave + reference.mass_fluid),
-            mass_tol * abs(reference.mass_wave + reference.mass_fluid)
-            - abs((record.mass_wave + record.mass_fluid) - (reference.mass_wave + reference.mass_fluid)),
-        ),
-        BoundCheck(
-            "second_energy_doubling",
-            record.second_energy <= 2.0 * reference.second_energy,
-            2.0 * reference.second_energy - record.second_energy,
-            observation=True,
-        ),
+        BoundCheck("wave_mass_nonincreasing",
+                   reference.mass_wave * (1.0 + tol) - record.mass_wave),
+        BoundCheck("density_above_floor", record.rho_min - params.eps, strict=True),
+        BoundCheck("density_below_ceiling", params.m_prime * (1.0 + tol) - record.rho_max,
+                   strict=True),
+        BoundCheck("total_mass_constant", mass_tol * abs(total_0) - drift),
+        BoundCheck("second_energy_doubling",
+                   2.0 * reference.second_energy - record.second_energy, observation=True),
     ]
     if y_integral is not None:
-        checks.append(BoundCheck(
-            "second_diss_integral",
-            y_integral <= 31.0 * reference.second_energy,
-            31.0 * reference.second_energy - y_integral,
-            observation=True,
-        ))
+        checks.append(BoundCheck("second_diss_integral",
+                                 31.0 * reference.second_energy - y_integral, observation=True))
     return checks
 
 

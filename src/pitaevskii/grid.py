@@ -38,6 +38,22 @@ class GridError(ConstraintError):
     """Invalid grid construction parameters, or a field that is not on its grid."""
 
 
+def _geometry_is_finite(d, n, lengths):
+    """Whether a grid with these points per axis and positive finite lengths
+    has a cell volume > 0, a finite volume, and finite extreme multipliers:
+    the largest Sobolev weight the diagnostics form, (1 + d k_max^2)^3
+    (their largest index is 5/2 + delta < 3), k_max the largest Nyquist
+    wavenumber pi n_i / L_i, and the inverse Laplacian's largest entry
+    1/k_min^2, k_min = 2 pi / max L_i the smallest nonzero wavenumber.
+    Python floats overflow to inf and underflow to 0 without a warning."""
+    k_max = max(math.pi * v / L for v, L in zip(n, lengths))
+    k_min = 2.0 * math.pi / max(lengths)
+    weight = 1.0 + d * k_max * k_max
+    return (math.prod(L / v for v, L in zip(n, lengths)) > 0
+            and math.isfinite(math.prod(lengths)) and math.isfinite(weight * weight * weight)
+            and k_min * k_min > 0 and math.isfinite(1.0 / (k_min * k_min)))
+
+
 def check_grid(d, n, lengths):
     """Raise GridError naming every constraint that the dimension d, the
     points per axis n and the axis lengths violate.  It reads the values
@@ -45,15 +61,20 @@ def check_grid(d, n, lengths):
     constraints = [(("d",), "grid.d must be 1, 2 or 3", d in (1, 2, 3))]
     if d in (1, 2, 3):
         bad = next((v for v in n if v < 4 or v % 2), None)
+        positive = len(lengths) == d and all(L > 0 for L in lengths)
+        finite = all(np.isfinite(L) for L in lengths)
         constraints += [
             (("n", "d"), f"grid.n needs {d} entries, got {len(n)}", len(n) == d),
             (("n",), f"grid points must be even and >= 4, got {bad}", len(n) != d or bad is None),
             (("lengths", "d"), f"grid.len needs {d} entries, got {len(lengths)}", len(lengths) == d),
-            (("lengths",), "grid lengths must be positive",
-             len(lengths) != d or all(L > 0 for L in lengths)),
-            (("lengths",), "grid lengths must be finite", all(np.isfinite(L) for L in lengths)),
+            (("lengths",), "grid lengths must be positive", len(lengths) != d or positive),
+            (("lengths",), "grid lengths must be finite", finite),
             (("n",), "total point count exceeds the platform index range",
              math.prod(n) <= np.iinfo(np.intp).max),
+            (("lengths", "n"), "grid lengths must give a positive cell volume, a finite volume "
+             "and finite Sobolev weights and inverse Laplacian",
+             not (len(n) == d and bad is None and positive and finite)
+             or _geometry_is_finite(d, n, lengths)),
         ]
     check_constraints(constraints, GridError)
 

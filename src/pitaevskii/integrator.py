@@ -32,48 +32,13 @@ One step of size dt is the composition
     costs one exact Leray projection on spectra, with no transform and no
     iteration.
   Both truncate what they take out of the velocity by the 2/3 rule, so u
-  never leaves the dealias ball.  A run's first step and a lone step()
-  solve every stage by PCG.  From a run's second step on (the history
-  holds a step that started before this one):
-  - the predictor takes the split at every density contrast.  Its
-    projection feeds only the corrector's evaluation point, so a defect
-    delta in it reaches the new u as O(dt^2 delta) a step (Guermond &
-    Salgado, J. Comput. Phys. 228, 2009);
-  - the corrector takes the split while the stage density's contrast
-    max/min is below SPLIT_MAX_CONTRAST (4), and solves by PCG from there
-    on.
-* run() carries a StepHistory from step to step.  It holds:
-  - the predictor and corrector pressure spectra of the last four steps,
-    from which the history extrapolates in time.  Below contrast 4 the
-    split's p* (StepHistory.split_guess) takes lines through the last two
-    of each: the predictor's through the predictor pressures, the
-    corrector's through the corrector - predictor offsets added to this
-    step's predictor pressure.  After one step the predictor's line runs
-    through that step's predictor and corrector pressures, at its start
-    and its midpoint.  From contrast 4 on both stages read the curve
-    through the corrector pressures, which PCG solved to its tolerance,
-    each at its step's midpoint (StepHistory.corrector_curve): the
-    predictor's p* is the line through the last two at the step's start,
-    the corrector's PCG warm start the cubic through the last four at its
-    midpoint.  A run's first step starts the predictor cold and the
-    corrector from the predictor's pressure, as step() on its own does;
-  - one slot, carried = (state, psi_hat, u_hat, [psi, grad(psi)]): the
-    accepted state, the spectra that the last wave substep and the fluid
-    substep form before their inverse transforms, and the stack that step()
-    takes back in one inverse transform at its end.  measure() reads the
-    spectra and grad(psi) from it, and the next step empties it and starts
-    from it instead of transforming the state again;
-  - the wave propagator and the fluid stages' Helmholtz factor
-    1/(1 + alpha |k|^2) of the last step size, reused while dt and the
-    parameters stay the same.
-  A run and a loop of lone step() calls are therefore two
-  discretizations, whose gap falls with dt.  At 32^2 over 10 * 2^-10 it
-  is, relative in u, 1.6e-10 at dt = 2^-10, 1.1e-11 at 2^-11 and 1.3e-12
-  at 2^-12 below contrast 4 (third order), and 2.3e-9, 5.8e-10 and
-  1.5e-10 at contrast 16 (second order).  There the predictor's p* misses
-  its PCG pressure by O(dt), 5.7e-4 relative at dt = 2^-10: both stages
-  freeze psi at the step's midpoint, so the predictor's pressure lies off
-  the corrector pressures' curve by that much.
+  never leaves the dealias ball.
+* run() carries a StepHistory from step to step: the pressures of the
+  last four steps, the accepted state with the spectra step() formed of
+  it, and the propagators of the last step size.  Its docstring states
+  the rules once: which stage takes the split and which PCG, the p* and
+  warm start each reads off the stored pressures, and the measured gap
+  between a run and a loop of lone step() calls.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
   each stage forms once for it and the momentum drag.  The frozen psi and
@@ -130,8 +95,9 @@ class Trajectory:
     snapshots: list = field(default_factory=list)   # copies of the accepted States
     event: Optional[PhysicsEvent] = None       # what ended the run early
     final_state: Optional[State] = None
-    # the moderate halves of the Gronwall driver that stability experiments
-    # on this base computed, by (params, bundle, record index)
+    # the moderate half of the Gronwall driver (the sum of its moderate
+    # terms) that stability experiments on this base computed: one float
+    # per (params, bundle, record index)
     moderate_halves: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -224,7 +190,19 @@ class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
     spectra of the last four steps, which start both projections of the
     next one, the accepted state with what step() formed of it, and the
-    wave propagator and Helmholtz factor of the last step size.
+    wave propagator and Helmholtz factor of the last step size.  These are
+    the rules of the pressure history, stated here alone.
+
+    Projections: a run's first step and a lone step() solve every stage by
+    PCG.  From a run's second step on (the history holds a step that
+    started before this one):
+    - the predictor takes the split at every density contrast.  Its
+      projection feeds only the corrector's evaluation point, so a defect
+      delta in it reaches the new u as O(dt^2 delta) a step (Guermond &
+      Salgado, J. Comput. Phys. 228, 2009);
+    - the corrector takes the split while the stage density's contrast
+      max/min is below SPLIT_MAX_CONTRAST (4), and solves by PCG from there
+      on.
 
     Pressures: each entry holds a step's start time, its dt, its predictor
     pressure and its corrector - predictor offset, whose sum is its
@@ -251,19 +229,35 @@ class StepHistory:
       midpoint t_k + dt_k/2.  The predictor's p* is the line through the
       last two at t, the corrector's PCG warm start the cubic through the
       last four at its midpoint t + dt/2.  Those pressures come from PCG
-      solves, so the split's error does not feed back into its p*.
+      solves, which meet their tolerance, so the split's error does not
+      feed back into its p*.
+    - A run's first step starts the predictor cold and the corrector from
+      the predictor's pressure, as step() on its own does.
     The nodes must be start times: a node at each step's end is off by that
     step's dt, which cancels only at fixed dt.  Memory is O(1) in the
     horizon.
 
+    A run and a loop of lone step() calls are therefore two
+    discretizations, whose gap falls with dt.  At 32^2 over 10 * 2^-10 it
+    is, relative in u, 1.6e-10 at dt = 2^-10, 1.1e-11 at 2^-11 and 1.3e-12
+    at 2^-12 below contrast 4 (third order), and 2.3e-9, 5.8e-10 and
+    1.5e-10 at contrast 16 (second order).  There the predictor's p* misses
+    its PCG pressure by O(dt), 5.7e-4 relative at dt = 2^-10: both stages
+    freeze psi at the step's midpoint, so the predictor's pressure lies off
+    the corrector pressures' curve by that much.
+
     carried is None or (state, psi_hat, u_hat, stack): the spectra
-    plan.fft of state.psi and state.u and the stack [psi, grad(psi)] =
-    _psi_and_gradient(plan, psi_hat), which step() formed for the state it
-    returned.  run() reads them for measure(); the next step() takes the
-    slot, empties it and uses what it holds only if it is for that very
-    state object, so the stack lives until that step's first wave stage and
-    no longer.  The propagators are reused only for the same plan, dt and
-    params.
+    plan.fft of state.psi and state.u, which the last wave substep and the
+    fluid substep form before their inverse transforms, and the stack
+    [psi, grad(psi)] = _psi_and_gradient(plan, psi_hat), which step() takes
+    back in one inverse transform at its end, all for the state it
+    returned.  run() reads the spectra and grad(psi) for measure(); the
+    next step() takes the slot, empties it and starts from what it holds
+    instead of transforming the state again, but only if it is for that
+    very state object, so the stack lives until that step's first wave
+    stage and no longer.  The propagators, the wave half-steps' and the
+    fluid stages' Helmholtz factor 1/(1 + alpha |k|^2), are reused only for
+    the same plan, dt and params.
     """
 
     def __init__(self):
@@ -320,12 +314,9 @@ class StepHistory:
         return cached[3:]
 
 
-# Density contrast max/min from which the corrector solves its pressure by
-# PCG, and the predictor's split takes p* from the PCG-solved corrector
-# pressures instead of its own guesses.  Below it the split feeds on its own
-# pressures and stays stable with lines (StepHistory).  Splitting both
-# stages at contrast 16 with split_guess's p* raised the energy residual of
-# a 16-step 64^2 run 1.8e-9 -> 4.6e-8
+# Density contrast max/min at which the pressure history's rules switch
+# (StepHistory).  Splitting both stages at contrast 16 with split_guess's p*
+# raised the energy residual of a 16-step 64^2 run 1.8e-9 -> 4.6e-8
 SPLIT_MAX_CONTRAST = 4.0
 
 
@@ -346,10 +337,8 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     divergence-free.  With uniform density this is the plain Leray
     projection.  Predictor and corrector are one stage body: from (u_s,
     rho_s) it projects the explicit acceleration a (by the pressure split
-    where the history has a p*, which a then carries: for the predictor
-    from a run's second step on, for the corrector below
-    SPLIT_MAX_CONTRAST; else by PCG from the history's warm start; see the
-    module docstring), solves
+    where the history has a p*, which a then carries, else by PCG from the
+    history's warm start: StepHistory states which), solves
     (I - alpha lap) u' = start + h a on spectra with helm, the factor
     1/(1 + alpha |k|^2) of this dt, and advances rho by h, checking the
     floor at t0 + h.  The predictor starts from u_hat with h = dt/2, the
@@ -394,10 +383,8 @@ def step(state, params, dt, *, history=None):
     experiments with the dissipative constants set to zero).
 
     The pressure projections are cold PCG solves unless a StepHistory is
-    passed; run() passes its own.  With an earlier step on it (from a
-    run's second step on), the predictor takes the pressure split, and so
-    does the corrector below contrast 4; a run's first step and a lone
-    step() solve by PCG.  The step empties the history's carried slot and
+    passed; run() passes its own, and StepHistory states which stage then
+    takes the pressure split.  The step empties the history's carried slot and
     starts from the spectra and the [psi, grad(psi)] stack it holds if they
     are for this very state object; otherwise, as a lone step(), it forms
     them from the state.  It takes the wave propagator and Helmholtz factor
@@ -488,10 +475,8 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     stability harness pairs them at desk scales.
 
     One StepHistory carries pressures, the accepted state with its spectra
-    and [psi, grad(psi)] stack, and the propagators from step to step,
-    so from the second step on the predictor takes the pressure split, and
-    so does the corrector below contrast 4 (see the module docstring).
-    run() fills its carried slot for the ingested state, and measure()
+    and [psi, grad(psi)] stack, and the propagators from step to step; its
+    docstring states which stage takes the pressure split.  run() fills its carried slot for the ingested state, and measure()
     reads each accepted state's spectra and grad(psi) from the slot; run()
     holds none of them while the next step runs.
 

@@ -67,10 +67,10 @@ def _header_size(d):
 def read_snapshot_meta(path):
     """Header only: returns (grid, time, constants dict).
 
-    The header must describe the file: its axis sizes and lengths pass
-    grid.check_grid, which reads values only, and the file size they imply
-    is compared with the real one, before any grid is built, so a corrupt
-    header cannot make the reader allocate.
+    The header must describe the file: its time is finite, its axis sizes
+    and lengths pass grid.check_grid, which reads values only, and the file
+    size they imply is compared with the real one, before any grid is built,
+    so a corrupt header cannot make the reader allocate.
     """
     with open(path, "rb") as fh:
         magic, version, d = struct.unpack("<4sBB", _read_exact(fh, 6, "header"))
@@ -86,6 +86,8 @@ def read_snapshot_meta(path):
         echo = np.frombuffer(_read_exact(fh, 8 * len(_ECHO_FIELDS), "constants"), dtype="<f8")
         size = os.fstat(fh.fileno()).st_size
     lens = tuple(float(v) for v in lens)
+    if not math.isfinite(t):
+        raise SnapshotError(f"corrupt snapshot: header time {t}")
     try:
         check_grid(d, n, lens)
     except GridError as exc:
@@ -103,7 +105,8 @@ def read_snapshot_meta(path):
 
 
 def read_snapshot(path, expected_grid=None):
-    """Reload a state; read(write(s)) is bitwise exact."""
+    """Reload a state; read(write(s)) is bitwise exact.  A field holding a
+    non-finite value is a SnapshotError with State.validate's message."""
     grid, t, _ = read_snapshot_meta(path)
     if expected_grid is not None:
         if grid.d != expected_grid.d or grid.n != expected_grid.n or \
@@ -125,7 +128,10 @@ def read_snapshot(path, expected_grid=None):
         rho=rho.reshape(grid.shape).copy(),
         grid=grid,
     )
-    return state.validate()
+    try:
+        return state.validate()
+    except ValueError as exc:
+        raise SnapshotError(str(exc)) from None
 
 
 def _fmt(x):

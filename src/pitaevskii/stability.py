@@ -13,12 +13,13 @@ half of the run and validates the envelope on the second half.  A zero
 perturbation must reproduce the base run bit for bit, which is the discrete
 rendering of "the solutions are identical".
 
-Each term of H is a norm of one of the two states, so H splits into a weak
-half and a moderate half.  The runs that an experiment starts take no
-diagnostics (run(..., diagnostics=False)): only their stored states are
-read.  A sweep passes one base trajectory to each of its experiments
-(base=), which then run the base once and form the moderate half at each
-of its records once, keeping it on the base.
+Each term of H is a norm of one of the two states, so H is a weak half
+plus a moderate half, each the sum of its own terms; a state's H^s norms
+are read off one Parseval density per field.  The runs that an experiment
+starts take no diagnostics (run(..., diagnostics=False)): only their
+stored states are read.  A sweep passes one base trajectory to each of its
+experiments (base=), which then run the base once and form the moderate
+half at each of its records once, keeping it on the base.
 
 A spatially uniform / single-plane-wave reduction of the full system closes
 into a small ODE; reduced_ode_oracle integrates it with a high-order adaptive
@@ -120,73 +121,56 @@ def gronwall_bundle(weak, moderate, params, dt_moderate_u, bundle="full"):
     extra regularity norms (grad rho in L^3, dt u in L^3) are computed on the
     moderate state only, matching the asymmetric roles of the two solutions.
     Constant prefactors are absorbed into the fitted envelope constant.
-    Every term is a norm of one state, so H is a weak half plus a moderate
-    half (_weak_terms, _moderate_terms), which _driver sums.
+    Every term is a norm of one state, so H is the weak half (_weak_half)
+    plus the moderate half (_moderate_half), each summed on its own.
     """
     check_constraints(bundle_constraints(bundle))
     if dt_moderate_u is None:
         raise ValueError("gronwall_bundle needs the time derivative of the moderate velocity")
-    return _driver(_weak_terms(weak, params, bundle),
-                   _moderate_terms(moderate, dt_moderate_u, params, bundle), bundle)
+    weak_half = _weak_half(weak, params, bundle)
+    return weak_half + _moderate_half(moderate, dt_moderate_u, params, bundle)
 
 
-def _sob(g, dens, s):
-    """The H^s norm on grid g from a (density, tables) pair."""
-    return math.sqrt(norms.sobolev_sq(*dens, g.volume, s))
-
-
-def _weak_terms(weak, params, bundle):
-    """The driver's terms in the weak state alone, in summation order: one
-    transform per field, and every H^s norm of it reads its one density."""
-    g = weak.grid
+def _sobolev_reader(state, params, bundle):
+    """A function (field, s) -> the H^s norm of state's field 'psi', 'u' or,
+    in the full bundle, 'c', the coupling C[psi]: each field is transformed
+    once (the coupling's spectrum from psi's) and weighed as one Parseval
+    density, and a norm is formed only when a term reads it."""
+    g = state.grid
     plan = plan_for(g)
-    psi_hat = plan.fft(weak.psi)
-    u_dens = norms.spectral_density_hat(plan, plan.fft(weak.u))
-    psi_dens = norms.spectral_density_hat(plan, psi_hat)
-    psi_h1 = _sob(g, psi_dens, 1.0)
-    terms = (_sob(g, u_dens, 1.0) ** 4, _sob(g, psi_dens, 2.0) ** 4,
-             (1.0 + params.mu ** 2) * psi_h1 ** 4)
-    if bundle == "full":
-        # the coupling's L^2 and H^1 norms by Parseval on its spectrum
-        c_dens = _coupling_density(plan, weak, psi_hat, params)
-        terms += (_sob(g, u_dens, 2.0) ** 2, _sob(g, c_dens, 0.0) * _sob(g, c_dens, 1.0))
-    return terms
-
-
-def _moderate_terms(moderate, rate, params, bundle):
-    """The driver's terms in the moderate state and its velocity's time
-    derivative rate alone, in summation order."""
-    g = moderate.grid
-    plan = plan_for(g)
-    psi_hat = plan.fft(moderate.psi)
-    u_dens = norms.spectral_density_hat(plan, plan.fft(moderate.u))
-    u_h1 = _sob(g, u_dens, 1.0)
-    terms = (u_h1 ** 4,
-             _sob(g, norms.spectral_density_hat(plan, psi_hat), 2.0) ** 4,
-             norms.lp_norm(g, rate, 3) ** 2,
-             norms.lp_norm(g, plan.gradient(moderate.rho), 3) ** 2)
-    if bundle == "full":
-        u_h2 = _sob(g, u_dens, 2.0)
-        c_dens = _coupling_density(plan, moderate, psi_hat, params)
-        terms += (u_h2 ** 2, u_h1 ** 2 * u_h2 ** 2, u_h1 ** 2 * _sob(g, c_dens, 0.0) ** 2)
-    return terms
-
-
-def _driver(weak, moderate, bundle):
-    """H from the two halves, summed term by term in the bundle's order."""
-    terms = [weak[0], moderate[0], weak[1], moderate[1], weak[2], moderate[2], moderate[3]]
-    if bundle == "full":
-        terms += [weak[3], moderate[4], moderate[5], weak[4], moderate[6]]
-    return float(sum(terms))
-
-
-def _coupling_density(plan, state, psi_hat, params):
-    """Parseval density of C[psi] from the spectrum psi_hat of state.psi."""
     psi, u = state.psi, state.u
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
-                         psi.real ** 2 + psi.imag ** 2, params)
-    return norms.spectral_density_hat(plan, c_hat)
+    psi_hat = plan.fft(psi)
+    dens = {"psi": norms.spectral_density_hat(plan, psi_hat),
+            "u": norms.spectral_density_hat(plan, plan.fft(u))}
+    if bundle == "full":
+        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+        psi2 = psi.real ** 2 + psi.imag ** 2
+        c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2, params)
+        dens["c"] = norms.spectral_density_hat(plan, c_hat)
+    return lambda name, s: math.sqrt(norms.sobolev_sq(*dens[name], g.volume, s))
+
+
+def _weak_half(weak, params, bundle):
+    """The sum of the driver's terms in the weak state alone."""
+    h = _sobolev_reader(weak, params, bundle)
+    total = h("u", 1.0) ** 4 + h("psi", 2.0) ** 4 + (1.0 + params.mu ** 2) * h("psi", 1.0) ** 4
+    if bundle == "full":
+        total += h("u", 2.0) ** 2 + h("c", 0.0) * h("c", 1.0)
+    return total
+
+
+def _moderate_half(moderate, rate, params, bundle):
+    """The sum of the driver's terms in the moderate state and its
+    velocity's time derivative rate alone."""
+    g = moderate.grid
+    h = _sobolev_reader(moderate, params, bundle)
+    u_h1 = h("u", 1.0)
+    total = (u_h1 ** 4 + h("psi", 2.0) ** 4 + norms.lp_norm(g, rate, 3) ** 2
+             + norms.lp_norm(g, plan_for(g).gradient(moderate.rho), 3) ** 2)
+    if bundle == "full":
+        u_h2 = h("u", 2.0)
+        total += u_h2 ** 2 + u_h1 ** 2 * u_h2 ** 2 + u_h1 ** 2 * h("c", 0.0) ** 2
+    return total
 
 
 def perturb_state(state, spec, params):
@@ -337,8 +321,8 @@ def stability_experiment(initial, params, step_config, spec, horizon, bundle="fu
             st_hi = base.snapshots[min(i + 1, last)]
             dt = st_hi.t - st_lo.t
             rate = np.zeros_like(st_b.u) if dt == 0 else (st_hi.u - st_lo.u) / dt
-            base.moderate_halves[key] = _moderate_terms(st_b, rate, params, bundle)
-        rec.driver = _driver(_weak_terms(st_p, params, bundle), base.moderate_halves[key], bundle)
+            base.moderate_halves[key] = _moderate_half(st_b, rate, params, bundle)
+        rec.driver = _weak_half(st_p, params, bundle) + base.moderate_halves[key]
         records.append(rec)
 
     determinism_failure = False

@@ -179,6 +179,9 @@ CONSTRAINT_CASES = [
     ("experiment.target = vorticity\n", (1, "target must be one of psi, u, rho, all")),
     ("experiment.delta_p = -1e-6\n", (1, "delta_p must be >= 0")),
     ("experiment.bundle = tiny\n", (1, "bundle must be one of full, core")),
+    ("grid.d = 1\ngrid.n = 8\ngrid.len = 1e-300\n",
+     (3, "grid lengths must give a positive cell volume, a finite volume and finite Sobolev "
+         "weights and inverse Laplacian")),
 ]
 
 
@@ -418,6 +421,50 @@ def test_snapshot_odd_axis_size_is_a_snapshot_error(tmp_path, grid2d, rng, size)
     bad.write_bytes(bytes(data))
     with pytest.raises(SnapshotError, match="axis sizes"):
         read_snapshot(bad)
+
+
+def test_snapshot_corruption_is_a_snapshot_error_or_a_finite_state(tmp_path, rng):
+    # every single-bit flip of a 2D 8^2 header, and a NaN written into the
+    # time and into each field block: a read raises SnapshotError or returns
+    # a state whose time and fields are finite, and no read warns
+    import struct
+    import warnings
+
+    from pitaevskii.snapshot_io import _header_size
+
+    grid = make_grid(2, [8, 8], [2 * np.pi] * 2)
+    path = tmp_path / "state.pitv"
+    write_snapshot(random_state(grid, rng), PARAMS, path)
+    data = path.read_bytes()
+    header, npts = _header_size(2), grid.num_points
+    flips = [bytes(data[:i // 8]) + bytes([data[i // 8] ^ (1 << (i % 8))]) + data[i // 8 + 1:]
+             for i in range(8 * header)]
+    nan = struct.pack("<d", np.nan)
+    # the time, then the first value of rho, of u and of psi
+    nan_at = [header - 72, header, header + 8 * npts, header + 8 * npts * 3]
+    nans = [data[:at] + nan + data[at + 8:] for at in nan_at]
+    bad = tmp_path / "bad.pitv"
+    for i, blob in enumerate(flips + nans):
+        bad.write_bytes(blob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                state = read_snapshot(bad)
+            except SnapshotError:
+                continue
+        assert i < len(flips), f"NaN at byte {nan_at[i - len(flips)]} was read"
+        assert np.isfinite(state.t)
+        assert all(np.isfinite(f).all() for f in (state.psi, state.u, state.rho))
+    for at, name in zip(nan_at[1:], ("rho", "u", "psi")):
+        bad.write_bytes(data[:at] + nan + data[at + 8:])
+        with pytest.raises(SnapshotError, match=f"^{name} contains non-finite values$"):
+            read_snapshot(bad)
+    # the top exponent bit of each axis length: 2 pi becomes 3.5e-308, whose
+    # wavenumbers overflow, though it passes every check on a length alone
+    for bit in (8 * 14 + 62, 8 * 22 + 62):
+        bad.write_bytes(flips[bit])
+        with pytest.raises(SnapshotError, match="finite Sobolev weights"):
+            read_snapshot_meta(bad)
 
 
 def test_snapshot_grid_mismatch(tmp_path, grid2d, rng):

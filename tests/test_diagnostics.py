@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pitaevskii import norms
 from pitaevskii.diagnostics import (
     RECORD_SCALARS,
+    DiagnosticsRecord,
     bounds_report,
     energy_budget,
     growth_budget,
@@ -188,6 +191,25 @@ def test_second_dissipation_integral_is_capped_at_31_times_the_initial_energy(
     check = report["second_diss_integral"]
     assert check.passed == passed and check.observation
     assert check.margin == pytest.approx((31.0 - factor) * rec.second_energy)
+
+
+def test_each_bound_holds_or_fails_at_its_boundary():
+    # every operand is exactly representable (eps = 1/4, m' = 7/4, dyadic
+    # masses and energies) and every record sits on a bound, so each margin
+    # is exactly 0: the density bounds are strict and fail there, the total
+    # mass and the second energy admit equality
+    params = replace(PARAMS, eps=0.25)
+    reference = DiagnosticsRecord(**{name: 1.0 for name in RECORD_SCALARS})
+    reference.mass_fluid, reference.second_energy = 3.0, 1.5
+    record = replace(reference, rho_min=0.25, rho_max=1.75 * (1.0 + 1e-8),
+                     mass_fluid=3.0 + 2.0 ** -18, second_energy=3.0)
+    report = {c.name: c for c in bounds_report(record, params, reference=reference,
+                                               mass_tol=2.0 ** -20)}
+    expected = {"density_above_floor": False, "density_below_ceiling": False,
+                "total_mass_constant": True, "second_energy_doubling": True}
+    for name, passed in expected.items():
+        assert report[name].margin == 0.0, name
+        assert report[name].passed == passed, name
 
 
 def test_bounds_report_constant_reduction_mass_decreases():

@@ -36,6 +36,34 @@ def test_grid_rejects_bad_input():
         make_grid(4, [8] * 4, [1.0] * 4)     # unsupported dimension
 
 
+GEOMETRY_MESSAGE = ("grid lengths must give a positive cell volume, a finite volume and finite "
+                    "Sobolev weights and inverse Laplacian")
+
+
+@pytest.mark.parametrize("d, lengths, accepted", [
+    # (1 + k_max^2)^3 with k_max = 8 pi / L overflows between these two
+    (1, [1.1e-50], True), (1, [1.0e-50], False), (1, [1e-300], False), (1, [1e-320], False),
+    # 1/k_min^2 with k_min = 2 pi / L overflows between these two
+    (1, [8.4e154], True), (1, [8.5e154], False),
+    # the volume overflows between these two
+    (2, [1e154, 1e154], True), (2, [1e155, 1e154], False),
+])
+def test_grid_rejects_lengths_whose_geometry_overflows(d, lengths, accepted):
+    # the check reads values alone; an accepted grid forms its largest
+    # Sobolev weight, at s = 5/2 + delta < 3, and its inverse Laplacian
+    # without a warning
+    if not accepted:
+        with pytest.raises(GridError) as err:
+            make_grid(d, [8] * d, lengths)
+        assert err.value.violations == [(("lengths", "n"), GEOMETRY_MESSAGE)]
+        return
+    g = make_grid(d, [8] * d, lengths)
+    x = g.meshes()[0] * (2 * np.pi / g.lengths[0])
+    assert g.cell_volume > 0 and np.isfinite(g.volume)
+    assert np.isfinite(sobolev_norm(g, np.cos(x), 2.999))
+    assert sobolev_norm(g, np.cos(x), -1.0) > 0
+
+
 def test_nyquist_mode_indexable():
     g = make_grid(1, [8], [2 * np.pi])
     assert -4 in g.mode_axes[0]

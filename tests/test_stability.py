@@ -432,9 +432,9 @@ def test_sweep_forms_the_moderate_half_once_per_base_record(grid2d, monkeypatch)
     horizon = 0.02
     base, *fresh = (run(st.copy(), PARAMS, cfg, horizon, store_states=True) for _ in range(4))
     halves, measured = [], []
-    moderate_terms, measure = stability._moderate_terms, integrator.measure
-    monkeypatch.setattr(stability, "_moderate_terms",
-                        lambda *a: halves.append(a) or moderate_terms(*a))
+    moderate_half, measure = stability._moderate_half, integrator.measure
+    monkeypatch.setattr(stability, "_moderate_half",
+                        lambda *a: halves.append(a) or moderate_half(*a))
     monkeypatch.setattr(integrator, "measure",
                         lambda *a, **k: measured.append(a) or measure(*a, **k))
     n = len(base.snapshots)

@@ -85,10 +85,18 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_validate_fails_an_inequality_ratio_that_spreads_past_0_2",)),
     Mutant("second-dissipation-cap-62", "pitaevskii.diagnostics:bounds_report",
-           "y_integral <= 31.0 * reference.second_energy,",
-           "y_integral <= 62.0 * reference.second_energy,",
+           "31.0 * reference.second_energy - y_integral",
+           "62.0 * reference.second_energy - y_integral",
            ("tests/test_diagnostics.py::"
             "test_second_dissipation_integral_is_capped_at_31_times_the_initial_energy",)),
+    # a density floor touched exactly is a breach
+    Mutant("floor-bound-not-strict", "pitaevskii.diagnostics:bounds_report",
+           "record.rho_min - params.eps, strict=True", "record.rho_min - params.eps",
+           ("tests/test_diagnostics.py::test_each_bound_holds_or_fails_at_its_boundary",)),
+    # the weak half's |psi|_H1^4 term carries the self-interaction's 1 + mu^2
+    Mutant("weak-half-drops-mu", "pitaevskii.stability:_weak_half",
+           "(1.0 + params.mu ** 2) *", "",
+           ("tests/test_stability.py::test_gronwall_bundle_plane_wave_closed_form",)),
     Mutant("split-threshold-2", "pitaevskii.integrator:_split_applies",
            "< SPLIT_MAX_CONTRAST", "< 2.0",
            ("tests/test_integrator.py::test_run_takes_the_split_on_warm_low_contrast_stages",)),
