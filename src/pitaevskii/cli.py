@@ -41,8 +41,8 @@ from .initial_conditions import (
     random_smooth_state,
 )
 from .integrator import ingest, run
-from .model import (coupling_hat, momentum_source, momentum_source_conservative, velocity_rhs_hat,
-                    wave_nonlinear_hat)
+from .model import (coupling_hat, cubic_product, momentum_source, momentum_source_conservative,
+                    velocity_rhs_hat, wave_nonlinear_hat)
 from .norms import inner_product, integral, lp_norm, sobolev_sq, spectral_density_hat
 from .snapshot_io import write_difference_series, write_snapshot, write_timeseries
 from .spectral import plan_for
@@ -236,12 +236,12 @@ def cmd_validate(cfg):
         psi, u = st.psi, st.u
         psi_hat = plan.fft(psi)
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-        psi2 = psi.real ** 2 + psi.imag ** 2
+        cubic = cubic_product(psi)
         speed2 = pointwise_dot(u, u)
-        coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params),
+        coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params),
                              psi)
-        _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, plan.fft(u), st.rho,
-                                       params)
+        _, _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, plan.fft(u),
+                                          speed2, st.rho, params)
 
         # Re<psi, C[psi]> = 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4
         lhs = integral(grid, exchange)
@@ -258,7 +258,8 @@ def cmd_validate(cfg):
 
         src = integral(grid, 2.0 * params.lam * exchange)
         linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
-        dt_psi = plan.ifft(linear + wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params), psi)
+        nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2, params)
+        dt_psi = plan.ifft(linear + nonlinear, psi)
         dmass = 2.0 * inner_product(grid, psi, dt_psi).real
         # scaled by the Cauchy-Schwarz bound on dmass, which unlike src does
         # not vanish at lam = 0

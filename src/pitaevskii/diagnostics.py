@@ -79,7 +79,7 @@ def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None, grad_ps
     speed2 = pointwise_dot(u, u)
     if grad_psi is None:
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params)
+    c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2 * psi, params)
 
     # one Parseval density per field serves every Sobolev-type entry; the
     # real velocity's half spectrum carries the Hermitian weights

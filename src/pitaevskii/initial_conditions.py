@@ -101,7 +101,7 @@ def gaussian_random_field(grid, rng, kc=3.0, complex_field=False, band_limit=Tru
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeff *= np.exp(-grid.k2_mesh / kc ** 2)
     if band_limit:
-        coeff = plan_for(grid).dealias_hat(coeff)
+        coeff = plan_for(grid).dealias_in_place(coeff)
     f = np.fft.ifftn(coeff) * grid.num_points ** 0.5
     return f if complex_field else f.real
 

@@ -41,9 +41,12 @@ One step of size dt is the composition
   between a run and a loop of lone step() calls.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
-  each stage forms once for it and the momentum drag.  The frozen psi and
+  each stage forms once for it and the momentum drag.  Each stage's flux
+  rho u rides its acceleration's forward transform.  The frozen psi and
   grad(psi) come from the first wave half-step in one inverse transform,
-  and start the second.
+  and with |psi|^2 psi, formed once for both stages' couplings, start the
+  second.  |u|^2 at the step's start is formed once for the first wave
+  half-step and the predictor.
 
 Each piece has local error O(dt^3), so the composition is second order.
 A step that leaves the admissible set raises model.PhysicsEvent: of kind
@@ -65,6 +68,7 @@ from .grid import check_constraints, pointwise_dot
 from .model import (
     PhysicsEvent,
     State,
+    cubic_product,
     density_floor_check,
     velocity_rhs_hat,
     wave_nonlinear_hat,
@@ -126,7 +130,7 @@ def _carry(plan, state):
     return state, psi_hat, plan.fft(state.u), _psi_and_gradient(plan, psi_hat)
 
 
-def _wave_substep(plan, psi_hat, fields, u, params, tau, lin):
+def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin):
     """Advance the wavefunction's spectrum psi_hat by tau with u frozen, by
     the integrating-factor (Lawson) midpoint rule: the linear flow is exact
     and the remainder N = wave_nonlinear_hat takes an explicit midpoint
@@ -136,29 +140,33 @@ def _wave_substep(plan, psi_hat, fields, u, params, tau, lin):
         k1 = N(psi_hat),  mid = E (psi_hat + tau/2 k1),
         out = E (E psi_hat + tau N(mid)).
 
-    fields is _psi_and_gradient(plan, psi_hat), which the caller already
-    holds, so only the midpoint stage transforms back; |u|^2 is formed once,
-    u being frozen.  Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck &
-    Ostermann, Acta Numerica 19 (2010)."""
-    speed2 = pointwise_dot(u, u)
+    fields is _psi_and_gradient(plan, psi_hat) and cubic its
+    cubic_product, which the caller already holds, so only the midpoint
+    stage transforms back; speed2 = pointwise_dot(u, u), u being frozen.
+    Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck & Ostermann, Acta
+    Numerica 19 (2010)."""
 
-    def nonlinear_hat(stack):
-        return wave_nonlinear_hat(plan, stack[0], stack[1:], u, speed2, params)
+    def nonlinear_hat(stack, cubic):
+        return wave_nonlinear_hat(plan, stack[0], stack[1:], cubic, u, speed2, params)
 
-    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields))
-    return lin * (lin * psi_hat + tau * nonlinear_hat(_psi_and_gradient(plan, mid_hat)))
+    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic))
+    mid = _psi_and_gradient(plan, mid_hat)
+    return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))
 
 
-def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, p_star):
+def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params,
+                          p_star):
     """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
     part, rho_bar = (m+M)/2, with -grad(p*) / rho in it for the pressure
-    split's p* (p_star, None for PCG), and the exchange field
-    Re(conj(psi) C[psi]); u_hat is the spectrum of u, psi_hat, grad_psi and
-    psi2 the spectrum, gradient and squared modulus of the frozen psi."""
-    accel_hat, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho,
-                                           params, p_star)
+    split's p* (p_star, None for PCG), the truncated spectrum of the density
+    flux rho u and the exchange field Re(conj(psi) C[psi]), as
+    velocity_rhs_hat returns them; u_hat and speed2 are the spectrum and
+    squared modulus of u, psi_hat, grad_psi and cubic the spectrum,
+    gradient and cubic_product of the frozen psi."""
+    accel_hat, flux_hat, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u,
+                                                     u_hat, speed2, rho, params, p_star)
     nu_bar = 2.0 * params.nu / (params.m + params.M)
-    return accel_hat + nu_bar * plan.tables(u_hat).k2 * u_hat, exchange
+    return accel_hat + nu_bar * plan.tables(u_hat).k2 * u_hat, flux_hat, exchange
 
 
 def _helmholtz_alpha(params, dt):
@@ -167,11 +175,12 @@ def _helmholtz_alpha(params, dt):
     return params.nu * dt / (params.m + params.M)
 
 
-def _density_rhs(plan, u, rho, params, exchange):
-    """-div(rho u), the dealiased flux's divergence fused in spectral space,
-    plus the mass exchange 2 lam Re(conj(psi) C[psi]) = 2 lam exchange."""
-    div_hat = plan.div_hat(plan.dealias_hat(plan.fft(rho * u)))
-    return -plan.ifft(div_hat, rho) + 2.0 * params.lam * exchange
+def _density_rhs(plan, flux_hat, exchange, params):
+    """-div(rho u) from the truncated spectrum flux_hat of the flux rho u,
+    which velocity_rhs_hat transforms with the acceleration, plus the mass
+    exchange 2 lam Re(conj(psi) C[psi]) = 2 lam exchange: one inverse
+    transform."""
+    return -plan.ifft(plan.div_hat(flux_hat), exchange) + 2.0 * params.lam * exchange
 
 
 def _lagrange(nodes, values, t):
@@ -327,9 +336,11 @@ def _split_applies(rho):
     return float(rho.max()) / float(rho.min()) < SPLIT_MAX_CONTRAST
 
 
-def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, history, helm):
-    """Midpoint IMEX step for (u, rho) with psi frozen; psi_hat and grad_psi
-    are the spectrum and gradient of psi, u_hat the spectrum of u.
+def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params, dt, t0,
+                   history, helm):
+    """Midpoint IMEX step for (u, rho) with psi frozen; psi_hat, grad_psi
+    and cubic are the spectrum, gradient and cubic_product of psi, u_hat
+    and speed2 the spectrum and squared modulus of u.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
@@ -343,21 +354,26 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
     1/(1 + alpha |k|^2) of this dt, and advances rho by h, checking the
     floor at t0 + h.  The predictor starts from u_hat with h = dt/2, the
     corrector from (1 - alpha |k|^2) u_hat with h = dt and
-    the predictor's pressure.  |psi|^2 is formed once, and each stage's
-    exchange field Re(conj(psi) C[psi]) serves its drag and its density
-    source.  Returns (u, its spectrum, rho, predictor pressure spectrum,
-    corrector pressure spectrum).
+    the predictor's pressure.  Each stage's exchange field
+    Re(conj(psi) C[psi]) serves its drag and its density source, and its
+    density flux rho_s u_s is transformed with its acceleration.  Returns
+    (u, its spectrum, rho, predictor pressure spectrum, corrector pressure
+    spectrum).
     """
-    psi2 = psi.real ** 2 + psi.imag ** 2
 
-    def stage(u_s, u_s_hat, rho_s, start_hat, h, p_pred=None):
+    def stage(u_s, u_s_hat, speed2_s, rho_s, start_hat, h, p_pred=None):
         # p* of the pressure split, None where the stage solves by PCG
         if _split_applies(rho_s):
             p_star = history.split_guess(t0, p_pred)
         else:
             p_star = history.corrector_curve(t0, 2, t0) if p_pred is None else None
-        accel_hat, exchange = _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, psi2, u_s,
-                                                    u_s_hat, rho_s, params, p_star)
+        accel_hat, flux_hat, exchange = _fluid_explicit_accel(
+            plan, psi, psi_hat, grad_psi, cubic, u_s, u_s_hat, speed2_s, rho_s, params, p_star)
+        # the density's rate now: the flux's spectrum shares its buffer with
+        # the acceleration's transform, which then is not held through the
+        # projection
+        rho_rate = _density_rhs(plan, flux_hat, exchange, params)
+        del flux_hat, exchange
         if p_star is None:
             # the corrector's midpoint t0 + dt/2; a predictor gets here only
             # on a history with no earlier step, and so starts cold
@@ -368,13 +384,14 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, u, u_hat, rho, params, dt, t0, 
             accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
         new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, helm)
         new = plan.ifft(new_hat, u)
-        rho_new = rho + h * _density_rhs(plan, u_s, rho_s, params, exchange)
+        rho_new = rho + h * rho_rate
         density_floor_check(rho_new, params, t0 + h)
         return new, new_hat, rho_new, p
 
-    u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, rho, u_hat, 0.5 * dt)
+    u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, speed2, rho, u_hat, 0.5 * dt)
     start_hat = (1.0 - _helmholtz_alpha(params, dt) * plan.tables(u_hat).k2) * u_hat
-    u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, rho_half, start_hat, dt, p_pred)
+    u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, pointwise_dot(u_half, u_half),
+                                              rho_half, start_hat, dt, p_pred)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
 
@@ -406,14 +423,19 @@ def step(state, params, dt, *, history=None):
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
         lin, helm = history.propagators(plan, psi_hat, u_hat, params, dt)
-        psi_hat = _wave_substep(plan, psi_hat, fields, state.u, params, tau, lin)
-        # the frozen psi and grad(psi) of the fluid substep start the second
-        # wave half-step
+        # |u_n|^2 serves the first wave half-step and the predictor
+        speed2 = pointwise_dot(state.u, state.u)
+        psi_hat = _wave_substep(plan, psi_hat, fields, cubic_product(fields[0]), state.u, speed2,
+                                params, tau, lin)
+        # the frozen psi, grad(psi) and |psi|^2 psi of the fluid substep
+        # start the second wave half-step
         fields = _psi_and_gradient(plan, psi_hat)
-        u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:],
-                                                       state.u, u_hat, state.rho, params, dt,
-                                                       state.t, history, helm)
-        psi_hat = _wave_substep(plan, psi_hat, fields, u, params, tau, lin)
+        cubic = cubic_product(fields[0])
+        u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:], cubic,
+                                                       state.u, u_hat, speed2, state.rho, params,
+                                                       dt, state.t, history, helm)
+        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, pointwise_dot(u, u), params,
+                                tau, lin)
         fields = _psi_and_gradient(plan, psi_hat)
     # a copy, so that the state does not hold the carried stack
     psi = fields[0].copy()

@@ -20,7 +20,11 @@ spectrum of C[psi]), wave_nonlinear_hat (the wave equation beyond its linear
 (lam+i)/2 lap part, which the wave substep integrates exactly) and
 velocity_rhs_hat (the pre-projection acceleration, which forms the exchange
 field Re(conj(psi) C[psi]) once, by _exchange_field, for the drag and
-returns it for the density source).  `pitaevskii validate` checks the
+returns it for the density source, and transforms the density flux rho u
+with the acceleration).  The self-interaction product |psi|^2 psi
+(cubic_product) and the squared speed |u|^2 are arguments of these bodies,
+so a caller that holds psi or u over several stages forms them once.
+`pitaevskii validate` checks the
 quadratic form, the mass-exchange antisymmetry and the source-form
 equivalence on these bodies.  coupling_term, mass_exchange and
 momentum_source are physical-space entry points on the same bodies, kept
@@ -37,8 +41,17 @@ integrator the others, and run() keeps the event on the trajectory.
 
 Every nonlinear product is truncated by the 2/3 rule.  In the velocity
 right-hand side one truncation covers the whole acceleration: the momentum
-source enters it untruncated, and the advection is the divergence form
--div(u u), which equals -u.grad(u) for solenoidal u.  Initial data is
+source enters it untruncated, and the advection is the rotation (Lamb)
+form u x curl(u) - grad(|u|^2 / 2), which equals -u.grad(u) and
+-div(u u) for solenoidal u, and after truncation equals the truncated
+-div(u u) to round-off while u stays inside the dealias ball.  It costs
+curl(u) back to physical space (0, 1 or 3 rows in 1D, 2D and 3D) in the
+inverse call of nu lap(u), and one forward row for |u|^2 / 2, where the
+products u_i u_j took d(d+1)/2 forward rows; the density flux rho u (d
+rows) rides the same forward call.  So a fluid stage transforms 10 fields
+in 2D and 15 in 3D in four calls, its density right-hand side one more in
+one call: a warm split step of a run takes 42 field transforms in 2D and
+58 in 3D, in 20 calls.  Initial data is
 ingested band-limited, and psi, rho and u stay inside the dealias ball.
 The pressure split's remainder enters the velocity right-hand side as
 -grad(p*) / rho and is truncated with it, and PCG's correction
@@ -153,7 +166,13 @@ class PhysicsEvent(Exception):
         return PhysicsEvent, (self.kind, self.time, self.message, self.location, self.value)
 
 
-def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params):
+def cubic_product(psi):
+    """|psi|^2 psi, the self-interaction's product: a caller that holds psi
+    over several stages forms it once and hands it to each."""
+    return (psi.real ** 2 + psi.imag ** 2) * psi
+
+
+def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params):
     """Spectrum of the coupling operator applied to the wavefunction,
 
         C[psi] = -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
@@ -161,15 +180,15 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, psi2, params):
     each nonlinear product dealiased.  The associated quadratic form
     Re<psi, C[psi]> equals 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4 and
     is nonnegative.  psi_hat and grad_psi are the spectrum and gradient of
-    psi, speed2 = pointwise_dot(u, u) and psi2 = psi.real**2 + psi.imag**2
-    the squared moduli, which a caller that also needs them forms once."""
+    psi, speed2 = pointwise_dot(u, u) and cubic = cubic_product(psi), which
+    a caller that also needs them forms once."""
     nonlinear = (
         1j * pointwise_dot(u, grad_psi)
         + 0.5 * speed2 * psi
-        + params.mu * psi2 * psi
+        + params.mu * cubic
     )
     lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    return lap_term + plan.dealias_hat(plan.fft(nonlinear))
+    return lap_term + plan.dealias_in_place(plan.fft(nonlinear))
 
 
 def coupling_term(state, params):
@@ -179,20 +198,19 @@ def coupling_term(state, params):
     psi_hat = plan.fft(psi)
     grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
-                                  psi.real ** 2 + psi.imag ** 2, params), psi)
+                                  cubic_product(psi), params), psi)
 
 
-def wave_nonlinear_hat(plan, psi, grad_psi, u, speed2, params):
+def wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2, params):
     """Spectrum of the explicit remainder of the wave equation after
     removing (lam+i)/2 * lap, dealiased:
     -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi.
-    Takes psi and its gradient grad_psi in physical space, and the squared
-    speed speed2 = pointwise_dot(u, u), which a caller that keeps u frozen
-    over several stages forms once; its one transform is the forward
-    transform of the sum."""
+    Takes psi, its gradient grad_psi and cubic = cubic_product(psi) in
+    physical space, and the squared speed speed2 = pointwise_dot(u, u),
+    which a caller that keeps u frozen over several stages forms once; its
+    one transform is the forward transform of the sum."""
     u_dot_grad = pointwise_dot(u, grad_psi)
-    cubic = (psi.real ** 2 + psi.imag ** 2) * psi
-    return plan.dealias_hat(plan.fft(
+    return plan.dealias_in_place(plan.fft(
         (-1j * params.lam) * u_dot_grad
         - 0.5 * params.lam * speed2 * psi
         - (params.lam + 1j) * params.mu * cubic
@@ -269,50 +287,84 @@ def density_floor_check(rho, params, time):
                            f"at t={time:.6g}, node {loc}", loc, value)
 
 
-def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi2, u, u_hat, rho, params, p_star=None):
-    """Spectrum of the pre-projection acceleration of the non-conservative
-    momentum equation, -div(u u) + (nu lap(u) - grad(p*) + momentum
-    source) / rho, and the exchange field Re(conj(psi) C[psi]), which the
-    density equation's source 2 lam Re(conj(psi) C[psi]) shares with the
-    source's drag.  p_star is the spectrum of p*, which the pressure split
+def _curl_rows(d):
+    """(i, j) of each row d_i u_j - d_j u_i of curl(u): none in 1D, the
+    vorticity in 2D, and in 3D row k at ((k+1) mod 3, (k+2) mod 3)."""
+    return {1: (), 2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}[d]
+
+
+def _add_lamb_cross(out, u, curl):
+    """Add u x curl(u) to the stacked (d, ...) field out, in place and one
+    row at a time, from the rows of _curl_rows; in 2D curl(u) is w e_z and
+    u x w e_z = (u_1 w, -u_0 w).  Nothing in 1D, where the only solenoidal
+    u is constant."""
+    if len(u) == 2:
+        (w,) = curl
+        out[0] += u[1] * w
+        out[1] -= u[0] * w
+    elif len(u) == 3:
+        for k in range(3):
+            out[k] += u[(k + 1) % 3] * curl[(k + 2) % 3]
+            out[k] -= u[(k + 2) % 3] * curl[(k + 1) % 3]
+
+
+def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params,
+                     p_star=None):
+    """Spectra of the pre-projection acceleration of the non-conservative
+    momentum equation, -u.grad(u) + (nu lap(u) - grad(p*) + momentum
+    source) / rho, and of the density flux rho u, with the exchange field
+    Re(conj(psi) C[psi]), which the density equation's source
+    2 lam Re(conj(psi) C[psi]) shares with the source's drag: returns
+    (accel_hat, flux_hat, exchange), both spectra 2/3-truncated.  p_star is
+    the spectrum of p*, which the pressure split
     (SpectralPlan.split_leray_hat) passes and the density-weighted
-    projection does not (None: no pressure term).  One 2/3-rule truncation
-    covers the whole sum, the untruncated source and grad(p*) / rho
-    included; the divergence form of the advection equals -u.grad(u) for
-    solenoidal u.  psi_hat, grad_psi and psi2 = psi.real**2 + psi.imag**2
-    are the spectrum, gradient and squared modulus of psi, u_hat the
-    spectrum of u.  Three transform calls besides the coupling's two (its
-    forward transform and C[psi] back to physical space):
-    nu lap(u) - grad(p*) back to physical space, and
-    (nu lap(u) - grad(p*) + source) / rho forward together with the
-    d(d+1)/2 products u_i u_j, stacked in one call."""
-    coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2,
-                                      params), psi)
+    projection does not (None: no pressure term).  One truncation covers
+    the whole acceleration, the untruncated source and grad(p*) / rho
+    included.
+
+    The advection is in rotation (Lamb) form, -u.grad(u) =
+    u x curl(u) - grad(|u|^2 / 2) for solenoidal u: for u inside the
+    dealias ball its products are alias-free after truncation, so it gives
+    the truncated -div(u u) to round-off (Zang, Appl. Numer. Math. 7, 1991)
+    with fewer transformed rows: 2 in 2D and 4 in 3D (curl(u) and
+    |u|^2 / 2), where the d(d+1)/2 products u_i u_j take 3 and 6.
+    psi_hat, grad_psi and cubic = cubic_product(psi) are the spectrum,
+    gradient and self-interaction product of psi, u_hat the spectrum of u
+    and speed2 = pointwise_dot(u, u).  Two transform calls besides the
+    coupling's two (its forward transform and C[psi] back to physical
+    space): nu lap(u) - grad(p*) and curl(u) back to physical space
+    (d + 0, 1 or 3 rows in 1D, 2D and 3D), and
+    (nu lap(u) - grad(p*) + source) / rho + u x curl(u), |u|^2 / 2 and
+    rho u forward (2d + 1 rows).  So a 2D stage transforms 10 fields and a
+    3D one 15."""
+    coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params),
+                         psi)
     exchange = _exchange_field(psi, coupling)
-    tab = plan.tables(u_hat)
-    explicit = (-params.nu * tab.k2) * u_hat
-    if p_star is not None:
-        explicit -= tab.ik * p_star
-    explicit = plan.ifft(explicit, u)
-    explicit += _momentum_source_raw(grad_psi, u, coupling, exchange, params)
+    source = _momentum_source_raw(grad_psi, u, coupling, exchange, params)
     del coupling
-    # -div(u u): d(d+1)/2 forward transforms of the products u_i u_j, where
-    # the advective form takes d^2 inverse transforms of grad(u).  The stack
-    # is filled in place and only the real exchange field is held across its
-    # transform, which sets a 32^3 run's peak memory
+    tab = plan.tables(u_hat)
     d = plan.grid.d
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    stack = np.empty((d + len(pairs),) + rho.shape)
-    np.divide(explicit, rho, out=stack[:d])
+    curl_rows = _curl_rows(d)
+    explicit = np.empty((d + len(curl_rows),) + u_hat.shape[1:], dtype=u_hat.dtype)
+    np.multiply(-params.nu * tab.k2, u_hat, out=explicit[:d])
+    if p_star is not None:
+        explicit[:d] -= tab.ik * p_star
+    for row, (i, j) in enumerate(curl_rows, start=d):
+        np.subtract(tab.ik[i] * u_hat[j], tab.ik[j] * u_hat[i], out=explicit[row])
+    explicit = plan.ifft(explicit, u)
+    explicit[:d] += source
+    del source
+    # the stack is filled in place, the source formed before and u x curl(u)
+    # added row by row, and only the real exchange field is held across its
+    # transform: the temporaries of these steps set a 32^3 run's peak memory
+    stack = np.empty((2 * d + 1,) + rho.shape)
+    np.divide(explicit[:d], rho, out=stack[:d])
+    _add_lamb_cross(stack[:d], u, explicit[d:])
     del explicit
-    for row, (i, j) in enumerate(pairs, start=d):
-        np.multiply(u[i], u[j], out=stack[row])
+    np.multiply(0.5, speed2, out=stack[d])
+    np.multiply(rho, u, out=stack[d + 1:])
     spectra = plan.fft(stack)
-    accel_hat = spectra[:d]
-    uu_hat = dict(zip(pairs, spectra[d:]))
-    # the contraction is written out per component, since a broadcast
-    # (d, d, ...) temporary is twice as slow at 32^3
-    for i in range(d):
-        for j in range(d):
-            accel_hat[i] -= tab.ik[j] * uu_hat[min(i, j), max(i, j)]
-    return plan.dealias_hat(accel_hat), exchange
+    del stack
+    spectra[:d] -= tab.ik * spectra[d]
+    plan.dealias_in_place(spectra)
+    return spectra[:d], spectra[d + 1:], exchange

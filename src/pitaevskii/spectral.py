@@ -30,7 +30,10 @@ Conventions:
   it off; the discrete energy structure of the model holds to round-off
   only because every nonlinear term is truncated.  A caller that sums
   several nonlinear terms on spectra may truncate the sum once
-  (dealias_hat is linear).
+  (the truncation is linear).  A caller that owns the spectrum, such as
+  the fresh output of a transform, truncates it in place
+  (dealias_in_place), which zeroes the slabs |m_i| > n_i/3 axis by axis;
+  dealias_hat truncates a copy, for callers that do not own their input.
 * Parseval: sum_x f g = (1/N) sum over the half spectrum of
   weight * Re(conj(fhat) ghat), with weight 1 on the planes m_last = 0 and
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,
@@ -121,6 +124,9 @@ class SpectralTables:
                 layout the modes whose every index is 0 or Nyquist)
     inv_k    -- 1/|k'|, 0 where inv_kk is
     mask     -- 2/3-rule dealias mask: keep |m_i| <= n_i/3
+    cuts     -- the index slabs the mask zeroes, one per axis that has one:
+                each an index (..., slab, :, ...) of the contiguous modes
+                |m_i| > n_i/3 of axis i, leading stacked axes included
     parseval -- Parseval weight of each mode (see the module docstring)
                 over N^2, N the grid's point count: the one factor that
                 turns |fhat|^2 into a mode's share of the mean square
@@ -149,8 +155,16 @@ class SpectralTables:
         self.inv_kk = np.divide(1.0, kk, out=np.zeros(shape), where=kk > 0)
         self.inv_k = np.sqrt(self.inv_kk)
         mask = np.ones(shape, dtype=bool)
+        self.cuts = []
         for i, m in enumerate(modes):
-            mask &= mesh(i, np.abs(m) <= grid.n[i] / 3.0)
+            keep = np.abs(m) <= grid.n[i] / 3.0
+            mask &= mesh(i, keep)
+            # in fft order the dropped modes of an axis are one run: the
+            # middle of the full layout, the tail of the half one
+            dropped = np.flatnonzero(~keep)
+            if dropped.size:
+                slab = slice(int(dropped[0]), int(dropped[-1]) + 1)
+                self.cuts.append((Ellipsis, slab) + (slice(None),) * (d - 1 - i))
         self.mask = mask
         weight = np.ones(shape[-1])
         if half:
@@ -224,8 +238,18 @@ class SpectralPlan:
         return pointwise_dot(self.tables(vhat).ik, vhat)
 
     def dealias_hat(self, fhat):
-        """2/3-rule truncation of a spectrum."""
-        return fhat * self.tables(fhat).mask
+        """2/3-rule truncation of a spectrum, into a copy: fhat is left as
+        it is."""
+        return self.dealias_in_place(np.array(fhat))
+
+    def dealias_in_place(self, fhat):
+        """2/3-rule truncation of a spectrum the caller owns, such as a
+        fresh transform's output, in place: zeroes the index slabs with
+        |m_i| > n_i/3 (the layout's cuts), which leaves what multiplying by
+        the mask would, and returns fhat."""
+        for cut in self.tables(fhat).cuts:
+            fhat[cut] = 0
+        return fhat
 
     def leray_hat(self, vhat):
         """(what, chihat): divergence-free part and gradient potential."""
@@ -417,7 +441,7 @@ class SpectralPlan:
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""
         f = np.asarray(f)
         self.grid.check_field(f)
-        return self.ifft(self.dealias_hat(self.fft(f)), f)
+        return self.ifft(self.dealias_in_place(self.fft(f)), f)
 
     def helmholtz_solve(self, f, alpha):
         """Invert (I - alpha * Laplacian); alpha = 0 is the identity."""

@@ -39,7 +39,7 @@ from .diagnostics import cumulative_trapezoid, trapezoid_steps
 from .grid import check_constraints, pointwise_dot
 from .initial_conditions import lattice_wavevector
 from .integrator import run
-from .model import PhysicsEvent, coupling_hat
+from .model import PhysicsEvent, coupling_hat, cubic_product
 from .spectral import plan_for
 
 TARGETS = ("psi", "u", "rho", "all")
@@ -144,8 +144,8 @@ def _sobolev_reader(state, params, bundle):
             "u": norms.spectral_density_hat(plan, plan.fft(u))}
     if bundle == "full":
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-        psi2 = psi.real ** 2 + psi.imag ** 2
-        c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u), psi2, params)
+        c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
+                             cubic_product(psi), params)
         dens["c"] = norms.spectral_density_hat(plan, c_hat)
     return lambda name, s: math.sqrt(norms.sobolev_sq(*dens[name], g.volume, s))
 

@@ -4,7 +4,7 @@ import pytest
 from pitaevskii import integrator
 from pitaevskii.grid import make_grid, pointwise_dot
 from pitaevskii.initial_conditions import gaussian_random_field
-from pitaevskii.model import State, velocity_rhs_hat, wave_nonlinear_hat
+from pitaevskii.model import State, cubic_product, velocity_rhs_hat, wave_nonlinear_hat
 from pitaevskii.spectral import SpectralPlan, plan_for
 
 
@@ -45,7 +45,8 @@ def wave_rhs(state, params):
     psi, u = state.psi, state.u
     psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
     linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, u, pointwise_dot(u, u), params)
+    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, cubic_product(psi), u, pointwise_dot(u, u),
+                                   params)
     return plan.ifft(linear + nonlinear, psi)
 
 
@@ -54,8 +55,8 @@ def velocity_accel(state, params):
     plan = plan_for(state.grid)
     psi, u = state.psi, state.u
     psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
-    accel_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
-                                    u, plan.fft(u), state.rho, params)
+    accel_hat, _, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
+                                       plan.fft(u), pointwise_dot(u, u), state.rho, params)
     return plan.ifft(accel_hat, u)
 
 
@@ -91,7 +92,7 @@ def use_untruncated_split(monkeypatch):
     """Make run() take untruncated_split_leray_hat for the pressure split,
     its stages' accelerations formed without p*."""
     accel = integrator._fluid_explicit_accel
-    monkeypatch.setattr(integrator, "_fluid_explicit_accel", lambda *args: accel(*args[:9], None))
+    monkeypatch.setattr(integrator, "_fluid_explicit_accel", lambda *args: accel(*args[:10], None))
     monkeypatch.setattr(SpectralPlan, "split_leray_hat", untruncated_split_leray_hat)
 
 

@@ -7,7 +7,7 @@ from pitaevskii import integrator
 from pitaevskii.cli import main as cli_main
 from pitaevskii.config import Config
 from pitaevskii.diagnostics import energy_budget
-from pitaevskii.grid import make_grid
+from pitaevskii.grid import make_grid, pointwise_dot
 from pitaevskii.initial_conditions import build_initial_state, plane_wave_state, smooth_state
 from pitaevskii.integrator import (
     StepConfig,
@@ -20,7 +20,7 @@ from pitaevskii.integrator import (
     run,
     step,
 )
-from pitaevskii.model import Params, PhysicsEvent, State
+from pitaevskii.model import Params, PhysicsEvent, State, cubic_product
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import reduced_ode_oracle
@@ -583,8 +583,10 @@ def test_wave_substep_is_second_order(grid2d):
     def advance(tau):
         psi_hat = plan.fft(st.psi)
         lin = _wave_propagator(plan, psi_hat, params, tau)
+        speed2 = pointwise_dot(st.u, st.u)
         for _ in range(round(horizon / tau)):
-            psi_hat = _wave_substep(plan, psi_hat, _psi_and_gradient(plan, psi_hat), st.u,
+            fields = _psi_and_gradient(plan, psi_hat)
+            psi_hat = _wave_substep(plan, psi_hat, fields, cubic_product(fields[0]), st.u, speed2,
                                     params, tau, lin)
         return plan.ifft(psi_hat, st.psi)
 
@@ -685,6 +687,52 @@ def test_split_guesses_are_exact_on_lines_in_time():
                                atol=1e-14)
     assert history.split_guess(0.0) is None
     assert np.array_equal(history.corrector_curve(0.03, 4, 0.03), line(0.0) - 9.0)
+
+
+def test_pressure_guesses_are_exact_on_polynomials_of_their_degree():
+    # seeded draws of non-uniform start times and of vector polynomials in
+    # time.  corrector_curve through k stored corrector pressures (count k
+    # or more) is exact on polynomials of degree k - 1; split_guess is
+    # exact on predictor pressures and offsets linear in time, and after one
+    # step on pressures linear in time (its predictor's p*) and on a
+    # constant offset (its corrector's)
+    rng = np.random.default_rng(29)
+
+    def poly(degree):
+        coeffs = rng.uniform(-1.0, 1.0, size=(degree + 1, 2))
+        return lambda t: sum(c * t ** i for i, c in enumerate(coeffs))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
+
+    for _ in range(40):
+        stored = int(rng.integers(1, 5))
+        starts = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.05, 0.2, size=stored + 1))
+        dts = np.diff(starts)
+        t = starts[-1]
+        at = t + rng.uniform(0.0, 0.2)
+        noise = [rng.uniform(-9.0, 9.0, size=2) for _ in range(stored)]
+
+        # corrector pressures on a polynomial through the stored midpoints
+        curve = poly(stored - 1)
+        history = StepHistory()
+        for ti, dti, p in zip(starts, dts, noise):
+            history.push(ti, dti, p, curve(ti + 0.5 * dti))
+        for count in range(stored, 5):
+            close(history.corrector_curve(t, count, at), curve(at))
+
+        # predictor pressures and offsets on lines
+        line, offset = poly(1), poly(0 if stored == 1 else 1)
+        history = StepHistory()
+        for ti, dti in zip(starts, dts):
+            history.push(ti, dti, line(ti), line(ti) + offset(ti))
+        close(history.split_guess(t, line(t)), line(t) + offset(t))
+        if stored > 1:
+            close(history.split_guess(t), line(t))
+        # after one step, a pressure linear in time through its two nodes
+        history = StepHistory()
+        history.push(starts[0], dts[0], line(starts[0]), line(starts[0] + 0.5 * dts[0]))
+        close(history.split_guess(at), line(at))
 
 
 def test_run_takes_the_split_on_warm_low_contrast_stages(grid2d, monkeypatch):

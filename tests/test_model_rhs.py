@@ -6,13 +6,14 @@ from pitaevskii.model import (
     PhysicsEvent,
     State,
     coupling_term,
+    cubic_product,
     density_floor_check,
     mass_exchange,
     momentum_source,
     momentum_source_conservative,
     velocity_rhs_hat,
 )
-from pitaevskii.grid import make_grid
+from pitaevskii.grid import make_grid, pointwise_dot
 from pitaevskii.norms import inner_product, integral, lp_norm
 from pitaevskii.spectral import plan_for
 
@@ -254,29 +255,60 @@ def advective_double_dealiased_hat(plan, psi, u, rho, params):
     return plan.dealias_hat(plan.fft(combined)), raw
 
 
-@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
 def test_velocity_rhs_matches_double_dealiased_advective_form(d, n):
-    # On band-limited solenoidal fields -div(u u) and -u.grad(u) agree to
-    # round-off after truncation (2/3 rule), and so do the one and the two
-    # truncations of the source where the density is uniform or the source
-    # vanishes (lam = 0).  With both active the forms differ by exactly the
-    # truncated (S - dealias(S)) / rho, 1e-4 (2D) to 5e-3 (3D) of the
-    # acceleration on these random fields.  Measured agreement: 3e-16;
+    # velocity_rhs_hat takes the advection in rotation (Lamb) form,
+    # u x curl(u) - grad(|u|^2 / 2).  On band-limited solenoidal fields it
+    # and -u.grad(u) agree to round-off after truncation (2/3 rule), and so
+    # do the one and the two truncations of the source where the density is
+    # uniform or the source vanishes (lam = 0).  With both active the forms
+    # differ by exactly the truncated (S - dealias(S)) / rho, 1e-4 (2D) to
+    # 5e-3 (3D) of the acceleration on these random fields.  In 1D the only
+    # solenoidal u is constant and the advection is zero; the last case
+    # spans a density contrast of 16.  Measured agreement: 4e-16;
     # tolerance 1e-13 of max |acceleration|.
     grid = make_grid(d, [n] * d, [2 * np.pi] * d)
     plan = plan_for(grid)
-    for lam, rho_var in ((0.8, 0.0), (0.0, 0.2), (0.8, 0.2)):
+    for lam, rho_var, contrast in ((0.8, 0.0, 1.0), (0.0, 0.2, 1.0), (0.8, 0.2, 1.0),
+                                   (0.8, 0.2, 16.0)):
         params = Params(lam=lam, mu=0.6, nu=0.15, m=0.7, M=1.3, eps=0.3)
         psi, u, rho = random_state_fields(grid, np.random.default_rng(5), rho_var=rho_var)
+        if contrast > 1.0:
+            # the same field mapped onto [0.2, 0.2 contrast]
+            rho = 0.2 * (1.0 + (contrast - 1.0) * (rho - rho.min()) / (rho.max() - rho.min()))
+            assert rho.max() / rho.min() == pytest.approx(contrast, rel=1e-12)
         u, _ = plan.leray_project(u)
+        if d == 1:
+            assert np.ptp(u) <= 1e-14 * np.abs(u).max()
         psi_hat = plan.fft(psi)
         grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-        new, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
-                                  u, plan.fft(u), rho, params)
+        new, _, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
+                                     plan.fft(u), pointwise_dot(u, u), rho, params)
+        if d == 1 and lam == 0:
+            # constant u and no source: the acceleration vanishes to the
+            # round-off of nu lap(u) (1e-15 of u's spectrum)
+            assert np.abs(new).max() <= 1e-13 * np.abs(plan.fft(u)).max()
+            continue
         ref, raw = advective_double_dealiased_hat(plan, psi, u, rho, params)
         if lam > 0 and rho_var > 0:
             ref = ref + plan.dealias_hat(plan.fft((raw - plan.dealias(raw)) / rho))
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+def test_velocity_rhs_flux_is_the_truncated_density_flux(d, n):
+    # the density flux rho u rides the acceleration's forward transform:
+    # the spectrum velocity_rhs_hat returns for it is the truncated
+    # transform of rho u, to the bit
+    grid = make_grid(d, [n] * d, [2 * np.pi] * d)
+    plan = plan_for(grid)
+    psi, u, rho = random_state_fields(grid, np.random.default_rng(9))
+    u, _ = plan.leray_project(u)
+    psi_hat = plan.fft(psi)
+    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
+    _, flux_hat, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
+                                      plan.fft(u), pointwise_dot(u, u), rho, PARAMS)
+    assert np.array_equal(flux_hat, plan.dealias_hat(plan.fft(rho * u)))
 
 
 @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
@@ -290,8 +322,8 @@ def test_velocity_rhs_exchange_is_the_mass_source(d, n):
     u, _ = plan.leray_project(u)
     psi_hat = plan.fft(psi)
     grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, psi.real ** 2 + psi.imag ** 2,
-                                   u, plan.fft(u), rho, PARAMS)
+    _, _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
+                                      plan.fft(u), pointwise_dot(u, u), rho, PARAMS)
     source = mass_exchange(make_state(grid, psi, u, rho), PARAMS)
     assert np.array_equal(2.0 * PARAMS.lam * exchange, source)
 

@@ -198,7 +198,7 @@ def test_measure_parseval_sums_match_complex_reference(grid):
 def test_stacked_transforms_equal_per_component_bit_for_bit(d, n):
     """One plan.fft / plan.ifft call on a stack of fields gives each field
     the bits of its own call: the integrator stacks the wave stages' psi and
-    grad(psi), and the acceleration with the products u_i u_j, on this."""
+    grad(psi), and the acceleration with curl(u), |u|^2 and rho u, on this."""
     grid = make_grid(d, [n] * d, [2 * np.pi] * d)
     plan = plan_for(grid)
     rng = np.random.default_rng(17)
@@ -212,3 +212,27 @@ def test_stacked_transforms_equal_per_component_bit_for_bit(d, n):
     assert all(np.array_equal(zhat[i], plan.fft(z[i])) for i in range(d + 1))
     back = plan.ifft(zhat, z)
     assert all(np.array_equal(back[i], plan.ifft(zhat[i], z[i])) for i in range(d + 1))
+
+
+def test_in_place_truncation_is_the_mask_product(grid):
+    # dealias_in_place zeroes the slabs |m_i| > n_i/3 of a spectrum the
+    # caller owns, one field or a stack, on the half and the full layout:
+    # it leaves the values of the mask product (a signed zero may differ,
+    # which == ignores) and returns the array it was given.  dealias_hat
+    # and dealias truncate a copy and leave their inputs as they were
+    plan = plan_for(grid)
+    rng = np.random.default_rng(23)
+    f = white_noise(grid, rng, grid.d)
+    z = white_noise(grid, rng, grid.d) + 1j * white_noise(grid, rng, grid.d)
+    for field in (f[0], f, z[0], z):
+        fhat = plan.fft(field)
+        expect = fhat * plan.tables(fhat).mask
+        kept = fhat.copy()
+        copied = plan.dealias_hat(fhat)
+        assert np.array_equal(fhat, kept) and not np.shares_memory(copied, fhat)
+        assert np.array_equal(copied, expect)
+        out = plan.dealias_in_place(fhat)
+        assert out is fhat and np.array_equal(out, expect)
+        before = field.copy()
+        plan.dealias(field)
+        assert np.array_equal(field, before)

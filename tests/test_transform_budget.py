@@ -35,14 +35,18 @@ ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "i
 # Field transforms (forward and inverse, real and complex) in one cold step
 # of the 2D state below, 70 of them in the pressure solves (7 + 4
 # iterations of 3 inverse and 3 forward each, and the corrector's warm
-# start).  The velocity right-hand side with its own dealias of the
-# momentum source and the advective form cost 10 more; handing the
-# projections physical fields 19 more than that; the complex numpy.fft
-# implementation before that issued 181.
+# start).  The advection as -div(u u), whose products u_i u_j took
+# d(d+1)/2 forward rows where the rotation form takes curl(u) back and
+# |u|^2 / 2 forward (d + 1 rows in 2D), and a density flux rho u that took
+# its own forward transform, made it 120 (contrast 16: 258).  The velocity
+# right-hand side with its own dealias of the momentum source and the
+# advective form cost 10 more than that; handing the projections physical
+# fields 19 more; the complex numpy.fft implementation before that issued
+# 181.
 # "smooth": the smooth 2D 32^2 state at the default density range
 # [0.8, 1.2] (contrast 1.44), the benchmark workloads' data family.
 # "contrast": the same state at density range [0.6, 9.5] (contrast 16).
-STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 258}
+STEP_BUDGETS = {2: 118, "smooth": 118, "contrast": 256}
 # Per step of a run(), measure() excluded, as {first step covered (0-based):
 # bound on that step and every later one}.  Each step starts from carried
 # spectra and from the carried [psi, grad(psi)] stack, so each wave
@@ -50,9 +54,13 @@ STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 258}
 # grad(psi) back with psi.  At the default contrast the second step on
 # takes the pressure split in both stages, which transforms nothing: p*
 # enters the inverse transform of nu lap(u) in the acceleration, and its
-# remainder the acceleration's forward transform: 2D 32^2 44, 3D 16^3 62.
-# A split that formed its own flux (d inverse and d forward transforms a
-# stage) made it 52 and 74, and both first stages inverting their own
+# remainder the acceleration's forward transform: 2D 32^2 42, 3D 16^3 58.
+# Each stage transforms its acceleration with the rotation form of the
+# advection (curl(u) back with nu lap(u), |u|^2 / 2 forward) and the
+# density flux rho u in the same forward call.  With -div(u u) (its
+# d(d+1)/2 products forward) and the flux in a forward call of its own it
+# took 44 and 62.  A split that formed its own flux (d inverse and d
+# forward transforms a stage) made it 52 and 74, and both first stages inverting their own
 # d + 1 fields 56 and 79; the second step took
 # 96 (3D 145) when it solved by PCG, before its p* came from the first
 # step's two stage pressures.  Warm-started PCG took 68 and 97 from the
@@ -60,10 +68,12 @@ STEP_BUDGETS = {2: 120, "smooth": 120, "contrast": 258}
 # and fourth.  At contrast 16 the second step on takes the split in the
 # predictor, whose p* is the line through the last two corrector pressures,
 # and one PCG solve in the corrector, warm-started from the cubic through
-# the last four: the second to eighth steps take 132, 102, 84, 84, 78, 60
-# and 60.  With PCG in both stages they took 178, 124, 88, 82, 76, 82 and
-# 88 (from the fifth step on 76 to 88, 2 or 3 iterations a solve).
-RUN_BUDGETS = {2: {1: 44}, 3: {1: 62}, "contrast": {1: 132, 2: 102, 3: 84, 5: 78, 6: 60}}
+# the last four: the second to eighth steps take 130, 100, 82, 82, 76, 58
+# and 58 (132, 102, 84, 84, 78, 60 and 60 before the rotation form and the
+# flux joined the acceleration's transforms).  With PCG in both stages
+# they took 178, 124, 88, 82, 76, 82 and 88 (from the fifth step on 76 to
+# 88, 2 or 3 iterations a solve).
+RUN_BUDGETS = {2: {1: 42}, 3: {1: 58}, "contrast": {1: 130, 2: 100, 3: 82, 5: 76, 6: 58}}
 # Per measure() call on an accepted step of a run(), which hands it the
 # carried spectra and grad(psi): the coupling's one forward transform and
 # the H^-1 norm of the density's time difference.  It was d + 2 (4 in 2D,
@@ -88,14 +98,17 @@ MAX_LATER_RECORD_TRANSFORMS = {(2, "full"): 7, (2, "core"): 4, (3, "full"): 9, (
 # take the pressure split) at the default contrast, in 2D and 3D alike:
 # each wave midpoint stage takes psi and grad(psi) back in one call, so do
 # the first wave half-step's result for the fluid substep and the second
-# half-step's result, and each fluid acceleration transforms its explicit
-# part with the products u_i u_j in one: 22 calls.  The split's own flux
-# took 2 calls a stage (26); before that each wave half-step's first stage
-# took its own call before it started from the carried stack (28),
+# half-step's result, each fluid acceleration takes nu lap(u) - grad(p*)
+# and curl(u) back in one call and its own rows, |u|^2 / 2 and the density
+# flux rho u forward in one, and each density right-hand side takes the
+# flux's divergence back in one: 20 calls.  With the flux transformed in a
+# call of its own it took 22.  The split's own flux took 2 calls a stage
+# (26); before that each wave half-step's first stage took its own call
+# before it started from the carried stack (28),
 # separate calls made 35 and a separate grad(psi) for the fluid substep
 # 29.  measure() makes 2: the coupling and the H^-1 norm of the
 # density difference (3 with its own grad(psi)).
-MAX_RUN_STEP_CALLS = 22
+MAX_RUN_STEP_CALLS = 20
 MAX_MEASURE_CALLS = 2
 
 

@@ -118,7 +118,7 @@ MUTANTS = (
            "plan.helmholtz_hat(start_hat + 0.5 * h * accel_hat, helm)",
            ("tests/test_reference_runs.py",)),
     Mutant("stage-density-from-the-stage", "pitaevskii.integrator:_fluid_substep.stage",
-           "rho_new = rho + h * _density_rhs(", "rho_new = rho_s + h * _density_rhs(",
+           "rho_new = rho + h * rho_rate", "rho_new = rho_s + h * rho_rate",
            ("tests/test_reference_runs.py",)),
     Mutant("stage-floor-time", "pitaevskii.integrator:_fluid_substep.stage",
            "density_floor_check(rho_new, params, t0 + h)",
@@ -165,19 +165,31 @@ MUTANTS = (
             "test_split_projection_at_the_solved_pressure_is_the_weighted_projection",
             "tests/test_reference_runs.py")),
     Mutant("fold-sign", "pitaevskii.model:velocity_rhs_hat",
-           "explicit -= tab.ik * p_star", "explicit += tab.ik * p_star",
+           "explicit[:d] -= tab.ik * p_star", "explicit[:d] += tab.ik * p_star",
            ("tests/test_integrator.py::"
             "test_truncated_split_converges_to_the_untruncated_split_with_the_grid",
             "tests/test_reference_runs.py")),
     # the wave stage as it was before the Lawson rule (the first stage at
     # E psi_hat, not at psi_hat): the reference runs see the change of scheme
     Mutant("wave-stage-before-lawson", "pitaevskii.integrator:_wave_substep",
-           "    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields))\n"
-           "    return lin * (lin * psi_hat + tau * nonlinear_hat(_psi_and_gradient(plan, mid_hat)))",
+           "    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic))\n"
+           "    mid = _psi_and_gradient(plan, mid_hat)\n"
+           "    return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            "    psi_hat = lin * psi_hat\n"
-           "    mid_hat = psi_hat + 0.5 * tau * nonlinear_hat(_psi_and_gradient(plan, psi_hat))\n"
-           "    return lin * (psi_hat + tau * nonlinear_hat(_psi_and_gradient(plan, mid_hat)))",
+           "    first = _psi_and_gradient(plan, psi_hat)\n"
+           "    mid_hat = psi_hat + 0.5 * tau * nonlinear_hat(first, cubic_product(first[0]))\n"
+           "    mid = _psi_and_gradient(plan, mid_hat)\n"
+           "    return lin * (psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            ("tests/test_reference_runs.py",)),
+    # the advection's rotation form with u x curl(u) subtracted (-u x curl(u)
+    # added), and a 2/3 truncation in place that leaves the last axis's slab
+    Mutant("lamb-cross-sign", "pitaevskii.model:velocity_rhs_hat",
+           "_add_lamb_cross(stack[:d], u, explicit[d:])",
+           "_add_lamb_cross(stack[:d], -u, explicit[d:])",
+           ("tests/test_model_rhs.py::test_velocity_rhs_matches_double_dealiased_advective_form",)),
+    Mutant("truncate-skips-last-axis", "pitaevskii.spectral:SpectralPlan.dealias_in_place",
+           "for cut in self.tables(fhat).cuts:", "for cut in self.tables(fhat).cuts[:-1]:",
+           ("tests/test_spectral_real.py::test_in_place_truncation_is_the_mask_product",)),
 )
 
 
