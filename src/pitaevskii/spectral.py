@@ -39,12 +39,12 @@ Conventions:
   m_last = n_last/2, whose modes have no mirror image in the half spectrum,
   and 2 elsewhere.  The full layout has weight 1 everywhere.
 * Pressure: weighted_leray_hat solves -div((1/rho) grad p) = -div v by
-  conjugate gradients preconditioned with |k'|^-1 rho |k'|^-1, one inverse
-  and one forward transform.  It takes the velocity's half spectrum and an
-  optional pressure spectrum as initial guess, and returns the spectra of
-  the projected velocity and of the pressure, so a caller that holds
-  spectra pays only the d + 1 inverse and d + 1 forward transforms of each
-  iteration.
+  conjugate gradients preconditioned with L^-1 (-div(rho grad(L^-1 .))),
+  L = |k'|^2, d inverse and d forward transforms.  It takes the velocity's
+  half spectrum and an optional pressure spectrum as initial guess, and
+  returns the spectra of the projected velocity and of the pressure, so a
+  caller that holds spectra pays only the 2d inverse and 2d forward
+  transforms of each iteration.
   weighted_leray_project is its physical wrapper: it transforms v in and
   (w, p) back out.  The solve either meets its tolerance or raises
   ProjectionNotConverged; it never returns a pressure that missed it.
@@ -100,6 +100,16 @@ def _retain_heap():
     return _heap_retained
 
 
+# ||div v|| / (max|k'| ||v||) at round-off: the weighted projection asks no
+# smaller residual than this times max|k'| ||v||.  A field the exact Leray
+# projection left reads 1.4e-16 (3D 32^3).  PCG's residual stalls near
+# 8e-18 in 3D, as the operator cannot reach the part of div(v) that is not
+# Hermitian on the half spectrum's self-conjugate plane.  The stage
+# accelerations of the benchmark workloads' runs read at least 2.1e-2, so
+# tol = 1e-10 asks 2.1e-12 of them, far above this floor.
+ROUNDOFF_DIVERGENCE = 1e-15
+
+
 class ProjectionNotConverged(RuntimeError):
     """The density-weighted projection reached max_iter above its tolerance."""
 
@@ -122,8 +132,10 @@ class SpectralTables:
     k2       -- |k|^2 (Nyquist kept)
     inv_kk   -- 1/|k'|^2, 0 where k' = 0 (the mean mode, and in the half
                 layout the modes whose every index is 0 or Nyquist)
-    inv_k    -- 1/|k'|, 0 where inv_kk is
+    k_max    -- max |k'|, a float
     mask     -- 2/3-rule dealias mask: keep |m_i| <= n_i/3
+    nonzero  -- k' != 0: the modes a pressure solve determines
+    mask_nonzero -- mask & nonzero: the pressure modes the split returns
     cuts     -- the index slabs the mask zeroes, one per axis that has one:
                 each an index (..., slab, :, ...) of the contiguous modes
                 |m_i| > n_i/3 of axis i, leading stacked axes included
@@ -153,7 +165,7 @@ class SpectralTables:
         self.k2 = sum(km ** 2 for km in k)
         kk = sum(km ** 2 for km in odd)
         self.inv_kk = np.divide(1.0, kk, out=np.zeros(shape), where=kk > 0)
-        self.inv_k = np.sqrt(self.inv_kk)
+        self.k_max = float(np.sqrt(kk.max()))
         mask = np.ones(shape, dtype=bool)
         self.cuts = []
         for i, m in enumerate(modes):
@@ -166,6 +178,8 @@ class SpectralTables:
                 slab = slice(int(dropped[0]), int(dropped[-1]) + 1)
                 self.cuts.append((Ellipsis, slab) + (slice(None),) * (d - 1 - i))
         self.mask = mask
+        self.nonzero = kk > 0
+        self.mask_nonzero = mask & self.nonzero
         weight = np.ones(shape[-1])
         if half:
             weight[1:grid.n[-1] // 2] = 2.0
@@ -325,22 +339,28 @@ class SpectralPlan:
         Solved by preconditioned conjugate gradients on the symmetric
         positive system -div(r grad p) = -div(v), r = 1/weight.  Each
         iteration applies r in physical space: d inverse and d forward
-        transforms.  The preconditioner |k'|^-1 weight |k'|^-1 inverts the
-        operator's variable coefficient as well as its Laplacian, for one
-        more inverse and forward transform an iteration; its iteration
+        transforms.  The preconditioner L^-1 (-div(weight grad(L^-1 .))),
+        L = |k'|^2, is the exact inverse at uniform weight and inverts the
+        operator's variable coefficient in divergence form, for d more
+        inverse and d more forward transforms an iteration.  Its iteration
         count grows far more slowly with the contrast max weight / min
-        weight than the constant-coefficient inverse's (cold solves on
-        smooth 64^2 densities took 11-14 against 21-23 at contrast 4, and
-        26-64 against 140-188 at contrast 256).
+        weight than the scalar preconditioner |k'|^-1 weight |k'|^-1's (one
+        transform each way) and the constant-coefficient inverse's (none):
+        cold solves on five smooth 64^2 densities took 6-7 against 12-13
+        and 22 at contrast 4, 9-11 against 18-23 and 45-46 at contrast 16,
+        and 22-27 against 43-69 and 166-175 at contrast 256.
         initial_pressure_hat, a pressure spectrum, warm-starts the
         iteration.  The solve stops once the L^2 norm of the
-        pressure-equation residual is at most tol times that of div(v);
-        after max_iter iterations above it, ProjectionNotConverged is
-        raised.  The final correction (1/weight) grad(p) is truncated by the
-        2/3 rule (Orszag, J. Atmos. Sci. 28, 1971) and passes through the
-        exact Leray projection: w stays inside the dealias ball when v does,
-        and its divergence is exact to round-off regardless of tol.  So for
-        a band-limited v, w = T[v - (1/weight) grad(p)] up to the Leray
+        pressure-equation residual is at most tol times that of div(v), or
+        at most ROUNDOFF_DIVERGENCE max|k'| ||v||, the round-off of div(v),
+        whichever is larger; a v whose divergence is already at that
+        round-off returns its Leray projection and a zero pressure.  After
+        max_iter iterations above it, ProjectionNotConverged is raised.
+        The final correction (1/weight) grad(p) is truncated by the 2/3
+        rule (Orszag, J. Atmos. Sci. 28, 1971) and passes through the exact
+        Leray projection: w stays inside the dealias ball when v does, and
+        its divergence is exact to round-off regardless of tol.  So for a
+        band-limited v, w = T[v - (1/weight) grad(p)] up to the Leray
         clean-up of the residual, T the truncation.
         """
         tab = self._half
@@ -360,8 +380,10 @@ class SpectralPlan:
 
         rhs = -self.div_hat(vhat)
         rhs_norm = np.sqrt(tab.dot(rhs, rhs))
-        if rhs_norm == 0.0:
-            return vhat.copy(), np.zeros_like(rhs)
+        floor = ROUNDOFF_DIVERGENCE * tab.k_max * np.sqrt(tab.dot(vhat, vhat))
+        if rhs_norm <= floor:
+            # v is solenoidal to round-off, and p = 0 solves the equation to it
+            return self.leray_hat(vhat)[0], np.zeros_like(rhs)
 
         def flux(phat):
             # spectrum of r grad(p): d inverse and d forward transforms
@@ -373,21 +395,24 @@ class SpectralPlan:
             return self.leray_hat(vhat)[0], rhs * (tab.inv_kk / r_bar)
 
         def precondition(res):
-            # |k'|^-1 weight |k'|^-1: one inverse and one forward transform
-            return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))
+            # L^-1 (-div(weight grad(L^-1 res))), L = |k'|^2: d inverse and
+            # d forward transforms
+            grad = self.ifft(tab.ik * (res * tab.inv_kk), weight)
+            return -self.div_hat(self.fft(weight * grad)) * tab.inv_kk
 
         if initial_pressure_hat is None:
             phat = np.zeros_like(rhs)
             flux_p = np.zeros_like(vhat)
             res = rhs
         else:
-            phat = np.where(tab.inv_kk > 0, initial_pressure_hat, 0.0)
+            phat = np.where(tab.nonzero, initial_pressure_hat, 0.0)
             flux_p = flux(phat)
             res = rhs + self.div_hat(flux_p)
         res_norm = np.sqrt(tab.dot(res, res))
         direction = rz = None
         iterations = 0
-        while res_norm > tol * rhs_norm:
+        target = max(tol * rhs_norm, floor)
+        while res_norm > target:
             if iterations == max_iter:
                 raise ProjectionNotConverged(iterations, res_norm / rhs_norm)
             # precondition only a residual that missed the tolerance
@@ -435,7 +460,7 @@ class SpectralPlan:
             raise ValueError(f"projection weight must be positive, got min {rho0}")
         tab = self._half
         what, chihat = self.leray_hat(vhat)
-        return what, rho0 * chihat + (tab.mask & (tab.inv_kk > 0)) * pressure_hat
+        return what, rho0 * chihat + tab.mask_nonzero * pressure_hat
 
     def dealias(self, f):
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""

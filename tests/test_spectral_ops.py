@@ -232,6 +232,52 @@ def test_weighted_projection_meets_its_tolerance(grid2d, rng, tol):
             assert numpy_pressure_residual(grid2d, v, rho, plan.ifft(p, rho)) <= tol
 
 
+# Cold-solve iteration budgets of the seeded solves below at contrast 4, 16
+# and 100: the preconditioner L^-1 (-div(rho grad(L^-1 .))), L = |k'|^2,
+# takes exactly these.  |k'|^-1 rho |k'|^-1 took 15, 24, 45 (2D 32^2) and
+# 15, 24, 50 (3D 16^3), the constant-coefficient inverse 1/(r_bar |k'|^2)
+# 21, 42, 87 and 18, 30, 64.
+COLD_ITERATIONS = {"grid2d": (7, 12, 18), "grid3d": (7, 11, 21)}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_ITERATIONS))
+def test_weighted_projection_cold_iterations(request, rng, name):
+    # each solve meets its tolerance within its budget (max_iter raises
+    # above it), its residual recomputed independently
+    grid = request.getfixturevalue(name)
+    plan = plan_for(grid)
+    for contrast, budget in zip((4.0, 16.0, 100.0), COLD_ITERATIONS[name]):
+        g = gaussian_random_field(grid, rng, kc=4.0)
+        rho = contrast ** ((g - g.min()) / (g.max() - g.min()))     # [1, contrast]
+        v = random_vector_field(grid, rng)
+        _, phat = plan.weighted_leray_hat(plan.fft(v), rho, max_iter=budget)
+        assert numpy_pressure_residual(grid, v, rho, plan.ifft(phat, rho)) <= 1e-10
+
+
+def test_weighted_projection_of_a_nearly_solenoidal_field_returns(grid3d, rng):
+    # div v at round-off, or within a few orders of it: PCG cannot take the
+    # residual below about 8e-18 of max|k'| ||v|| here, so a tolerance
+    # relative to ||div v|| alone stalled and raised after max_iter (at
+    # relative residuals 1.3e-1, 2.3e-5, 2.6e-7 and 2.7e-9 for the four
+    # fields below).  A solenoidal field passes through the Leray projection
+    # with a zero pressure; the others meet the round-off floor
+    plan = plan_for(grid3d)
+    g = gaussian_random_field(grid3d, rng, kc=4.0)
+    rho = 16.0 ** ((g - g.min()) / (g.max() - g.min()))     # [1, 16]
+    v = plan.leray_project(random_vector_field(grid3d, rng))[0]
+    vhat = plan.fft(v)
+    what, phat = plan.weighted_leray_hat(vhat, rho, max_iter=0)
+    assert np.array_equal(what, plan.leray_hat(vhat)[0])
+    assert not phat.any()
+    grad = plan.gradient(gaussian_random_field(grid3d, rng, kc=4.0))
+    grad *= np.abs(v).max() / np.abs(grad).max()
+    for delta in (1e-12, 1e-10, 1e-8):
+        v_delta = v + delta * grad
+        w, _ = plan.weighted_leray_project(v_delta, rho)
+        assert np.abs(plan.divergence(w)).max() <= 1e-12 * grid3d.k_max * np.abs(w).max()
+        assert np.abs(w - v).max() <= 2 * delta * np.abs(v).max()
+
+
 def test_weighted_projection_warm_start_reaches_the_same_pressure(grid2d, rng):
     plan = plan_for(grid2d)
     rho = high_contrast_density(grid2d, rng)

@@ -33,9 +33,13 @@ from conftest import random_state_fields, smooth_2d_state
 ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 
 # Field transforms (forward and inverse, real and complex) in one cold step
-# of the 2D state below, 70 of them in the pressure solves (7 + 4
-# iterations of 3 inverse and 3 forward each, and the corrector's warm
-# start).  The advection as -div(u u), whose products u_i u_j took
+# of the 2D state below, 52 of them in the pressure solves (4 + 2
+# iterations of 2d inverse and 2d forward each, and the corrector's warm
+# start); "smooth" takes 4 + 3 and "contrast" 12 + 8 (60 and 164).  With
+# the preconditioner |k'|^-1 rho |k'|^-1, d + 1 inverse and d + 1 forward
+# transforms an iteration, the solves took 7 + 4, 6 + 5 and 21 + 13
+# iterations (70, 70 and 208 transforms) and the steps 118, 118 and 256.
+# The advection as -div(u u), whose products u_i u_j took
 # d(d+1)/2 forward rows where the rotation form takes curl(u) back and
 # |u|^2 / 2 forward (d + 1 rows in 2D), and a density flux rho u that took
 # its own forward transform, made it 120 (contrast 16: 258).  The velocity
@@ -46,7 +50,7 @@ ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "i
 # "smooth": the smooth 2D 32^2 state at the default density range
 # [0.8, 1.2] (contrast 1.44), the benchmark workloads' data family.
 # "contrast": the same state at density range [0.6, 9.5] (contrast 16).
-STEP_BUDGETS = {2: 118, "smooth": 118, "contrast": 256}
+STEP_BUDGETS = {2: 100, "smooth": 108, "contrast": 212}
 # Per step of a run(), measure() excluded, as {first step covered (0-based):
 # bound on that step and every later one}.  Each step starts from carried
 # spectra and from the carried [psi, grad(psi)] stack, so each wave
@@ -68,12 +72,16 @@ STEP_BUDGETS = {2: 118, "smooth": 118, "contrast": 256}
 # and fourth.  At contrast 16 the second step on takes the split in the
 # predictor, whose p* is the line through the last two corrector pressures,
 # and one PCG solve in the corrector, warm-started from the cubic through
-# the last four: the second to eighth steps take 130, 100, 82, 82, 76, 58
-# and 58 (132, 102, 84, 84, 78, 60 and 60 before the rotation form and the
-# flux joined the acceleration's transforms).  With PCG in both stages
-# they took 178, 124, 88, 82, 76, 82 and 88 (from the fifth step on 76 to
-# 88, 2 or 3 iterations a solve).
-RUN_BUDGETS = {2: {1: 42}, 3: {1: 58}, "contrast": {1: 130, 2: 100, 3: 82, 5: 76, 6: 58}}
+# the last four: the second to eighth steps take 118, 94, 70, 70, 70, 62
+# and 62 (9, 6, 3, 3, 3, 2 and 2 iterations of 8 transforms).  With the
+# preconditioner |k'|^-1 rho |k'|^-1 (6 transforms an iteration) they took
+# 130, 100, 82, 82, 76, 58 and 58 (14, 9, 6, 6, 5, 2 and 2 iterations):
+# the steady steps take two iterations either way, at 8 transforms instead
+# of 6.  Before that, 132, 102, 84, 84, 78, 60 and 60 before the rotation
+# form and the flux joined the acceleration's transforms; with PCG in both
+# stages 178, 124, 88, 82, 76, 82 and 88 (from the fifth step on 76 to 88,
+# 2 or 3 iterations a solve).
+RUN_BUDGETS = {2: {1: 42}, 3: {1: 58}, "contrast": {1: 118, 2: 94, 3: 70, 6: 62}}
 # Per measure() call on an accepted step of a run(), which hands it the
 # carried spectra and grad(psi): the coupling's one forward transform and
 # the H^-1 norm of the density's time difference.  It was d + 2 (4 in 2D,

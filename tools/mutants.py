@@ -46,19 +46,33 @@ class Mutant:
 MUTANTS = (
     # thresholds that decide a verdict or a solve
     Mutant("pcg-stops-at-10-tol", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
-           "while res_norm > tol * rhs_norm:", "while res_norm > 10 * tol * rhs_norm:",
+           "target = max(tol * rhs_norm, floor)", "target = max(10 * tol * rhs_norm, floor)",
            ("tests/test_spectral_ops.py::test_weighted_projection_meets_its_tolerance",)),
-    # the constant-coefficient preconditioner 1/(r_bar |k'|^2) in place of
-    # |k'|^-1 rho |k'|^-1: the cold step on the workloads' data costs more
+    # a residual asked to fall below the round-off of div(v): PCG stalls
+    Mutant("pcg-target-below-round-off", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
+           "target = max(tol * rhs_norm, floor)", "target = tol * rhs_norm",
+           ("tests/test_spectral_ops.py::"
+            "test_weighted_projection_of_a_nearly_solenoidal_field_returns",)),
     # PCG's final correction left untruncated: u leaves the dealias ball
     Mutant("untruncated-pcg-correction", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
            "return self.leray_hat(vhat - tab.mask * flux_p)[0], phat",
            "return self.leray_hat(vhat - flux_p)[0], phat",
            ("tests/test_integrator.py::test_pcg_steps_keep_u_inside_the_dealias_ball",)),
+    # the constant-coefficient preconditioner 1/(r_bar |k'|^2), and the
+    # scalar one |k'|^-1 rho |k'|^-1, in place of L^-1 (-div(rho grad L^-1)):
+    # cold solves and the cold step on the workloads' data cost more
     Mutant("constant-preconditioner", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
-           "return tab.inv_k * self.fft(weight * self.ifft(tab.inv_k * res, weight))",
+           "return -self.div_hat(self.fft(weight * grad)) * tab.inv_kk",
            "return res * (tab.inv_kk / r_bar)",
-           ("tests/test_transform_budget.py::test_step_transform_budget[smooth]",)),
+           ("tests/test_spectral_ops.py::test_weighted_projection_cold_iterations",
+            "tests/test_transform_budget.py::test_step_transform_budget[smooth]")),
+    Mutant("scalar-preconditioner", "pitaevskii.spectral:SpectralPlan.weighted_leray_hat",
+           "grad = self.ifft(tab.ik * (res * tab.inv_kk), weight)\n"
+           "            return -self.div_hat(self.fft(weight * grad)) * tab.inv_kk",
+           "inv_k = np.sqrt(tab.inv_kk)\n"
+           "            return inv_k * self.fft(weight * self.ifft(inv_k * res, weight))",
+           ("tests/test_spectral_ops.py::test_weighted_projection_cold_iterations",
+            "tests/test_transform_budget.py::test_step_transform_budget[contrast]")),
     Mutant("zero-pair-threshold-1e-10", "pitaevskii.stability:stability_experiment",
            "r.total > 1e-20 * scale", "r.total > 1e-10 * scale",
            ("tests/test_stability.py::test_zero_pair_determinism_threshold",)),
@@ -159,7 +173,7 @@ MUTANTS = (
     # the fold of p* into the acceleration: the split's pressure without its
     # p* term, and grad(p*) folded in with the wrong sign
     Mutant("split-pressure-without-p-star", "pitaevskii.spectral:SpectralPlan.split_leray_hat",
-           "return what, rho0 * chihat + (tab.mask & (tab.inv_kk > 0)) * pressure_hat",
+           "return what, rho0 * chihat + tab.mask_nonzero * pressure_hat",
            "return what, rho0 * chihat",
            ("tests/test_spectral_ops.py::"
             "test_split_projection_at_the_solved_pressure_is_the_weighted_projection",
