@@ -15,6 +15,10 @@ the run (density floor, blow-up, CFL, a pressure projection that missed its
 tolerance) or an asserted verdict failed or was inconclusive (a stability
 envelope never tested); 2 = usage or configuration error, non-finite
 initial fields included.
+
+simulate prints a notice line, which does not change its exit code, when
+the relative energy-equality residual max|r|/E(0) exceeds the acceptance
+tolerance ENERGY_TOL: the run's step size then does not resolve it.
 """
 
 import argparse
@@ -47,6 +51,10 @@ from .norms import inner_product, integral, lp_norm, sobolev_sq, spectral_densit
 from .snapshot_io import write_difference_series, write_snapshot, write_timeseries
 from .spectral import plan_for
 from .stability import PerturbationSpec, reduced_ode_oracle, stability_experiment
+
+# max|r(t)| / E(0) of the energy equality that the acceptance runs meet at
+# dt = 5e-4; simulate reports a run above it, it does not fail it
+ENERGY_TOL = 1e-6
 
 
 def _fmt(x):
@@ -103,11 +111,14 @@ def cmd_simulate(cfg):
 
     first = traj.records[0]
     last = traj.records[-1]
-    r = energy_budget(traj.records)
+    residual = float(np.abs(energy_budget(traj.records)).max())
+    relative = residual / max(first.energy, 1e-300)
     print(f"steps: {len(traj.records) - 1}   final time: {_fmt(last.t)}")
     print(f"energy: initial {_fmt(first.energy)}  final {_fmt(last.energy)}")
-    print(f"energy-equality residual: max {_fmt(float(np.abs(r).max()))} "
-          f"(relative {_fmt(float(np.abs(r).max() / max(first.energy, 1e-300)))})")
+    print(f"energy-equality residual: max {_fmt(residual)} (relative {_fmt(relative)})")
+    if relative > ENERGY_TOL:
+        print(f"notice: relative energy-equality residual {_fmt(relative)} exceeds the "
+              f"acceptance tolerance {_fmt(ENERGY_TOL)}")
     print(f"growth budget (gamma={_fmt(cfg.params.gamma)}, informational): "
           f"{_fmt(growth_budget(first, cfg.params, cfg.experiment.horizon))}")
     tdr = time_derivative_report(traj.records)

@@ -34,10 +34,10 @@ One step of size dt is the composition
   Both truncate what they take out of the velocity by the 2/3 rule, so u
   never leaves the dealias ball.
 * run() carries a StepHistory from step to step: the pressures of the
-  last four steps, the accepted state with the spectra step() formed of
-  it, and the propagators of the last step size.  Its docstring states
-  the rules once: which stage takes the split and which PCG, the p* and
-  warm start each reads off the stored pressures, and the measured gap
+  last four steps, the accepted state with the spectra and products step()
+  formed of it, and the multipliers of the last step size.  Its docstring
+  states the rules once: which stage takes the split and which PCG, the p*
+  and warm start each reads off the stored pressures, and the measured gap
   between a run and a loop of lone step() calls.
 * The density advances with the same midpoint staging: spectral dealiased
   transport plus the mass-exchange source, whose field Re(conj(psi) C[psi])
@@ -45,8 +45,14 @@ One step of size dt is the composition
   rho u rides its acceleration's forward transform.  The frozen psi and
   grad(psi) come from the first wave half-step in one inverse transform,
   and with |psi|^2 psi, formed once for both stages' couplings, start the
-  second.  |u|^2 at the step's start is formed once for the first wave
-  half-step and the predictor.
+  second.  Each product of the state at a step's start is formed once:
+  the step before formed |u|^2 for its second wave half-step, and
+  |psi|^2 psi and u.grad(psi) of its output beside the [psi, grad(psi)]
+  stack at its end, and carried them; the first wave stage, the predictor
+  (|u|^2 only) and measure() read them.  Every multiplier that dt fixes
+  (Propagators) is built once per step size.  Complex transforms of
+  buffers the step forms (the [psi, grad(psi)] stacks, the wave stages'
+  and couplings' nonlinear terms, the coupling taken back) run in place.
 
 Each piece has local error O(dt^3), so the composition is second order.
 A step that leaves the admissible set raises model.PhysicsEvent: of kind
@@ -59,7 +65,7 @@ that misses its tolerance (ProjectionNotConverged) becomes one of kind
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,20 +123,44 @@ def _wave_propagator(plan, psi_hat, params, tau):
 
 def _psi_and_gradient(plan, psi_hat):
     """psi and grad(psi), stacked (d+1, ...), from psi_hat in one inverse
-    transform: the same bits as d+1 separate transforms."""
+    transform, in place on the stack it fills: the same bits as d+1
+    separate transforms.  psi_hat is left as it is."""
     stack = np.empty((plan.grid.d + 1,) + psi_hat.shape, dtype=psi_hat.dtype)
     stack[0] = psi_hat
     np.multiply(plan.tables(psi_hat).ik, psi_hat, out=stack[1:])
-    return plan.ifft(stack, psi_hat)   # complex, as psi is
+    return plan.ifft(stack, psi_hat, overwrite_x=True)   # complex, as psi is
+
+
+class Carried(NamedTuple):
+    """StepHistory.carried: an accepted state with what was formed of it.
+
+    psi_hat, u_hat -- plan.fft of state.psi and state.u
+    stack          -- [psi, grad(psi)] = _psi_and_gradient(plan, psi_hat)
+    speed2         -- pointwise_dot(state.u, state.u)
+    cubic          -- cubic_product(stack[0])
+    u_dot_grad     -- pointwise_dot(state.u, stack[1:])
+
+    The three products are None on a slot _carry filled, which forms none
+    of them: its stack's psi is not the state's to the bit, and measure()
+    forms them from the state's own psi.
+    """
+
+    state: State
+    psi_hat: np.ndarray
+    u_hat: np.ndarray
+    stack: np.ndarray
+    speed2: Optional[np.ndarray] = None
+    cubic: Optional[np.ndarray] = None
+    u_dot_grad: Optional[np.ndarray] = None
 
 
 def _carry(plan, state):
     """StepHistory.carried for state, formed from its own fields."""
     psi_hat = plan.fft(state.psi)
-    return state, psi_hat, plan.fft(state.u), _psi_and_gradient(plan, psi_hat)
+    return Carried(state, psi_hat, plan.fft(state.u), _psi_and_gradient(plan, psi_hat))
 
 
-def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin):
+def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin, u_dot_grad=None):
     """Advance the wavefunction's spectrum psi_hat by tau with u frozen, by
     the integrating-factor (Lawson) midpoint rule: the linear flow is exact
     and the remainder N = wave_nonlinear_hat takes an explicit midpoint
@@ -140,39 +170,72 @@ def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin):
         k1 = N(psi_hat),  mid = E (psi_hat + tau/2 k1),
         out = E (E psi_hat + tau N(mid)).
 
-    fields is _psi_and_gradient(plan, psi_hat) and cubic its
-    cubic_product, which the caller already holds, so only the midpoint
-    stage transforms back; speed2 = pointwise_dot(u, u), u being frozen.
-    Lawson, SIAM J. Numer. Anal. 4 (1967); Hochbruck & Ostermann, Acta
-    Numerica 19 (2010)."""
+    fields is _psi_and_gradient(plan, psi_hat), cubic its cubic_product and
+    u_dot_grad (formed here when None) pointwise_dot(u, fields[1:]), which
+    the caller already holds, so only the midpoint stage transforms back;
+    speed2 = pointwise_dot(u, u), u being frozen.  Lawson, SIAM J. Numer.
+    Anal. 4 (1967); Hochbruck & Ostermann, Acta Numerica 19 (2010)."""
 
-    def nonlinear_hat(stack, cubic):
-        return wave_nonlinear_hat(plan, stack[0], stack[1:], cubic, u, speed2, params)
+    def nonlinear_hat(stack, cubic, u_dot_grad=None):
+        return wave_nonlinear_hat(plan, stack[0], stack[1:], cubic, u, speed2, params,
+                                  u_dot_grad=u_dot_grad)
 
-    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic))
+    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic, u_dot_grad))
     mid = _psi_and_gradient(plan, mid_hat)
     return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))
 
 
 def _fluid_explicit_accel(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params,
-                          p_star):
+                          p_star, props):
     """Spectrum of the acceleration minus the implicit (nu/rho_bar) lap(u)
     part, rho_bar = (m+M)/2, with -grad(p*) / rho in it for the pressure
     split's p* (p_star, None for PCG), the truncated spectrum of the density
     flux rho u and the exchange field Re(conj(psi) C[psi]), as
     velocity_rhs_hat returns them; u_hat and speed2 are the spectrum and
     squared modulus of u, psi_hat, grad_psi and cubic the spectrum,
-    gradient and cubic_product of the frozen psi."""
+    gradient and cubic_product of the frozen psi, and props the step's
+    Propagators, whose -nu |k|^2 and nu/rho_bar |k|^2 it applies."""
     accel_hat, flux_hat, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u,
-                                                     u_hat, speed2, rho, params, p_star)
-    nu_bar = 2.0 * params.nu / (params.m + params.M)
-    return accel_hat + nu_bar * plan.tables(u_hat).k2 * u_hat, flux_hat, exchange
+                                                     u_hat, speed2, rho, params, p_star,
+                                                     viscous=props.viscous)
+    return accel_hat + props.implicit * u_hat, flux_hat, exchange
 
 
 def _helmholtz_alpha(params, dt):
     """The Crank-Nicolson coefficient nu dt / (2 rho_bar) of a fluid step of
     size dt, at the reference density rho_bar = (m+M)/2."""
     return params.nu * dt / (params.m + params.M)
+
+
+class Propagators(NamedTuple):
+    """The multipliers a step of size dt applies, which dt, the plan and
+    the params fix: built once per step size (StepHistory.propagators).
+
+    lin      -- the wave half-steps' propagator
+                _wave_propagator(plan, psi_hat, params, dt/2)
+    helm     -- the fluid stages' Helmholtz factor 1/(1 + alpha |k|^2)
+    viscous  -- -nu |k|^2, the viscous term of each stage's acceleration
+    implicit -- (nu/rho_bar) |k|^2, the part of it the Helmholtz solve takes
+    explicit -- 1 - alpha |k|^2, the corrector's Crank-Nicolson start
+
+    alpha = _helmholtz_alpha(params, dt), rho_bar = (m+M)/2; all but lin on
+    u_hat's layout.
+    """
+
+    lin: np.ndarray
+    helm: np.ndarray
+    viscous: np.ndarray
+    implicit: np.ndarray
+    explicit: np.ndarray
+
+    @classmethod
+    def build(cls, plan, psi_hat, u_hat, params, dt):
+        k2 = plan.tables(u_hat).k2
+        alpha = _helmholtz_alpha(params, dt)
+        nu_bar = 2.0 * params.nu / (params.m + params.M)
+        return cls(_wave_propagator(plan, psi_hat, params, 0.5 * dt),
+                   plan.helmholtz_factor(u_hat, alpha), -params.nu * k2, nu_bar * k2,
+                   1.0 - alpha * k2)
 
 
 def _density_rhs(plan, flux_hat, exchange, params):
@@ -199,8 +262,8 @@ class StepHistory:
     """What run() carries from one accepted step to the next: the pressure
     spectra of the last four steps, which start both projections of the
     next one, the accepted state with what step() formed of it, and the
-    wave propagator and Helmholtz factor of the last step size.  These are
-    the rules of the pressure history, stated here alone.
+    Propagators of the last step size.  These are the rules of the pressure
+    history, stated here alone.
 
     Projections: a run's first step and a lone step() solve every stage by
     PCG.  From a run's second step on (the history holds a step that
@@ -255,24 +318,27 @@ class StepHistory:
     freeze psi at the step's midpoint, so the predictor's pressure lies off
     the corrector pressures' curve by that much.
 
-    carried is None or (state, psi_hat, u_hat, stack): the spectra
-    plan.fft of state.psi and state.u, which the last wave substep and the
-    fluid substep form before their inverse transforms, and the stack
+    carried is None or a Carried for the state step() returned: the
+    spectra plan.fft of state.psi and state.u, which the last wave substep
+    and the fluid substep form before their inverse transforms; the stack
     [psi, grad(psi)] = _psi_and_gradient(plan, psi_hat), which step() takes
-    back in one inverse transform at its end, all for the state it
-    returned.  run() reads the spectra and grad(psi) for measure(); the
-    next step() takes the slot, empties it and starts from what it holds
-    instead of transforming the state again, but only if it is for that
-    very state object, so the stack lives until that step's first wave
-    stage and no longer.  The propagators, the wave half-steps' and the
-    fluid stages' Helmholtz factor 1/(1 + alpha |k|^2), are reused only for
-    the same plan, dt and params.
+    back in one inverse transform at its end; and the products |u|^2
+    (formed for the second wave half-step), |psi|^2 psi and u.grad(psi) of
+    that state, which step() forms at its end whether or not anyone
+    measures.  run() reads all of them for measure(), which only reads
+    them.  The next step() takes the slot, empties it and starts from what
+    it holds instead of transforming the state again, but only if it is
+    for that very state object: its first wave stage reads the stack and
+    the three products, its predictor |u|^2, and the stack, |psi|^2 psi
+    and u.grad(psi) are dropped once that wave half-step returns.  A slot
+    run() fills for the ingested state (_carry) holds no products.  The
+    Propagators are reused only for the same plan, dt and params.
     """
 
     def __init__(self):
         self._steps = []      # (start time, dt, predictor, corrector - predictor), newest last
         self.carried = None
-        self._propagators = None   # (plan, dt, params, lin, helm)
+        self._propagators = None   # (plan, dt, params, Propagators)
 
     def _before(self, t, count):
         """The last `count` stored steps that started strictly before t."""
@@ -310,17 +376,13 @@ class StepHistory:
         self._steps = kept[-3:] + [(t, dt, predictor, corrector - predictor)]
 
     def propagators(self, plan, psi_hat, u_hat, params, dt):
-        """(lin, helm) of a step of size dt: the wave half-steps' propagator
-        _wave_propagator(plan, psi_hat, params, dt/2) and the fluid stages'
-        Helmholtz factor 1/(1 + alpha |k|^2) on u_hat's layout, alpha =
-        _helmholtz_alpha(params, dt); reused while the plan, dt and params
-        stay those of the last call."""
+        """The Propagators of a step of size dt, reused while the plan, dt
+        and params stay those of the last call."""
         cached = self._propagators
         if cached is None or cached[:3] != (plan, dt, params):
-            cached = self._propagators = (
-                plan, dt, params, _wave_propagator(plan, psi_hat, params, 0.5 * dt),
-                plan.helmholtz_factor(u_hat, _helmholtz_alpha(params, dt)))
-        return cached[3:]
+            cached = self._propagators = (plan, dt, params,
+                                          Propagators.build(plan, psi_hat, u_hat, params, dt))
+        return cached[3]
 
 
 # Density contrast max/min at which the pressure history's rules switch
@@ -337,10 +399,11 @@ def _split_applies(rho):
 
 
 def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params, dt, t0,
-                   history, helm):
+                   history, props):
     """Midpoint IMEX step for (u, rho) with psi frozen; psi_hat, grad_psi
     and cubic are the spectrum, gradient and cubic_product of psi, u_hat
-    and speed2 the spectrum and squared modulus of u.
+    and speed2 the spectrum and squared modulus of u, props the Propagators
+    of this dt.
 
     The pressure enters through the density-weighted projection of the
     acceleration: ut = a - (1/rho) grad(p) with a true scalar pressure, so
@@ -350,13 +413,13 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, p
     rho_s) it projects the explicit acceleration a (by the pressure split
     where the history has a p*, which a then carries, else by PCG from the
     history's warm start: StepHistory states which), solves
-    (I - alpha lap) u' = start + h a on spectra with helm, the factor
-    1/(1 + alpha |k|^2) of this dt, and advances rho by h, checking the
-    floor at t0 + h.  The predictor starts from u_hat with h = dt/2, the
-    corrector from (1 - alpha |k|^2) u_hat with h = dt and
-    the predictor's pressure.  Each stage's exchange field
-    Re(conj(psi) C[psi]) serves its drag and its density source, and its
-    density flux rho_s u_s is transformed with its acceleration.  Returns
+    (I - alpha lap) u' = start + h a on spectra with props.helm, and
+    advances rho by h, checking the floor at t0 + h.  The predictor starts
+    from u_hat with h = dt/2, the corrector from props.explicit * u_hat =
+    (1 - alpha |k|^2) u_hat with h = dt and the predictor's pressure.  Each
+    stage's exchange field Re(conj(psi) C[psi]) serves its drag and its
+    density source, and its density flux rho_s u_s is transformed with its
+    acceleration.  Returns
     (u, its spectrum, rho, predictor pressure spectrum, corrector pressure
     spectrum).
     """
@@ -368,7 +431,8 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, p
         else:
             p_star = history.corrector_curve(t0, 2, t0) if p_pred is None else None
         accel_hat, flux_hat, exchange = _fluid_explicit_accel(
-            plan, psi, psi_hat, grad_psi, cubic, u_s, u_s_hat, speed2_s, rho_s, params, p_star)
+            plan, psi, psi_hat, grad_psi, cubic, u_s, u_s_hat, speed2_s, rho_s, params, p_star,
+            props)
         # the density's rate now: the flux's spectrum shares its buffer with
         # the acceleration's transform, which then is not held through the
         # projection
@@ -382,16 +446,15 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, p
                 accel_hat, rho_s, initial_pressure_hat=p_pred if guess is None else guess)
         else:
             accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
-        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, helm)
+        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, props.helm)
         new = plan.ifft(new_hat, u)
         rho_new = rho + h * rho_rate
         density_floor_check(rho_new, params, t0 + h)
         return new, new_hat, rho_new, p
 
     u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, speed2, rho, u_hat, 0.5 * dt)
-    start_hat = (1.0 - _helmholtz_alpha(params, dt) * plan.tables(u_hat).k2) * u_hat
     u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, pointwise_dot(u_half, u_half),
-                                              rho_half, start_hat, dt, p_pred)
+                                              rho_half, props.explicit * u_hat, dt, p_pred)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
 
@@ -402,12 +465,12 @@ def step(state, params, dt, *, history=None):
     The pressure projections are cold PCG solves unless a StepHistory is
     passed; run() passes its own, and StepHistory states which stage then
     takes the pressure split.  The step empties the history's carried slot and
-    starts from the spectra and the [psi, grad(psi)] stack it holds if they
-    are for this very state object; otherwise, as a lone step(), it forms
-    them from the state.  It takes the wave propagator and Helmholtz factor
-    of an equal step size from the history.  An accepted step is pushed
-    onto the history with its dt, and the slot then carries its output with
-    that output's spectra and stack.
+    starts from the spectra, the [psi, grad(psi)] stack and the products it
+    holds if they are for this very state object; otherwise, as a lone
+    step(), it forms them from the state.  It takes the Propagators of an
+    equal step size from the history.  An accepted step is pushed onto the
+    history with its dt, and the slot then carries its output with that
+    output's spectra, stack and products (Carried).
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -416,27 +479,34 @@ def step(state, params, dt, *, history=None):
     plan = plan_for(state.grid)
     carried, history.carried = history.carried, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if carried is None or carried[0] is not state:
+        if carried is None or carried.state is not state:
             carried = _carry(plan, state)
-        _, psi_hat, u_hat, fields = carried
-        carried = None   # the old stack goes with the first wave stage
+        _, psi_hat, u_hat, fields, speed2, cubic, u_dot_grad = carried
+        carried = None
+        if speed2 is None:   # a slot _carry filled
+            speed2 = pointwise_dot(state.u, state.u)
+            cubic = cubic_product(fields[0])
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
-        lin, helm = history.propagators(plan, psi_hat, u_hat, params, dt)
+        props = history.propagators(plan, psi_hat, u_hat, params, dt)
         # |u_n|^2 serves the first wave half-step and the predictor
-        speed2 = pointwise_dot(state.u, state.u)
-        psi_hat = _wave_substep(plan, psi_hat, fields, cubic_product(fields[0]), state.u, speed2,
-                                params, tau, lin)
+        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, state.u, speed2, params, tau,
+                                props.lin, u_dot_grad)
+        # the carried stack and products go with the first wave stage
+        del fields, cubic, u_dot_grad
         # the frozen psi, grad(psi) and |psi|^2 psi of the fluid substep
         # start the second wave half-step
         fields = _psi_and_gradient(plan, psi_hat)
         cubic = cubic_product(fields[0])
         u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:], cubic,
                                                        state.u, u_hat, speed2, state.rho, params,
-                                                       dt, state.t, history, helm)
-        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, pointwise_dot(u, u), params,
-                                tau, lin)
+                                                       dt, state.t, history, props)
+        # |u|^2 of the new u serves the second wave half-step and is carried
+        speed2 = pointwise_dot(u, u)
+        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, props.lin)
         fields = _psi_and_gradient(plan, psi_hat)
+        cubic = cubic_product(fields[0])
+        u_dot_grad = pointwise_dot(u, fields[1:])
     # a copy, so that the state does not hold the carried stack
     psi = fields[0].copy()
     new = State(state.t + dt, psi, u, rho, state.grid)
@@ -444,7 +514,7 @@ def step(state, params, dt, *, history=None):
         raise PhysicsEvent("blow-up", float(state.t),
                            f"non-finite values in step output; last valid time t={state.t:.6g}")
     history.push(state.t, dt, p_pred, p_corr)
-    history.carried = (new, psi_hat, u_hat, fields)
+    history.carried = Carried(new, psi_hat, u_hat, fields, speed2, cubic, u_dot_grad)
     return new
 
 
@@ -496,10 +566,11 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     the ingested initial one included, on the trajectory's snapshots: the
     stability harness pairs them at desk scales.
 
-    One StepHistory carries pressures, the accepted state with its spectra
-    and [psi, grad(psi)] stack, and the propagators from step to step; its
-    docstring states which stage takes the pressure split.  run() fills its carried slot for the ingested state, and measure()
-    reads each accepted state's spectra and grad(psi) from the slot; run()
+    One StepHistory carries pressures, the accepted state with its spectra,
+    [psi, grad(psi)] stack and products, and the Propagators from step to
+    step; its docstring states which stage takes the pressure split.  run()
+    fills its carried slot for the ingested state, and measure() reads each
+    accepted state's spectra, grad(psi) and products from the slot; run()
     holds none of them while the next step runs.
 
     A PhysicsEvent (a density-floor breach, a blow-up, a CFL failure) or a
@@ -514,9 +585,10 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     history.carried = _carry(plan_for(state.grid), state)
 
     def record(prev_state):
-        accepted, psi_hat, u_hat, stack = history.carried
-        return measure(accepted, params, prev_state, psi_hat=psi_hat, u_hat=u_hat,
-                       grad_psi=stack[1:])
+        c = history.carried
+        return measure(c.state, params, prev_state, psi_hat=c.psi_hat, u_hat=c.u_hat,
+                       grad_psi=c.stack[1:], speed2=c.speed2, cubic=c.cubic,
+                       u_dot_grad=c.u_dot_grad)
 
     records = [record(None)] if diagnostics else []
     snapshots = [state.copy()] if store_states else []

@@ -23,7 +23,10 @@ field Re(conj(psi) C[psi]) once, by _exchange_field, for the drag and
 returns it for the density source, and transforms the density flux rho u
 with the acceleration).  The self-interaction product |psi|^2 psi
 (cubic_product) and the squared speed |u|^2 are arguments of these bodies,
-so a caller that holds psi or u over several stages forms them once.
+and u.grad(psi) an optional one of coupling_hat and wave_nonlinear_hat, so
+a caller that holds psi or u over several stages, or over a step and its
+measure(), forms them once.  Each body sums its nonlinear terms into one
+buffer it owns and transforms that buffer in place.
 `pitaevskii validate` checks the
 quadratic form, the mass-exchange antisymmetry and the source-form
 equivalence on these bodies.  coupling_term, mass_exchange and
@@ -172,7 +175,7 @@ def cubic_product(psi):
     return (psi.real ** 2 + psi.imag ** 2) * psi
 
 
-def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params):
+def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params, *, u_dot_grad=None):
     """Spectrum of the coupling operator applied to the wavefunction,
 
         C[psi] = -0.5 lap(psi) + i u.grad(psi) + 0.5 |u|^2 psi + mu |psi|^2 psi,
@@ -181,14 +184,16 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params):
     Re<psi, C[psi]> equals 0.5 ||(-i grad - u) psi||^2 + mu ||psi||_L4^4 and
     is nonnegative.  psi_hat and grad_psi are the spectrum and gradient of
     psi, speed2 = pointwise_dot(u, u) and cubic = cubic_product(psi), which
-    a caller that also needs them forms once."""
-    nonlinear = (
-        1j * pointwise_dot(u, grad_psi)
-        + 0.5 * speed2 * psi
-        + params.mu * cubic
-    )
+    a caller that also needs them forms once; so is u_dot_grad =
+    pointwise_dot(u, grad_psi), formed here when not given."""
+    if u_dot_grad is None:
+        u_dot_grad = pointwise_dot(u, grad_psi)
+    # the terms summed into one buffer, in the order a + b + c adds them
+    nonlinear = 1j * u_dot_grad
+    nonlinear += 0.5 * speed2 * psi
+    nonlinear += params.mu * cubic
     lap_term = 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    return lap_term + plan.dealias_in_place(plan.fft(nonlinear))
+    return lap_term + plan.dealias_in_place(plan.fft(nonlinear, overwrite_x=True))
 
 
 def coupling_term(state, params):
@@ -201,20 +206,22 @@ def coupling_term(state, params):
                                   cubic_product(psi), params), psi)
 
 
-def wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2, params):
+def wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2, params, *, u_dot_grad=None):
     """Spectrum of the explicit remainder of the wave equation after
     removing (lam+i)/2 * lap, dealiased:
     -i lam u.grad(psi) - (lam/2) |u|^2 psi - (lam + i) mu |psi|^2 psi.
     Takes psi, its gradient grad_psi and cubic = cubic_product(psi) in
     physical space, and the squared speed speed2 = pointwise_dot(u, u),
-    which a caller that keeps u frozen over several stages forms once; its
-    one transform is the forward transform of the sum."""
-    u_dot_grad = pointwise_dot(u, grad_psi)
-    return plan.dealias_in_place(plan.fft(
-        (-1j * params.lam) * u_dot_grad
-        - 0.5 * params.lam * speed2 * psi
-        - (params.lam + 1j) * params.mu * cubic
-    ))
+    which a caller that keeps u frozen over several stages forms once;
+    u_dot_grad = pointwise_dot(u, grad_psi) is formed here when not given.
+    Its one transform is the forward transform of the sum, in place."""
+    if u_dot_grad is None:
+        u_dot_grad = pointwise_dot(u, grad_psi)
+    # the terms summed into one buffer, in the order a - b - c takes them
+    nonlinear = (-1j * params.lam) * u_dot_grad
+    nonlinear -= 0.5 * params.lam * speed2 * psi
+    nonlinear -= (params.lam + 1j) * params.mu * cubic
+    return plan.dealias_in_place(plan.fft(nonlinear, overwrite_x=True))
 
 
 def _exchange_field(psi, coupling):
@@ -309,7 +316,7 @@ def _add_lamb_cross(out, u, curl):
 
 
 def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, params,
-                     p_star=None):
+                     p_star=None, *, viscous=None):
     """Spectra of the pre-projection acceleration of the non-conservative
     momentum equation, -u.grad(u) + (nu lap(u) - grad(p*) + momentum
     source) / rho, and of the density flux rho u, with the exchange field
@@ -318,9 +325,10 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho,
     (accel_hat, flux_hat, exchange), both spectra 2/3-truncated.  p_star is
     the spectrum of p*, which the pressure split
     (SpectralPlan.split_leray_hat) passes and the density-weighted
-    projection does not (None: no pressure term).  One truncation covers
-    the whole acceleration, the untruncated source and grad(p*) / rho
-    included.
+    projection does not (None: no pressure term).  viscous is the
+    multiplier -nu |k|^2 on u_hat's layout, which a caller that solves at
+    one nu many times builds once.  One truncation covers the whole
+    acceleration, the untruncated source and grad(p*) / rho included.
 
     The advection is in rotation (Lamb) form, -u.grad(u) =
     u x curl(u) - grad(|u|^2 / 2) for solenoidal u: for u inside the
@@ -338,7 +346,7 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho,
     rho u forward (2d + 1 rows).  So a 2D stage transforms 10 fields and a
     3D one 15."""
     coupling = plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params),
-                         psi)
+                         psi, overwrite_x=True)
     exchange = _exchange_field(psi, coupling)
     source = _momentum_source_raw(grad_psi, u, coupling, exchange, params)
     del coupling
@@ -346,7 +354,9 @@ def velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho,
     d = plan.grid.d
     curl_rows = _curl_rows(d)
     explicit = np.empty((d + len(curl_rows),) + u_hat.shape[1:], dtype=u_hat.dtype)
-    np.multiply(-params.nu * tab.k2, u_hat, out=explicit[:d])
+    if viscous is None:
+        viscous = -params.nu * tab.k2
+    np.multiply(viscous, u_hat, out=explicit[:d])
     if p_star is not None:
         explicit[:d] -= tab.ik * p_star
     for row, (i, j) in enumerate(curl_rows, start=d):

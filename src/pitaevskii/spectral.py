@@ -16,6 +16,13 @@ Conventions:
   picks the transform from the dtype of f and ifft(fhat, like) from the dtype
   of like, so plan.ifft(plan.fft(f), f) round-trips real and complex fields.
   Spectra are unnormalised (numpy's convention: the inverse divides by N).
+  A caller that owns a complex buffer and does not need it afterwards, such
+  as a product it has just formed or a stack it has just filled, may let
+  its transform run in place (overwrite_x=True): the buffer then holds the
+  output or garbage, and the bits are those of the out-of-place transform.
+  An array the caller borrowed (a state's field, a carried spectrum) is
+  never transformed in place.  Real transforms never run in place: r2c and
+  c2r change the array's shape, and scipy.fft ignores the flag for them.
 * The multiplier tables of both layouts (SpectralTables) are built once, with
   the plan; tables(fhat) picks the layout from the spectrum's last axis.
 * Nyquist: the odd-derivative multiplier i k_j is zero on the Nyquist plane
@@ -225,16 +232,19 @@ class SpectralPlan:
 
     # -- transforms ------------------------------------------------------
 
-    def fft(self, f):
-        """Half spectrum of a real field, full spectrum of a complex one."""
+    def fft(self, f, *, overwrite_x=False):
+        """Half spectrum of a real field, full spectrum of a complex one;
+        overwrite_x lets a complex transform write into f (see the module
+        docstring)."""
         if np.iscomplexobj(f):
-            return scipy.fft.fftn(f, axes=self._axes)
+            return scipy.fft.fftn(f, axes=self._axes, overwrite_x=overwrite_x)
         return scipy.fft.rfftn(f, axes=self._axes)
 
-    def ifft(self, fhat, like):
-        """Inverse of fft for a field of the dtype of `like`."""
+    def ifft(self, fhat, like, *, overwrite_x=False):
+        """Inverse of fft for a field of the dtype of `like`; overwrite_x
+        lets a complex transform write into fhat."""
         if np.iscomplexobj(like):
-            return scipy.fft.ifftn(fhat, axes=self._axes)
+            return scipy.fft.ifftn(fhat, axes=self._axes, overwrite_x=overwrite_x)
         return scipy.fft.irfftn(fhat, s=self.grid.shape, axes=self._axes)
 
     def tables(self, fhat):

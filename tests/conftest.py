@@ -92,7 +92,12 @@ def use_untruncated_split(monkeypatch):
     """Make run() take untruncated_split_leray_hat for the pressure split,
     its stages' accelerations formed without p*."""
     accel = integrator._fluid_explicit_accel
-    monkeypatch.setattr(integrator, "_fluid_explicit_accel", lambda *args: accel(*args[:10], None))
+
+    def without_p_star(*args):
+        # p_star is the eleventh argument
+        return accel(*args[:10], None, *args[11:])
+
+    monkeypatch.setattr(integrator, "_fluid_explicit_accel", without_p_star)
     monkeypatch.setattr(SpectralPlan, "split_leray_hat", untruncated_split_leray_hat)
 
 

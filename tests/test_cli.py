@@ -260,3 +260,26 @@ def test_validate_fails_an_inequality_ratio_that_spreads_past_0_2(tmp_path, caps
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2].startswith(f"inequality poincare: {status} (ratios 1.0 / {second}, ")
     assert lines[-1] == f"verdict: {status}"
+
+
+@pytest.mark.parametrize("stepping, above", [
+    ("integrator.adaptive = true", True),
+    ("integrator.dt_init = 5e-4", False),
+])
+def test_simulate_notes_a_residual_above_the_acceptance_tolerance(tmp_path, capsys, stepping,
+                                                                  above):
+    # 32^2, amplitude 0.4, T = 0.1: the adaptive run (11 steps) reads
+    # max|r|/E(0) = 1.8e-5, above the acceptance tolerance 1e-6, and fixed
+    # dt 5e-4 reads 5.2e-8.  Only the notice line tells them apart; both
+    # exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.d = 2\ngrid.n = 32, 32\nic.family = smooth\nic.amplitude = 0.4\n"
+                   f"experiment.T = 0.1\n{stepping}\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["simulate", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in lines if ln.startswith("energy-equality residual:")]
+    relative = line.rpartition("(relative ")[2].rstrip(")")
+    assert (float(relative) > 1e-5) if above else (float(relative) < 1e-7)
+    notices = [ln for ln in lines if ln.startswith("notice:")]
+    assert notices == ([f"notice: relative energy-equality residual {relative} exceeds the "
+                        "acceptance tolerance 1e-06"] if above else [])

@@ -474,7 +474,7 @@ def test_carried_spectra_match_the_state_and_feed_measure(grid2d, monkeypatch):
     assert history.carried is None
     for _ in range(3):
         prev, st = st, step(st, PARAMS, 1e-3, history=history)
-    carried_state, psi_hat, u_hat, _ = history.carried
+    carried_state, psi_hat, u_hat = history.carried[:3]
     assert carried_state is st
     for carried, field in ((psi_hat, st.psi), (u_hat, st.u)):
         fresh = plan.fft(field)
@@ -501,10 +501,12 @@ def test_carried_spectra_match_the_state_and_feed_measure(grid2d, monkeypatch):
 def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch):
     # step() leaves [psi, grad(psi)] of its output on the carried slot,
     # formed in its last inverse transform: the stack of the carried
-    # spectrum to the bit, held apart from the state's psi.  measure() given
-    # its grad(psi) returns the record it forms without it, field for field.
-    # The next step empties the slot, and the old stack is gone by the fluid
-    # substep
+    # spectrum to the bit, held apart from the state's psi, and beside it
+    # the products |u|^2, |psi|^2 psi and u.grad(psi) of that state, to the
+    # bit.  measure() given its grad(psi), and given the products too,
+    # returns the record it forms without them, field for field.  The next
+    # step empties the slot; the old stack, |psi|^2 psi and u.grad(psi) are
+    # gone by the fluid substep, whose predictor takes the carried |u|^2
     import weakref
 
     from pitaevskii.diagnostics import measure
@@ -514,26 +516,31 @@ def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch)
     st = ingest(smooth_2d_state(grid2d), PARAMS)
     for _ in range(3):
         prev, st = st, step(st, PARAMS, 1e-3, history=history)
-    _, psi_hat, u_hat, stack = history.carried
+    _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = history.carried
     assert np.array_equal(stack, _psi_and_gradient(plan, psi_hat))
     assert np.array_equal(stack[0], st.psi)
     assert not np.shares_memory(st.psi, stack)
+    assert np.array_equal(speed2, pointwise_dot(st.u, st.u))
+    assert np.array_equal(cubic, cubic_product(st.psi))
+    assert np.array_equal(u_dot_grad, pointwise_dot(st.u, stack[1:]))
     warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat, grad_psi=stack[1:])
     assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
+    assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat,
+                           grad_psi=stack[1:], speed2=speed2, cubic=cubic, u_dot_grad=u_dot_grad)
 
     entered = []
     fluid_substep = integrator._fluid_substep
 
     def recording_fluid(*args):
-        entered.append((history.carried, carried_stack()))
+        entered.append((history.carried, [ref() for ref in carried], args[7] is speed2))
         return fluid_substep(*args)
 
     monkeypatch.setattr(integrator, "_fluid_substep", recording_fluid)
-    carried_stack = weakref.ref(stack)
-    del stack
-    assert carried_stack() is not None                  # the slot holds it
+    carried = [weakref.ref(a) for a in (stack, cubic, u_dot_grad)]
+    del stack, cubic, u_dot_grad
+    assert all(ref() is not None for ref in carried)    # the slot holds them
     new = step(st, PARAMS, 1e-3, history=history)
-    assert entered == [(None, None)]
+    assert entered == [(None, [None, None, None], True)]
     assert history.carried[0] is new
 
 
@@ -541,17 +548,19 @@ def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkey
     # every wave substep of a run starts from _psi_and_gradient of its
     # spectrum to the bit; the first one of each step and each measure()
     # read the very stack that the step before formed (the initial one:
-    # that run() formed after ingest), apart from the state's psi
+    # that run() formed after ingest), apart from the state's psi, and
+    # after a step the very |psi|^2 psi it formed, which the initial record
+    # forms itself
     plan = plan_for(grid2d)
     waves, measured = [], []
     wave_substep, measure = integrator._wave_substep, integrator.measure
 
-    def recording_wave(plan, psi_hat, fields, *args):
-        waves.append((psi_hat, fields))
-        return wave_substep(plan, psi_hat, fields, *args)
+    def recording_wave(plan, psi_hat, fields, cubic, *args):
+        waves.append((psi_hat, fields, cubic))
+        return wave_substep(plan, psi_hat, fields, cubic, *args)
 
     def recording_measure(state, params, prev_state=None, **kwargs):
-        measured.append((state, kwargs["psi_hat"], kwargs["grad_psi"]))
+        measured.append((state, kwargs["psi_hat"], kwargs["grad_psi"], kwargs["cubic"]))
         return measure(state, params, prev_state, **kwargs)
 
     monkeypatch.setattr(integrator, "_wave_substep", recording_wave)
@@ -559,16 +568,76 @@ def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkey
     dt = 2.0 ** -10
     traj = run(smooth_2d_state(grid2d), PARAMS, StepConfig(dt_init=dt), 4 * dt)
     assert traj.event is None and len(waves) == 8 and len(measured) == 5
-    for psi_hat, fields in waves:
+    for psi_hat, fields, _ in waves:
         assert np.array_equal(fields, _psi_and_gradient(plan, psi_hat))
-    for n, (state, psi_hat, grad_psi) in enumerate(measured):
+    for n, (state, psi_hat, grad_psi, cubic) in enumerate(measured):
         assert np.array_equal(grad_psi, _psi_and_gradient(plan, psi_hat)[1:])
         assert not np.shares_memory(state.psi, grad_psi)
+        assert (cubic is None) == (n == 0)
         if n < 4:
-            first_psi_hat, fields = waves[2 * n]
+            first_psi_hat, fields, first_cubic = waves[2 * n]
             assert first_psi_hat is psi_hat and np.shares_memory(fields, grad_psi)
             if n:
                 assert np.array_equal(fields[0], state.psi)
+                assert first_cubic is cubic
+
+
+def test_run_records_equal_measure_of_the_stored_states(grid2d):
+    # each record of a run reads the spectra, stack and products the step
+    # carried; it equals measure() of the stored state on its own (formed
+    # from the state's fields alone) to round-off
+    from pitaevskii.diagnostics import RECORD_SCALARS, measure
+
+    dt = 2.0 ** -10
+    traj = run(smooth_2d_state(grid2d), PARAMS, StepConfig(dt_init=dt), 4 * dt,
+               store_states=True)
+    assert traj.event is None and len(traj.records) == len(traj.snapshots) == 5
+    for n, (rec, state) in enumerate(zip(traj.records, traj.snapshots)):
+        cold = measure(state, PARAMS, traj.snapshots[n - 1] if n else None)
+        for name in RECORD_SCALARS:
+            assert getattr(rec, name) == pytest.approx(getattr(cold, name), rel=1e-12,
+                                                       abs=1e-300), (n, name)
+        assert rec.momentum == pytest.approx(cold.momentum, rel=1e-12, abs=1e-14)
+
+
+def test_in_place_transforms_leave_borrowed_arrays_as_they_are(grid2d):
+    # the complex transforms that run in place write only into buffers
+    # their caller formed: every array handed to these bodies, the state's
+    # fields and the carried spectra, stack and products included, keeps
+    # its bits through the call.  The last two steps start from the
+    # carried slot and from the state's own fields (_carry)
+    from pitaevskii.diagnostics import measure
+    from pitaevskii.model import coupling_hat, velocity_rhs_hat, wave_nonlinear_hat
+
+    plan = plan_for(grid2d)
+    history = StepHistory()
+    prev = ingest(smooth_2d_state(grid2d), PARAMS)
+    st = step(prev, PARAMS, 1e-3, history=history)
+    _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = history.carried
+    psi, u, rho, grad_psi = st.psi, st.u, st.rho, stack[1:]
+    borrowed = [psi, u, rho, prev.psi, prev.u, prev.rho, psi_hat, u_hat, stack, speed2, cubic,
+                u_dot_grad]
+    kept = [a.copy() for a in borrowed]
+    calls = {
+        "_psi_and_gradient": lambda: _psi_and_gradient(plan, psi_hat),
+        "coupling_hat": lambda: coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic,
+                                             PARAMS, u_dot_grad=u_dot_grad),
+        "wave_nonlinear_hat": lambda: wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2,
+                                                         PARAMS, u_dot_grad=u_dot_grad),
+        "velocity_rhs_hat": lambda: velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u,
+                                                     u_hat, speed2, rho, PARAMS),
+        "measure": lambda: measure(st, PARAMS, prev, psi_hat=psi_hat, u_hat=u_hat,
+                                   grad_psi=grad_psi, speed2=speed2, cubic=cubic,
+                                   u_dot_grad=u_dot_grad),
+        "measure, cold": lambda: measure(st, PARAMS, prev),
+        "step, carried": lambda: step(st, PARAMS, 1e-3, history=history),
+        "step, lone": lambda: step(st, PARAMS, 1e-3),
+    }
+    for name, call in calls.items():
+        call()
+        for a, b in zip(borrowed, kept):
+            assert np.array_equal(a, b), name
+    assert history.carried.state is not st      # the carried step took the slot
 
 
 def test_wave_substep_is_second_order(grid2d):

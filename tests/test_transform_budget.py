@@ -1,5 +1,5 @@
 """Transform budget of the integrator's steps, of measure() and of the
-Gronwall bundle.
+Gronwall bundle, and the pointwise products of a step.
 
 Every n-dimensional entry point of numpy.fft and scipy.fft is replaced by a
 counting wrapper around fixed-dt steps of a seeded 2D 32^2 or 3D 16^3 state,
@@ -12,16 +12,20 @@ stability sweep's later experiment with the base's halves already formed.
 A stacked vector field counts as its components, so the totals are field
 transforms whatever the batching.  Beside them the entry-point calls are
 counted, since each call carries a fixed cost on top of its transforms.
+The pointwise products that feed the coupling, |u|^2, u.grad(psi) and
+|psi|^2 psi, are counted by their bodies' calls (grid.pointwise_dot,
+model.cubic_product).
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from pitaevskii import integrator, stability
+from pitaevskii import grid, integrator, model, stability
 from pitaevskii.grid import make_grid
 from pitaevskii.integrator import StepConfig, ingest, run, step
 from pitaevskii.model import Params, State
@@ -118,6 +122,17 @@ MAX_LATER_RECORD_TRANSFORMS = {(2, "full"): 7, (2, "core"): 4, (3, "full"): 9, (
 # density difference (3 with its own grad(psi)).
 MAX_RUN_STEP_CALLS = 20
 MAX_MEASURE_CALLS = 2
+# Pointwise products per step of a 2D 32^2 run from the second on, with its
+# measure(): pointwise_dot calls (|u|^2, u.grad(psi), the divergences of
+# the density flux and of the split's Leray projection, |du|^2 of the
+# record) and cubic_product calls (|psi|^2 psi).  Each wave midpoint stage
+# forms u.grad(psi) and |psi|^2 psi of its psi, each fluid stage u.grad(psi)
+# of the frozen psi, and the corrector |u|^2 of its u; the step's end forms
+# |u|^2, |psi|^2 psi and u.grad(psi) of its output, which measure() and the
+# next step's first wave stage and predictor read.  While each of them
+# formed its own, |u|^2 was formed three times and u.grad(psi) twice: 16
+# pointwise_dot calls.
+MAX_RUN_STEP_PRODUCTS = {"pointwise_dot": 13, "cubic_product": 4}
 
 
 @pytest.fixture
@@ -254,6 +269,39 @@ def test_run_steady_state_call_budget(counted, monkeypatch, d):
     assert traj.event is None and len(per_step) == 8 and len(per_measure) == 9
     assert 0 < max(per_step[1:]) <= MAX_RUN_STEP_CALLS
     assert 0 < max(per_measure[1:]) <= MAX_MEASURE_CALLS
+
+
+def test_run_steady_state_product_budget(monkeypatch):
+    # per step of a run and the measure() after it, from the second step on
+    counts = dict.fromkeys(MAX_RUN_STEP_PRODUCTS, 0)
+    for name, inner in (("pointwise_dot", grid.pointwise_dot),
+                        ("cubic_product", model.cubic_product)):
+        def wrapper(*args, _name=name, _inner=inner):
+            counts[_name] += 1
+            return _inner(*args)
+
+        # every module of the package that holds the function by name
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("pitaevskii") and \
+                    getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, wrapper)
+    at_step = []
+    inner_step = integrator.step
+
+    def marking_step(*args, **kwargs):
+        at_step.append(dict(counts))
+        return inner_step(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step", marking_step)
+    state, params = seeded_state(2)
+    dt = 2.0 ** -11
+    traj = run(state, params, StepConfig(dt_init=dt), 8 * dt)
+    at_step.append(dict(counts))
+    per_step = [{k: b[k] - a[k] for k in b} for a, b in zip(at_step, at_step[1:])]
+    print(f"pointwise products per measured step of a run: {per_step}")
+    assert traj.event is None and len(per_step) == 8
+    for name, budget in MAX_RUN_STEP_PRODUCTS.items():
+        assert 0 < max(c[name] for c in per_step[1:]) <= budget, name
 
 
 def test_split_stage_takes_no_transform(counted, monkeypatch):

@@ -128,8 +128,8 @@ MUTANTS = (
            ("tests/test_cli.py::test_validate_fails_on_a_broken_projector",)),
     # the fluid stage body and the pressure guesses
     Mutant("stage-half-update", "pitaevskii.integrator:_fluid_substep.stage",
-           "plan.helmholtz_hat(start_hat + h * accel_hat, helm)",
-           "plan.helmholtz_hat(start_hat + 0.5 * h * accel_hat, helm)",
+           "plan.helmholtz_hat(start_hat + h * accel_hat, props.helm)",
+           "plan.helmholtz_hat(start_hat + 0.5 * h * accel_hat, props.helm)",
            ("tests/test_reference_runs.py",)),
     Mutant("stage-density-from-the-stage", "pitaevskii.integrator:_fluid_substep.stage",
            "rho_new = rho + h * rho_rate", "rho_new = rho_s + h * rho_rate",
@@ -186,7 +186,7 @@ MUTANTS = (
     # the wave stage as it was before the Lawson rule (the first stage at
     # E psi_hat, not at psi_hat): the reference runs see the change of scheme
     Mutant("wave-stage-before-lawson", "pitaevskii.integrator:_wave_substep",
-           "    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic))\n"
+           "    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic, u_dot_grad))\n"
            "    mid = _psi_and_gradient(plan, mid_hat)\n"
            "    return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            "    psi_hat = lin * psi_hat\n"
@@ -195,6 +195,22 @@ MUTANTS = (
            "    mid = _psi_and_gradient(plan, mid_hat)\n"
            "    return lin * (psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            ("tests/test_reference_runs.py",)),
+    # the products a step carries: |u|^2 of the velocity from before the
+    # fluid substep carried with the new state (its second wave half-step
+    # still forms the new one); the state's psi transformed in place into
+    # the spectrum _carry forms
+    Mutant("stale-end-speed", "pitaevskii.integrator:step",
+           "        speed2 = pointwise_dot(u, u)\n"
+           "        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, "
+           "props.lin)",
+           "        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, pointwise_dot(u, u), "
+           "params, tau, props.lin)",
+           ("tests/test_integrator.py::test_carried_stack_is_handed_out_once_and_feeds_measure",
+            "tests/test_integrator.py::test_run_records_equal_measure_of_the_stored_states")),
+    Mutant("borrowed-spectrum-in-place", "pitaevskii.integrator:_carry",
+           "psi_hat = plan.fft(state.psi)", "psi_hat = plan.fft(state.psi, overwrite_x=True)",
+           ("tests/test_integrator.py::"
+            "test_in_place_transforms_leave_borrowed_arrays_as_they_are",)),
     # the advection's rotation form with u x curl(u) subtracted (-u x curl(u)
     # added), and a 2/3 truncation in place that leaves the last axis's slab
     Mutant("lamb-cross-sign", "pitaevskii.model:velocity_rhs_hat",
