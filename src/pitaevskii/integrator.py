@@ -57,13 +57,15 @@ One step of size dt is the composition
 Each piece has local error O(dt^3), so the composition is second order.
 A step that leaves the admissible set raises model.PhysicsEvent: of kind
 "density-floor" where a stage would drag the density below the configured
-floor, "blow-up" with the last valid time where its output is not finite.
-adaptive_dt raises one of kind "cfl".  run() keeps the raised event,
-without its traceback, as the trajectory's event; a pressure projection
-that misses its tolerance (ProjectionNotConverged) becomes one of kind
-"projection" at the step's start time.
+floor, "blow-up" where a stage density is NaN (at the stage time) or its
+output is not finite (with the last valid time).  adaptive_dt raises one
+of kind "cfl".  run() keeps the raised event, without its traceback, as
+the trajectory's event; a pressure projection that misses its tolerance
+(ProjectionNotConverged) becomes one of kind "projection" at the step's
+start time, and a step whose diagnostics overflow one of kind "blow-up".
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -243,7 +245,8 @@ def _density_rhs(plan, flux_hat, exchange, params):
     which velocity_rhs_hat transforms with the acceleration, plus the mass
     exchange 2 lam Re(conj(psi) C[psi]) = 2 lam exchange: one inverse
     transform."""
-    return -plan.ifft(plan.div_hat(flux_hat), exchange) + 2.0 * params.lam * exchange
+    div_flux = plan.ifft(plan.div_hat(flux_hat), exchange)
+    return np.subtract(2.0 * params.lam * exchange, div_flux, out=div_flux)
 
 
 def _lagrange(nodes, values, t):
@@ -424,7 +427,7 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, p
     spectrum).
     """
 
-    def stage(u_s, u_s_hat, speed2_s, rho_s, start_hat, h, p_pred=None):
+    def stage(u_s, u_s_hat, speed2_s, rho_s, h, p_pred=None):
         # p* of the pressure split, None where the stage solves by PCG
         if _split_applies(rho_s):
             p_star = history.split_guess(t0, p_pred)
@@ -446,15 +449,20 @@ def _fluid_substep(plan, psi, psi_hat, grad_psi, cubic, u, u_hat, speed2, rho, p
                 accel_hat, rho_s, initial_pressure_hat=p_pred if guess is None else guess)
         else:
             accel_hat, p = plan.split_leray_hat(accel_hat, rho_s, p_star)
-        new_hat = plan.helmholtz_hat(start_hat + h * accel_hat, props.helm)
+        # the Helmholtz solve of start + h a, formed in the projection's
+        # fresh output; the corrector's start is formed only now, so that
+        # it is not held through the acceleration and the projection
+        accel_hat *= h
+        accel_hat += u_hat if p_pred is None else props.explicit * u_hat
+        new_hat = plan.helmholtz_hat(accel_hat, props.helm)
         new = plan.ifft(new_hat, u)
         rho_new = rho + h * rho_rate
         density_floor_check(rho_new, params, t0 + h)
         return new, new_hat, rho_new, p
 
-    u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, speed2, rho, u_hat, 0.5 * dt)
+    u_half, u_half_hat, rho_half, p_pred = stage(u, u_hat, speed2, rho, 0.5 * dt)
     u_new, u_new_hat, rho_new, p_corr = stage(u_half, u_half_hat, pointwise_dot(u_half, u_half),
-                                              rho_half, props.explicit * u_hat, dt, p_pred)
+                                              rho_half, dt, p_pred)
     return u_new, u_new_hat, rho_new, p_pred, p_corr
 
 
@@ -576,7 +584,9 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     A PhysicsEvent (a density-floor breach, a blow-up, a CFL failure) or a
     pressure projection that misses its tolerance ends the run early: the
     trajectory's event is the PhysicsEvent, of kind "projection" for the
-    latter, and the records collected so far are kept.
+    latter, and the records collected so far are kept.  A step whose
+    output is finite but whose diagnostics overflow is a blow-up too, and
+    initial data whose diagnostics overflow is rejected (ValueError).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -585,10 +595,20 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     history.carried = _carry(plan_for(state.grid), state)
 
     def record(prev_state):
+        # a finite state whose diagnostics overflow has blown up; an inf or
+        # NaN in any entry makes the sum inf or NaN
         c = history.carried
-        return measure(c.state, params, prev_state, psi_hat=c.psi_hat, u_hat=c.u_hat,
-                       grad_psi=c.stack[1:], speed2=c.speed2, cubic=c.cubic,
-                       u_dot_grad=c.u_dot_grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = measure(c.state, params, prev_state, psi_hat=c.psi_hat, u_hat=c.u_hat,
+                          grad_psi=c.stack[1:], speed2=c.speed2, cubic=c.cubic,
+                          u_dot_grad=c.u_dot_grad)
+        if math.isfinite(sum(rec.scalars()) + sum(rec.momentum)):
+            return rec
+        if prev_state is None:
+            raise ValueError("initial data has non-finite diagnostics")
+        raise PhysicsEvent("blow-up", float(prev_state.t),
+                           f"non-finite diagnostics at t={c.state.t:.6g}; last valid time "
+                           f"t={prev_state.t:.6g}")
 
     records = [record(None)] if diagnostics else []
     snapshots = [state.copy()] if store_states else []
@@ -599,6 +619,7 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
             dt = adaptive_dt(state, config) if config.adaptive else config.dt_init
             dt = min(dt, horizon - state.t)
             new_state = step(state, params, dt, history=history)
+            rec = record(state) if diagnostics else None
         except PhysicsEvent as exc:
             # without its traceback the event holds no step frame or field
             event = exc.with_traceback(None)
@@ -606,9 +627,7 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
         except ProjectionNotConverged as exc:
             event = PhysicsEvent("projection", state.t, str(exc))
             break
-        rec = None
         if diagnostics:
-            rec = record(state)
             records.append(rec)
         state = new_state
         if store_states:

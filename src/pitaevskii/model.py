@@ -149,10 +149,11 @@ class PhysicsEvent(Exception):
     a run early, kept as the trajectory's event.
 
     kind     -- "density-floor", "blow-up", "cfl" or "projection"
-    time     -- when it happened: the stage time of a floor breach, the last
-                valid time of a blow-up, the start of the step otherwise
+    time     -- when it happened: the stage time of a floor breach or of a
+                NaN stage density, the last valid time of any other
+                blow-up, the start of the step otherwise
     message  -- the text str(event) gives
-    location -- the grid node of a floor breach, else None
+    location -- the grid node of a floor breach or a NaN density, else None
     value    -- the density there, else None
     """
 
@@ -228,8 +229,10 @@ def _exchange_field(psi, coupling):
     """Re(conj(psi) C[psi]) from psi and coupling = C[psi]: the density
     source is 2 lam times it and the momentum source's drag 2 lam u times
     it.  The one body that forms it."""
-    # a copy, since the .real view would hold the complex product
-    return (np.conj(psi) * coupling).real.copy()
+    # from the real and imaginary views: no conj or complex product is formed
+    exchange = psi.real * coupling.real
+    exchange += psi.imag * coupling.imag
+    return exchange
 
 
 def mass_exchange(state, params, coupling=None):
@@ -248,8 +251,14 @@ def _momentum_source_raw(grad_psi, u, coupling, exchange, params):
     """-2 lam Im(grad(conj(psi)) C[psi]) - 2 lam u exchange, exchange being
     Re(conj(psi) C[psi]), not dealiased: velocity_rhs_hat truncates it with
     the rest of the acceleration."""
-    flux = (np.conj(grad_psi) * coupling).imag
-    return -2.0 * params.lam * (flux + u * exchange)
+    # Im(conj(grad psi) C) from the real and imaginary views, in one buffer
+    source = grad_psi.real * coupling.imag
+    term = grad_psi.imag * coupling.real
+    source -= term
+    np.multiply(u, exchange, out=term)
+    source += term
+    source *= -2.0 * params.lam
+    return source
 
 
 def momentum_source(state, params, coupling=None):
@@ -284,11 +293,16 @@ def momentum_source_conservative(state, params, coupling=None):
 
 def density_floor_check(rho, params, time):
     """Raise a "density-floor" PhysicsEvent, stamped with time, the node and
-    the value there, if the density rho dips below the floor anywhere."""
+    the value there, if the density rho dips below the floor anywhere, or a
+    "blow-up" one, stamped with time and the node, if it is NaN somewhere
+    (argmin finds a NaN first), which no comparison with the floor sees."""
     idx_flat = int(np.argmin(rho))
     value = float(rho.flat[idx_flat])
-    if value < params.eps:
+    if not value >= params.eps:
         loc = tuple(int(i) for i in np.unravel_index(idx_flat, rho.shape))
+        if np.isnan(value):
+            raise PhysicsEvent("blow-up", float(time),
+                               f"density is NaN at t={time:.6g}, node {loc}", loc)
         raise PhysicsEvent("density-floor", float(time),
                            f"density {value:.6g} fell below the floor {params.eps:.6g} "
                            f"at t={time:.6g}, node {loc}", loc, value)

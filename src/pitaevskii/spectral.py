@@ -51,7 +51,15 @@ Conventions:
   half spectrum and an optional pressure spectrum as initial guess, and
   returns the spectra of the projected velocity and of the pressure, so a
   caller that holds spectra pays only the 2d inverse and 2d forward
-  transforms of each iteration.
+  transforms of each iteration.  An iteration forms, besides its four
+  transform calls, the preconditioned residual as one multiply by the
+  half layout's table ik_inv_kk = grad L^-1, rho times the gradient in
+  place and one pointwise_dot with the same table; the operator's flux
+  r grad(d) and its divergence; and updates the direction, the pressure,
+  the accumulated flux and the residual in place.  It runs on the
+  negated system div(r grad p) = div v with the negated preconditioner,
+  whose iterates are those of the positive pair, so no spectrum is
+  negated.
   weighted_leray_project is its physical wrapper: it transforms v in and
   (w, p) back out.  The solve either meets its tolerance or raises
   ProjectionNotConverged; it never returns a pressure that missed it.
@@ -74,6 +82,7 @@ Conventions:
 """
 
 import ctypes
+import math
 import platform
 
 import numpy as np
@@ -139,6 +148,10 @@ class SpectralTables:
     k2       -- |k|^2 (Nyquist kept)
     inv_kk   -- 1/|k'|^2, 0 where k' = 0 (the mean mode, and in the half
                 layout the modes whose every index is 0 or Nyquist)
+    ik_inv_kk -- i k'_j / |k'|^2, stacked (d, ...): the gradient of L^-1,
+                L = |k'|^2, which the pressure solve's preconditioner
+                applies on each side; built in the half layout only (None
+                in the full one, where it would add 1.5 MB at 32^3)
     k_max    -- max |k'|, a float
     mask     -- 2/3-rule dealias mask: keep |m_i| <= n_i/3
     nonzero  -- k' != 0: the modes a pressure solve determines
@@ -172,6 +185,7 @@ class SpectralTables:
         self.k2 = sum(km ** 2 for km in k)
         kk = sum(km ** 2 for km in odd)
         self.inv_kk = np.divide(1.0, kk, out=np.zeros(shape), where=kk > 0)
+        self.ik_inv_kk = self.ik * self.inv_kk if half else None
         self.k_max = float(np.sqrt(kk.max()))
         mask = np.ones(shape, dtype=bool)
         self.cuts = []
@@ -276,10 +290,11 @@ class SpectralPlan:
         return fhat
 
     def leray_hat(self, vhat):
-        """(what, chihat): divergence-free part and gradient potential."""
+        """(what, chihat): divergence-free part and gradient potential,
+        chi = -L^-1 div(v), L = |k'|^2, formed once, and w = v - grad(chi)."""
         tab = self.tables(vhat)
-        div = self.div_hat(vhat)
-        return vhat + tab.ik * (div * tab.inv_kk), -div * tab.inv_kk
+        chihat = -self.div_hat(vhat) * tab.inv_kk
+        return vhat - tab.ik * chihat, chihat
 
     # -- physical-space operators -----------------------------------------
 
@@ -359,16 +374,27 @@ class SpectralPlan:
         cold solves on five smooth 64^2 densities took 6-7 against 12-13
         and 22 at contrast 4, 9-11 against 18-23 and 45-46 at contrast 16,
         and 22-27 against 43-69 and 166-175 at contrast 256.
-        initial_pressure_hat, a pressure spectrum, warm-starts the
+        The iteration runs on the negated pair: the system
+        div(r grad p) = div(v) and the preconditioner L^-1 div(weight
+        grad(L^-1 .)), the table ik_inv_kk = grad L^-1 applied on each
+        side.  CG takes the same iterates from it as from the positive pair,
+        and neither operator needs a sign pass; the residual, the direction,
+        the pressure and the accumulated flux r grad(p) are updated in
+        place, and r's bounds are 1/max weight and 1/min weight, which are
+        exact.  initial_pressure_hat, a pressure spectrum, warm-starts the
         iteration.  The solve stops once the L^2 norm of the
         pressure-equation residual is at most tol times that of div(v), or
         at most ROUNDOFF_DIVERGENCE max|k'| ||v||, the round-off of div(v),
         whichever is larger; a v whose divergence is already at that
         round-off returns its Leray projection and a zero pressure.  After
-        max_iter iterations above it, ProjectionNotConverged is raised.
-        The final correction (1/weight) grad(p) is truncated by the 2/3
-        rule (Orszag, J. Atmos. Sci. 28, 1971) and passes through the exact
-        Leray projection: w stays inside the dealias ball when v does, and
+        max_iter iterations above it, ProjectionNotConverged is raised, and
+        at once on a residual that is not finite (a v or weight holding an
+        inf or a NaN), which would otherwise compare as converged.
+        The final correction (1/weight) grad(p), the accumulated flux, is
+        truncated by the 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971) and
+        subtracted in place, and the result passes through the exact Leray
+        projection, whose potential is not formed: w stays inside the
+        dealias ball when v does, and
         its divergence is exact to round-off regardless of tol.  So for a
         band-limited v, w = T[v - (1/weight) grad(p)] up to the Leray
         clean-up of the residual, T the truncation.
@@ -381,63 +407,82 @@ class SpectralPlan:
         weight = np.asarray(weight)
         if not self.grid.is_scalar(weight):
             raise GridError("projection weight must be a scalar field")
-        wmin = float(weight.min())
+        wmin, wmax = float(weight.min()), float(weight.max())
         if not wmin > 0:
             raise ValueError(f"projection weight must be positive, got min {wmin}")
         r = 1.0 / weight
-        r_lo, r_hi = float(r.min()), float(r.max())
+        # 1/x is correctly rounded and monotone, so these are r's min and max
+        r_lo, r_hi = 1.0 / wmax, 1.0 / wmin
         r_bar = 0.5 * (r_lo + r_hi)
 
-        rhs = -self.div_hat(vhat)
-        rhs_norm = np.sqrt(tab.dot(rhs, rhs))
+        div_v = self.div_hat(vhat)
+        rhs_norm = np.sqrt(tab.dot(div_v, div_v))
         floor = ROUNDOFF_DIVERGENCE * tab.k_max * np.sqrt(tab.dot(vhat, vhat))
+        if not math.isfinite(rhs_norm):
+            raise ProjectionNotConverged(0, math.nan)
         if rhs_norm <= floor:
             # v is solenoidal to round-off, and p = 0 solves the equation to it
-            return self.leray_hat(vhat)[0], np.zeros_like(rhs)
-
-        def flux(phat):
-            # spectrum of r grad(p): d inverse and d forward transforms
-            return self.fft(r * self.ifft(tab.ik * phat, weight))
-
+            return vhat + tab.ik * (div_v * tab.inv_kk), np.zeros_like(div_v)
         if r_hi - r_lo <= 1e-14 * r_bar:
             # uniform weight: 1/(r_bar |k'|^2) is the exact inverse, and
             # r grad(p) is a pure gradient, which the Leray projection removes
-            return self.leray_hat(vhat)[0], rhs * (tab.inv_kk / r_bar)
+            return vhat + tab.ik * (div_v * tab.inv_kk), div_v * (tab.inv_kk / -r_bar)
+
+        def flux(phat):
+            # spectrum of r grad(p): d inverse and d forward transforms
+            grad = self.ifft(tab.ik * phat, weight)
+            grad *= r
+            return self.fft(grad)
 
         def precondition(res):
-            # L^-1 (-div(weight grad(L^-1 res))), L = |k'|^2: d inverse and
-            # d forward transforms
-            grad = self.ifft(tab.ik * (res * tab.inv_kk), weight)
-            return -self.div_hat(self.fft(weight * grad)) * tab.inv_kk
+            # L^-1 div(weight grad(L^-1 res)), L = |k'|^2, the preconditioner
+            # of the negated system: d inverse and d forward transforms
+            grad = self.ifft(tab.ik_inv_kk * res, weight)
+            grad *= weight
+            return pointwise_dot(tab.ik_inv_kk, self.fft(grad))
 
+        # CG on the negated pair (see above): no spectrum is negated
         if initial_pressure_hat is None:
-            phat = np.zeros_like(rhs)
+            phat = np.zeros_like(div_v)
             flux_p = np.zeros_like(vhat)
-            res = rhs
+            res = div_v
         else:
             phat = np.where(tab.nonzero, initial_pressure_hat, 0.0)
             flux_p = flux(phat)
-            res = rhs + self.div_hat(flux_p)
+            res = self.div_hat(flux_p)
+            np.subtract(div_v, res, out=res)
         res_norm = np.sqrt(tab.dot(res, res))
         direction = rz = None
         iterations = 0
         target = max(tol * rhs_norm, floor)
-        while res_norm > target:
-            if iterations == max_iter:
+        while not res_norm <= target:
+            # a NaN residual, as an inf weight gives, compares false with
+            # any target: it raises here
+            if iterations == max_iter or not math.isfinite(res_norm):
                 raise ProjectionNotConverged(iterations, res_norm / rhs_norm)
             # precondition only a residual that missed the tolerance
             z = precondition(res)
             rz, rz_old = tab.dot(res, z), rz
-            direction = z if direction is None else z + (rz / rz_old) * direction
+            if direction is None:
+                direction = z
+            else:
+                direction *= rz / rz_old
+                direction += z
             flux_d = flux(direction)
-            a_dir = -self.div_hat(flux_d)
-            step = rz / tab.dot(direction, a_dir)
+            q = self.div_hat(flux_d)
+            step = rz / tab.dot(direction, q)
             phat += step * direction
-            flux_p += step * flux_d
-            res = res - step * a_dir
+            flux_d *= step
+            flux_p += flux_d
+            q *= step
+            res -= q
             iterations += 1
             res_norm = np.sqrt(tab.dot(res, res))
-        return self.leray_hat(vhat - tab.mask * flux_p)[0], phat
+        # w = T[v - r grad(p)] and its exact Leray projection, in place
+        what = self.dealias_in_place(flux_p)
+        np.subtract(vhat, what, out=what)
+        what += tab.ik * (self.div_hat(what) * tab.inv_kk)
+        return what, phat
 
     def split_leray_hat(self, vhat, weight, pressure_hat):
         """The constant-coefficient pressure split of weighted_leray_hat, on
@@ -468,9 +513,10 @@ class SpectralPlan:
         rho0 = float(np.min(weight))
         if not rho0 > 0:
             raise ValueError(f"projection weight must be positive, got min {rho0}")
-        tab = self._half
         what, chihat = self.leray_hat(vhat)
-        return what, rho0 * chihat + tab.mask_nonzero * pressure_hat
+        chihat *= rho0
+        np.add(chihat, pressure_hat, out=chihat, where=self._half.mask_nonzero)
+        return what, chihat
 
     def dealias(self, f):
         """Zero every mode with any |index_i| > n_i/3 (2/3-rule truncation)."""

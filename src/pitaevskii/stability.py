@@ -97,13 +97,16 @@ def difference_norms(state_a, state_b):
     if abs(state_a.t - state_b.t) > 1e-12 * max(1.0, abs(state_a.t)):
         raise ValueError(f"states are at different times: {state_a.t} vs {state_b.t}")
     g = state_a.grid
+    plan = plan_for(g)
     dpsi = state_a.psi - state_b.psi
     du = state_a.u - state_b.u
     drho = state_a.rho - state_b.rho
-    wave_l2 = norms.lp_norm(g, dpsi, 2) ** 2
-    wave_grad = norms.sobolev_norm(g, dpsi, 1.0, homogeneous=True) ** 2
-    vel_l2 = norms.lp_norm(g, du, 2) ** 2
-    rho_l2 = norms.lp_norm(g, drho, 2) ** 2
+    # each squared L^2 norm is one node sum, the gradient term one Parseval sum
+    wave_l2 = float(np.vdot(dpsi, dpsi).real) * g.cell_volume
+    wave_grad = norms.sobolev_sq(*norms.spectral_density_hat(plan, plan.fft(dpsi)), g.volume,
+                                 1.0, homogeneous=True)
+    vel_l2 = float(np.vdot(du, du)) * g.cell_volume
+    rho_l2 = float(np.vdot(drho, drho)) * g.cell_volume
     return DifferenceRecord(
         t=float(state_a.t),
         wave_l2=wave_l2,

@@ -88,6 +88,23 @@ def untruncated_weighted_leray_hat(plan, vhat, weight, pressure_hat):
     return plan.leray_hat(vhat - plan.fft(grad_p / weight))[0]
 
 
+def numpy_pressure_residual(grid, v, weight, p):
+    """||div v - div((1/weight) grad p)|| / ||div v|| in L^2, by numpy's full
+    transforms with each derivative zero on its Nyquist plane, as the
+    solver's ik table is: independent of SpectralPlan."""
+    def derivative(f, axis):
+        k = grid.k_mesh[axis].copy()
+        k.flat[grid.n[axis] // 2] = 0.0
+        return np.fft.ifftn(1j * k * np.fft.fftn(f)).real
+
+    def div(w):
+        return sum(derivative(w[i], i) for i in range(grid.d))
+
+    flux = np.stack([derivative(p, i) for i in range(grid.d)]) / weight
+    div_v = div(v)
+    return float(np.linalg.norm(div_v - div(flux)) / np.linalg.norm(div_v))
+
+
 def use_untruncated_split(monkeypatch):
     """Make run() take untruncated_split_leray_hat for the pressure split,
     its stages' accelerations formed without p*."""

@@ -4,8 +4,9 @@ import pytest
 from pitaevskii.norms import inner_product, lp_norm
 from pitaevskii.spectral import ProjectionNotConverged, plan_for
 
-from conftest import (fold_pressure, gaussian_random_field, random_vector_field,
-                      untruncated_split_leray_hat, untruncated_weighted_leray_hat)
+from conftest import (fold_pressure, gaussian_random_field, numpy_pressure_residual,
+                      random_vector_field, untruncated_split_leray_hat,
+                      untruncated_weighted_leray_hat)
 
 
 def test_gradient_single_mode(grid2d):
@@ -196,23 +197,6 @@ def test_weighted_projection_converges_high_contrast(grid2d, rng):
     w_x = plan.ifft(untruncated_weighted_leray_hat(plan, plan.fft(v), rho, plan.fft(p)), v)
     assert np.abs(w_x - (v - correction)).max() <= 1e-8 * np.abs(v).max()
     assert np.abs(w_x - w).max() > 1e-4 * np.abs(v).max()
-
-
-def numpy_pressure_residual(grid, v, weight, p):
-    """||div v - div((1/weight) grad p)|| / ||div v|| in L^2, by numpy's full
-    transforms with each derivative zero on its Nyquist plane, as the
-    solver's ik table is: independent of SpectralPlan."""
-    def derivative(f, axis):
-        k = grid.k_mesh[axis].copy()
-        k.flat[grid.n[axis] // 2] = 0.0
-        return np.fft.ifftn(1j * k * np.fft.fftn(f)).real
-
-    def div(w):
-        return sum(derivative(w[i], i) for i in range(grid.d))
-
-    flux = np.stack([derivative(p, i) for i in range(grid.d)]) / weight
-    div_v = div(v)
-    return float(np.linalg.norm(div_v - div(flux)) / np.linalg.norm(div_v))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
