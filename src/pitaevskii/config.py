@@ -2,20 +2,21 @@
 
 The format is deliberately primitive so any tool can read and write it:
 one assignment per line, ``#`` at the start of a line or after whitespace
-starts a comment, arrays are comma lists, booleans are ``true``/``false``.
-A string value holds no ``#`` and no line break and neither starts nor
-ends with whitespace, so that serialize_config writes every valid Config
-as text that parses back to it.  README.md lists every key with its
-default.
+starts a comment, arrays are comma lists (an empty value is the empty
+list), numbers are finite, booleans are ``true``/``false``.  A string
+value holds no ``#`` and no line break and neither starts nor ends with
+whitespace, so that serialize_config writes every valid Config as text
+that parses back to it.  README.md lists every key with its default.
 
 Each key is declared once, as a field of a Config section dataclass: the
 key is ``section.field`` (four are renamed, see RENAMES) and the field's
 type picks its parser.  Each constraint is checked once, by the object
 that owns it (Grid, Params, StepConfig, PerturbationSpec, the
 initial-condition families, the section dataclasses below), which reports
-every violated constraint with the fields it reads.  parse_config builds
-each section from the defaults plus the parsed values and makes only the
-checks that span sections.  Unknown keys and type mismatches, or else
+every violated constraint with the fields it reads; Config itself checks
+the constraints that span sections and that every number is finite.
+parse_config builds each section from the defaults plus the parsed
+values.  Unknown keys and type mismatches, or else
 every constraint violation, are reported together, each at the line of
 the first of its keys that the file sets (line 0: none).
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .grid import ConstraintError, check_constraints, check_grid, make_grid
-from .initial_conditions import family_constraint, padded
+from .initial_conditions import family_constraint
 from .integrator import StepConfig
 from .model import Params
 from .stability import PerturbationSpec, bundle_constraints
@@ -129,6 +130,13 @@ class Config:
     output: OutputConfig = field(default_factory=OutputConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
+    def __post_init__(self):
+        # the checks spanning sections, and finite numbers, the only ones
+        # the parser reads: each Config's text then parses back to it
+        check_constraints(_cross_section_constraints(vars(self)) + [
+            ((key,), f"{key} must be finite", bool(np.isfinite(getattr(vars(self)[s], a)).all()))
+            for key, (s, a, parse) in SCHEMA.items() if parse in (_parse_float, _parse_float_list)])
+
 
 def _parse_int(tok):
     tok = tok.strip()
@@ -158,12 +166,13 @@ def _parse_bool(tok):
     raise ValueError(f"expected true/false, got {tok!r}")
 
 
+# an empty value is the empty list, as serialize_config writes it
 def _parse_int_list(tok):
-    return tuple(_parse_int(t) for t in tok.split(","))
+    return tuple(_parse_int(t) for t in tok.split(",")) if tok.strip() else ()
 
 
 def _parse_float_list(tok):
-    return tuple(_parse_float(t) for t in tok.split(","))
+    return tuple(_parse_float(t) for t in tok.split(",")) if tok.strip() else ()
 
 
 def _parse_str(tok):
@@ -202,23 +211,22 @@ def _blame(keys, lines):
     return next((lines[key] for key in keys if key in lines), 0)
 
 
-def _cross_section_errors(sections, lines):
-    """The checks spanning sections, on the sections that were built."""
-    errors = []
+def _cross_section_constraints(sections):
+    """The (keys, message, holds) constraints spanning sections, on those of
+    the sections (by name) that were built: Config checks them, and
+    parse_config reports them at the lines of their keys."""
+    constraints = []
     if {"grid", "ic", "experiment"} <= sections.keys():
         d = sections["grid"].d
         for key in ("ic.mode", "ic.velocity", "experiment.mode"):
             section, attr, _ = SCHEMA[key]
-            try:
-                padded(getattr(sections[section], attr), d, attr)
-            except ValueError as exc:
-                errors.append((_blame([key], lines), f"{section}.{exc}"))
-    if {"params", "ic"} <= sections.keys() and sections["ic"].family == "plane-wave":
-        p = sections["params"]
-        if not p.m <= sections["ic"].rho0 <= p.M:
-            errors.append((_blame(["ic.rho0", "params.m", "params.M"], lines),
-                           "rho0 must lie in [m, M]"))
-    return errors
+            n = len(getattr(sections[section], attr))
+            constraints.append(((key,), f"{key} needs at most {d} entries, got {n}", n <= d))
+    if {"params", "ic"} <= sections.keys():
+        p, ic = sections["params"], sections["ic"]
+        constraints.append((("ic.rho0", "params.m", "params.M"), "rho0 must lie in [m, M]",
+                            ic.family != "plane-wave" or p.m <= ic.rho0 <= p.M))
+    return constraints
 
 
 def parse_config(text):
@@ -261,7 +269,8 @@ def parse_config(text):
             sections[name] = replace(getattr(defaults, name), **values)
         except ConstraintError as exc:
             errors += [(_blame([_KEYS[name, f] for f in fs], lines), msg) for fs, msg in exc.violations]
-    errors += _cross_section_errors(sections, lines)
+    errors += [(_blame(keys, lines), message)
+               for keys, message, holds in _cross_section_constraints(sections) if not holds]
     if errors:
         raise ConfigError(errors)
     return Config(**sections)

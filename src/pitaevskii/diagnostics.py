@@ -17,7 +17,7 @@ import numpy as np
 
 from . import norms
 from .grid import pointwise_dot
-from .model import coupling_hat
+from .model import coupling_hat, spectra_of
 from .spectral import plan_for
 
 @dataclass
@@ -49,45 +49,37 @@ class DiagnosticsRecord:
 RECORD_SCALARS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "momentum")
 
 
-def measure(state, params, prev_state=None, *, psi_hat=None, u_hat=None, grad_psi=None,
-            speed2=None, cubic=None, u_dot_grad=None):
+def measure(state, params, prev_state=None, *, spectra=None):
     """Build the diagnostics record for one accepted step.
 
     Time-derivative entries are backward differences against prev_state,
-    which must lie at another time, and zero on the initial record.  psi_hat
-    and u_hat, the spectra plan.fft of state.psi and state.u, and grad_psi,
-    the inverse transform of psi_hat's gradient, may be passed in by a
-    caller that holds them, and so may the products of the coupling:
-    speed2 = |u|^2, cubic = |psi|^2 psi and u_dot_grad = u.grad(psi), the
-    last of grad_psi.  run() passes those that step() formed of its output
-    and carried (integrator.Carried); measure() only reads them, and a
-    step computes nothing that depends on whether measure() runs.
+    which must lie at another time, and zero on the initial record.
+    spectra is the state's model.Spectra, its spectra, [psi, grad(psi)]
+    stack and the coupling's products |u|^2, |psi|^2 psi and u.grad(psi):
+    run() passes the one step() formed of its output and carried, and
+    measure() only reads it, so a step computes nothing that depends on
+    whether measure() runs.  Without one, or with one of another state
+    object, measure() forms it (model.spectra_of), as step() does for its
+    carried slot.
 
-    Each pointwise product that is not given is formed once: |psi|^2
-    serves the wave mass, the quartic energy and the coupling's
-    |psi|^2 psi, |u|^2 the kinetic energy and the coupling.
-    Integrals of products are dot products, every Sobolev-type entry weighs
-    one Parseval density per field, and the time differences divide their
-    norms by dt, not their fields.  Given psi_hat, u_hat and grad_psi, two
-    transform calls: the coupling's forward transform and the density
-    difference's for its H^-1 norm (one more for each of them not given).
+    |psi|^2 serves the wave mass and the quartic energy, |u|^2 the kinetic
+    energy and the coupling.  Integrals of products are dot products, every
+    Sobolev-type entry weighs one Parseval density per field, and the time
+    differences divide their norms by dt, not their fields.  Given the
+    state's Spectra, two transform calls: the coupling's forward transform
+    and the density difference's for its H^-1 norm (three more to form
+    the Spectra).
     """
     g = state.grid
     plan = plan_for(g)
+    if spectra is None or spectra.state is not state:
+        spectra = spectra_of(plan, state)
     psi, u, rho = state.psi, state.u, state.rho
-    if psi_hat is None:
-        psi_hat = plan.fft(psi)
-    if u_hat is None:
-        u_hat = plan.fft(u)
+    _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = spectra
+    grad_psi = stack[1:]
     cell = g.cell_volume
     vol = g.volume
     psi2 = psi.real ** 2 + psi.imag ** 2
-    if speed2 is None:
-        speed2 = pointwise_dot(u, u)
-    if cubic is None:
-        cubic = psi2 * psi
-    if grad_psi is None:
-        grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
     c_hat = coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params,
                          u_dot_grad=u_dot_grad)
 

@@ -34,8 +34,9 @@ One step of size dt is the composition
   Both truncate what they take out of the velocity by the 2/3 rule, so u
   never leaves the dealias ball.
 * run() carries a StepHistory from step to step: the pressures of the
-  last four steps, the accepted state with the spectra and products step()
-  formed of it, and the multipliers of the last step size.  Its docstring
+  last four steps, the accepted state's model.Spectra (its spectra,
+  [psi, grad(psi)] stack and coupling products, which step() formed of
+  it), and the multipliers of the last step size.  Its docstring
   states the rules once: which stage takes the split and which PCG, the p*
   and warm start each reads off the stored pressures, and the measured gap
   between a run and a loop of lone step() calls.
@@ -48,11 +49,14 @@ One step of size dt is the composition
   second.  Each product of the state at a step's start is formed once:
   the step before formed |u|^2 for its second wave half-step, and
   |psi|^2 psi and u.grad(psi) of its output beside the [psi, grad(psi)]
-  stack at its end, and carried them; the first wave stage, the predictor
-  (|u|^2 only) and measure() read them.  Every multiplier that dt fixes
-  (Propagators) is built once per step size.  Complex transforms of
-  buffers the step forms (the [psi, grad(psi)] stacks, the wave stages'
-  and couplings' nonlinear terms, the coupling taken back) run in place.
+  stack at its end, and carried them in its output's Spectra (for a
+  run's ingested state, or a state no step formed, model.spectra_of
+  forms the same kit from its fields); the first wave stage, the
+  predictor (|u|^2 only) and measure() read them.  Every multiplier
+  that dt fixes (Propagators) is built once per step size.  Complex
+  transforms of buffers the step forms (the [psi, grad(psi)] stacks, the
+  wave stages' and couplings' nonlinear terms, the coupling taken back)
+  run in place.
 
 Each piece has local error O(dt^3), so the composition is second order.
 A step that leaves the admissible set raises model.PhysicsEvent: of kind
@@ -75,9 +79,12 @@ from .diagnostics import measure
 from .grid import check_constraints, pointwise_dot
 from .model import (
     PhysicsEvent,
+    Spectra,
     State,
     cubic_product,
     density_floor_check,
+    psi_and_gradient,
+    spectra_of,
     velocity_rhs_hat,
     wave_nonlinear_hat,
 )
@@ -123,45 +130,6 @@ def _wave_propagator(plan, psi_hat, params, tau):
     return np.exp(-(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * (0.5 * tau))
 
 
-def _psi_and_gradient(plan, psi_hat):
-    """psi and grad(psi), stacked (d+1, ...), from psi_hat in one inverse
-    transform, in place on the stack it fills: the same bits as d+1
-    separate transforms.  psi_hat is left as it is."""
-    stack = np.empty((plan.grid.d + 1,) + psi_hat.shape, dtype=psi_hat.dtype)
-    stack[0] = psi_hat
-    np.multiply(plan.tables(psi_hat).ik, psi_hat, out=stack[1:])
-    return plan.ifft(stack, psi_hat, overwrite_x=True)   # complex, as psi is
-
-
-class Carried(NamedTuple):
-    """StepHistory.carried: an accepted state with what was formed of it.
-
-    psi_hat, u_hat -- plan.fft of state.psi and state.u
-    stack          -- [psi, grad(psi)] = _psi_and_gradient(plan, psi_hat)
-    speed2         -- pointwise_dot(state.u, state.u)
-    cubic          -- cubic_product(stack[0])
-    u_dot_grad     -- pointwise_dot(state.u, stack[1:])
-
-    The three products are None on a slot _carry filled, which forms none
-    of them: its stack's psi is not the state's to the bit, and measure()
-    forms them from the state's own psi.
-    """
-
-    state: State
-    psi_hat: np.ndarray
-    u_hat: np.ndarray
-    stack: np.ndarray
-    speed2: Optional[np.ndarray] = None
-    cubic: Optional[np.ndarray] = None
-    u_dot_grad: Optional[np.ndarray] = None
-
-
-def _carry(plan, state):
-    """StepHistory.carried for state, formed from its own fields."""
-    psi_hat = plan.fft(state.psi)
-    return Carried(state, psi_hat, plan.fft(state.u), _psi_and_gradient(plan, psi_hat))
-
-
 def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin, u_dot_grad=None):
     """Advance the wavefunction's spectrum psi_hat by tau with u frozen, by
     the integrating-factor (Lawson) midpoint rule: the linear flow is exact
@@ -172,7 +140,7 @@ def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin, u_d
         k1 = N(psi_hat),  mid = E (psi_hat + tau/2 k1),
         out = E (E psi_hat + tau N(mid)).
 
-    fields is _psi_and_gradient(plan, psi_hat), cubic its cubic_product and
+    fields is psi_and_gradient(plan, psi_hat), cubic its cubic_product and
     u_dot_grad (formed here when None) pointwise_dot(u, fields[1:]), which
     the caller already holds, so only the midpoint stage transforms back;
     speed2 = pointwise_dot(u, u), u being frozen.  Lawson, SIAM J. Numer.
@@ -183,7 +151,7 @@ def _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, lin, u_d
                                   u_dot_grad=u_dot_grad)
 
     mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic, u_dot_grad))
-    mid = _psi_and_gradient(plan, mid_hat)
+    mid = psi_and_gradient(plan, mid_hat)
     return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))
 
 
@@ -321,20 +289,22 @@ class StepHistory:
     freeze psi at the step's midpoint, so the predictor's pressure lies off
     the corrector pressures' curve by that much.
 
-    carried is None or a Carried for the state step() returned: the
-    spectra plan.fft of state.psi and state.u, which the last wave substep
-    and the fluid substep form before their inverse transforms; the stack
-    [psi, grad(psi)] = _psi_and_gradient(plan, psi_hat), which step() takes
-    back in one inverse transform at its end; and the products |u|^2
-    (formed for the second wave half-step), |psi|^2 psi and u.grad(psi) of
-    that state, which step() forms at its end whether or not anyone
-    measures.  run() reads all of them for measure(), which only reads
-    them.  The next step() takes the slot, empties it and starts from what
-    it holds instead of transforming the state again, but only if it is
-    for that very state object: its first wave stage reads the stack and
-    the three products, its predictor |u|^2, and the stack, |psi|^2 psi
-    and u.grad(psi) are dropped once that wave half-step returns.  A slot
-    run() fills for the ingested state (_carry) holds no products.  The
+    carried is None or the complete model.Spectra of a state: of the state
+    step() returned, its spectra plan.fft of state.psi and state.u, which
+    the last wave substep and the fluid substep form before their inverse
+    transforms; the stack [psi, grad(psi)] = psi_and_gradient(plan,
+    psi_hat), which step() takes back in one inverse transform at its end;
+    and the products |u|^2 (formed for the second wave half-step),
+    |psi|^2 psi and u.grad(psi) of that state, which step() forms at its
+    end whether or not anyone measures.  For the ingested state run()
+    fills the slot with spectra_of, which forms the same kit from the
+    state's fields.  run() hands the slot whole to measure(), which only
+    reads it.  The next step() takes the slot, empties it and starts from
+    what it holds instead of transforming the state again, but only if it
+    is for that very state object (otherwise it forms the kit by
+    spectra_of): its first wave stage reads the stack and the three
+    products, its predictor |u|^2, and the stack, |psi|^2 psi and
+    u.grad(psi) are dropped once that wave half-step returns.  The
     Propagators are reused only for the same plan, dt and params.
     """
 
@@ -473,12 +443,11 @@ def step(state, params, dt, *, history=None):
     The pressure projections are cold PCG solves unless a StepHistory is
     passed; run() passes its own, and StepHistory states which stage then
     takes the pressure split.  The step empties the history's carried slot and
-    starts from the spectra, the [psi, grad(psi)] stack and the products it
-    holds if they are for this very state object; otherwise, as a lone
-    step(), it forms them from the state.  It takes the Propagators of an
-    equal step size from the history.  An accepted step is pushed onto the
-    history with its dt, and the slot then carries its output with that
-    output's spectra, stack and products (Carried).
+    starts from the Spectra it holds if they are for this very state
+    object; otherwise, as a lone step(), it forms them (spectra_of).  It
+    takes the Propagators of an equal step size from the history.  An
+    accepted step is pushed onto the history with its dt, and the slot then
+    carries the Spectra of its output.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -488,12 +457,9 @@ def step(state, params, dt, *, history=None):
     carried, history.carried = history.carried, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if carried is None or carried.state is not state:
-            carried = _carry(plan, state)
+            carried = spectra_of(plan, state)
         _, psi_hat, u_hat, fields, speed2, cubic, u_dot_grad = carried
         carried = None
-        if speed2 is None:   # a slot _carry filled
-            speed2 = pointwise_dot(state.u, state.u)
-            cubic = cubic_product(fields[0])
         # both wave half-steps share tau = dt/2 and so their linear flow
         tau = 0.5 * dt
         props = history.propagators(plan, psi_hat, u_hat, params, dt)
@@ -504,7 +470,7 @@ def step(state, params, dt, *, history=None):
         del fields, cubic, u_dot_grad
         # the frozen psi, grad(psi) and |psi|^2 psi of the fluid substep
         # start the second wave half-step
-        fields = _psi_and_gradient(plan, psi_hat)
+        fields = psi_and_gradient(plan, psi_hat)
         cubic = cubic_product(fields[0])
         u, u_hat, rho, p_pred, p_corr = _fluid_substep(plan, fields[0], psi_hat, fields[1:], cubic,
                                                        state.u, u_hat, speed2, state.rho, params,
@@ -512,7 +478,7 @@ def step(state, params, dt, *, history=None):
         # |u|^2 of the new u serves the second wave half-step and is carried
         speed2 = pointwise_dot(u, u)
         psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, props.lin)
-        fields = _psi_and_gradient(plan, psi_hat)
+        fields = psi_and_gradient(plan, psi_hat)
         cubic = cubic_product(fields[0])
         u_dot_grad = pointwise_dot(u, fields[1:])
     # a copy, so that the state does not hold the carried stack
@@ -522,7 +488,7 @@ def step(state, params, dt, *, history=None):
         raise PhysicsEvent("blow-up", float(state.t),
                            f"non-finite values in step output; last valid time t={state.t:.6g}")
     history.push(state.t, dt, p_pred, p_corr)
-    history.carried = Carried(new, psi_hat, u_hat, fields, speed2, cubic, u_dot_grad)
+    history.carried = Spectra(new, psi_hat, u_hat, fields, speed2, cubic, u_dot_grad)
     return new
 
 
@@ -574,12 +540,11 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
     the ingested initial one included, on the trajectory's snapshots: the
     stability harness pairs them at desk scales.
 
-    One StepHistory carries pressures, the accepted state with its spectra,
-    [psi, grad(psi)] stack and products, and the Propagators from step to
-    step; its docstring states which stage takes the pressure split.  run()
-    fills its carried slot for the ingested state, and measure() reads each
-    accepted state's spectra, grad(psi) and products from the slot; run()
-    holds none of them while the next step runs.
+    One StepHistory carries pressures, the accepted state's Spectra and the
+    Propagators from step to step; its docstring states which stage takes
+    the pressure split.  run() fills its carried slot for the ingested
+    state (spectra_of), and hands each accepted state's Spectra from the
+    slot to measure(); run() holds none of them while the next step runs.
 
     A PhysicsEvent (a density-floor breach, a blow-up, a CFL failure) or a
     pressure projection that misses its tolerance ends the run early: the
@@ -592,16 +557,15 @@ def run(initial, params, config, horizon, observers=(), store_states=False,
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     state = ingest(initial, params)
     history = StepHistory()
-    history.carried = _carry(plan_for(state.grid), state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        history.carried = spectra_of(plan_for(state.grid), state)
 
     def record(prev_state):
         # a finite state whose diagnostics overflow has blown up; an inf or
         # NaN in any entry makes the sum inf or NaN
         c = history.carried
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = measure(c.state, params, prev_state, psi_hat=c.psi_hat, u_hat=c.u_hat,
-                          grad_psi=c.stack[1:], speed2=c.speed2, cubic=c.cubic,
-                          u_dot_grad=c.u_dot_grad)
+            rec = measure(c.state, params, prev_state, spectra=c)
         if math.isfinite(sum(rec.scalars()) + sum(rec.momentum)):
             return rec
         if prev_state is None:

@@ -25,7 +25,11 @@ with the acceleration).  The self-interaction product |psi|^2 psi
 (cubic_product) and the squared speed |u|^2 are arguments of these bodies,
 and u.grad(psi) an optional one of coupling_hat and wave_nonlinear_hat, so
 a caller that holds psi or u over several stages, or over a step and its
-measure(), forms them once.  Each body sums its nonlinear terms into one
+measure(), forms them once.  A state's Spectra is that kit, always
+complete: its spectra, its [psi, grad(psi)] stack (psi_and_gradient) and
+the three products, built from the state's fields by spectra_of, or by
+the integrator's step() of its output, which carries it to the next step
+and to measure().  Each body sums its nonlinear terms into one
 buffer it owns and transforms that buffer in place.
 `pitaevskii validate` checks the
 quadratic form, the mass-exchange antisymmetry and the source-form
@@ -67,6 +71,7 @@ on the discrete grid.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +181,51 @@ def cubic_product(psi):
     return (psi.real ** 2 + psi.imag ** 2) * psi
 
 
+def psi_and_gradient(plan, psi_hat):
+    """psi and grad(psi), stacked (d+1, ...), from psi_hat in one inverse
+    transform, in place on the stack it fills: the same bits as d+1
+    separate transforms.  psi_hat is left as it is."""
+    stack = np.empty((plan.grid.d + 1,) + psi_hat.shape, dtype=psi_hat.dtype)
+    stack[0] = psi_hat
+    np.multiply(plan.tables(psi_hat).ik, psi_hat, out=stack[1:])
+    return plan.ifft(stack, psi_hat, overwrite_x=True)   # complex, as psi is
+
+
+class Spectra(NamedTuple):
+    """A state with the spectra and products the coupling C[psi] is built
+    from, each formed once: spectra_of forms them from the state, and the
+    integrator's step() of its output, which it carries to the next step
+    and to measure().
+
+    psi_hat, u_hat -- plan.fft of state.psi and state.u
+    stack          -- [psi, grad(psi)] = psi_and_gradient(plan, psi_hat)
+    speed2         -- pointwise_dot(state.u, state.u)
+    cubic          -- cubic_product(stack[0])
+    u_dot_grad     -- pointwise_dot(state.u, stack[1:])
+
+    The products read the stack's psi, which is the state's psi to the bit
+    only where step() formed the state from that stack.
+    """
+
+    state: State
+    psi_hat: np.ndarray
+    u_hat: np.ndarray
+    stack: np.ndarray
+    speed2: np.ndarray
+    cubic: np.ndarray
+    u_dot_grad: np.ndarray
+
+
+def spectra_of(plan, state):
+    """The Spectra of state, formed from its own fields: three transform
+    calls, psi and u forward and the stack back."""
+    psi_hat = plan.fft(state.psi)
+    stack = psi_and_gradient(plan, psi_hat)
+    u = state.u
+    return Spectra(state, psi_hat, plan.fft(u), stack, pointwise_dot(u, u),
+                   cubic_product(stack[0]), pointwise_dot(u, stack[1:]))
+
+
 def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params, *, u_dot_grad=None):
     """Spectrum of the coupling operator applied to the wavefunction,
 
@@ -198,13 +248,11 @@ def coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic, params, *, u_do
 
 
 def coupling_term(state, params):
-    """C[psi] in physical space (coupling_hat)."""
+    """C[psi] in physical space (coupling_hat), from the state's Spectra."""
     plan = plan_for(state.grid)
-    psi, u = state.psi, state.u
-    psi_hat = plan.fft(psi)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    return plan.ifft(coupling_hat(plan, psi, psi_hat, grad_psi, u, pointwise_dot(u, u),
-                                  cubic_product(psi), params), psi)
+    s = spectra_of(plan, state)
+    return plan.ifft(coupling_hat(plan, state.psi, s.psi_hat, s.stack[1:], state.u, s.speed2,
+                                  s.cubic, params, u_dot_grad=s.u_dot_grad), state.psi)
 
 
 def wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2, params, *, u_dot_grad=None):

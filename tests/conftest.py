@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pitaevskii import integrator
-from pitaevskii.grid import make_grid, pointwise_dot
+from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import gaussian_random_field
-from pitaevskii.model import State, cubic_product, velocity_rhs_hat, wave_nonlinear_hat
+from pitaevskii.model import State, spectra_of, velocity_rhs_hat, wave_nonlinear_hat
 from pitaevskii.spectral import SpectralPlan, plan_for
 
 
@@ -33,30 +33,27 @@ def smooth_2d_state(grid, amp=0.4, m=0.8, M=1.2):
     return State(0.0, psi.astype(complex), u, rho, grid)
 
 
-def _spectrum_and_gradient(plan, psi):
-    psi_hat = plan.fft(psi)
-    return psi_hat, plan.ifft(plan.grad_hat(psi_hat), psi)
-
-
 def wave_rhs(state, params):
     """dt psi in physical space as the wave substep integrates it: the linear
-    part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat."""
+    part -(lam+i)/2 |k|^2 psi_hat plus wave_nonlinear_hat, fed the state's
+    Spectra."""
     plan = plan_for(state.grid)
     psi, u = state.psi, state.u
-    psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
+    _, psi_hat, _, stack, speed2, cubic, u_dot_grad = spectra_of(plan, state)
     linear = -(params.lam + 1j) * 0.5 * plan.tables(psi_hat).k2 * psi_hat
-    nonlinear = wave_nonlinear_hat(plan, psi, grad_psi, cubic_product(psi), u, pointwise_dot(u, u),
-                                   params)
+    nonlinear = wave_nonlinear_hat(plan, psi, stack[1:], cubic, u, speed2, params,
+                                   u_dot_grad=u_dot_grad)
     return plan.ifft(linear + nonlinear, psi)
 
 
 def velocity_accel(state, params):
-    """velocity_rhs_hat's pre-projection acceleration in physical space."""
+    """velocity_rhs_hat's pre-projection acceleration in physical space, fed
+    the state's Spectra."""
     plan = plan_for(state.grid)
     psi, u = state.psi, state.u
-    psi_hat, grad_psi = _spectrum_and_gradient(plan, psi)
-    accel_hat, _, _ = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
-                                       plan.fft(u), pointwise_dot(u, u), state.rho, params)
+    _, psi_hat, u_hat, stack, speed2, cubic, _ = spectra_of(plan, state)
+    accel_hat, _, _ = velocity_rhs_hat(plan, psi, psi_hat, stack[1:], cubic, u, u_hat, speed2,
+                                       state.rho, params)
     return plan.ifft(accel_hat, u)
 
 

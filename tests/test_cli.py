@@ -123,6 +123,18 @@ def test_convergence_rejects_a_zero_horizon(tmp_path, capsys):
     assert "needs experiment.T > 0" in capsys.readouterr().err
 
 
+def test_convergence_rejects_a_zero_initial_energy(tmp_path, capsys):
+    # the study scales each residual by E(0): with no amplitude the initial
+    # energy is 0, and it divided 0 by 0 and judged nan orders
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_RUN + f"ic.amplitude = 0\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["convergence", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the convergence study scales the residual by the "
+                                   "initial energy E(0), which is 0.0")
+
+
 def test_stability_without_a_fitted_margin_is_inconclusive(tmp_path, capsys):
     # three records leave no envelope to fit: no verdict and exit code 1
     cfg = tmp_path / "run.cfg"

@@ -149,6 +149,27 @@ def test_config_rejects_more_entries_than_dimensions(key, value):
     assert err.value.errors == [(3, f"{key} needs at most 2 entries, got 3")]
 
 
+@pytest.mark.parametrize("section, values, message", [
+    ("params", {"gamma": np.inf}, "params.gamma must be finite"),
+    ("ic", {"velocity": (0.0, np.nan)}, "ic.velocity must be finite"),
+    ("ic", {"mode": (1, 0, 2)}, "ic.mode needs at most 2 entries, got 3"),
+])
+def test_config_rejects_what_its_text_cannot_say(section, values, message):
+    # the parser takes finite numbers only and checks the entries against
+    # the dimension, so a Config built through the API with a non-finite
+    # number or too many entries would serialize to text that does not
+    # parse: Config rejects it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(Config(), **{section: replace(getattr(Config(), section), **values)})
+
+
+def test_empty_list_is_an_empty_value():
+    cfg = replace(Config(), ic=replace(Config().ic, mode=(), velocity=()))
+    text = serialize_config(cfg)
+    assert "ic.mode = \n" in text and "ic.velocity = \n" in text
+    assert parse_config(text) == cfg
+
+
 # Every constraint the parser checks, with the (line, message) pair it
 # reports for a file that breaks only that one.
 CONSTRAINT_CASES = [

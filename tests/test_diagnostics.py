@@ -17,7 +17,7 @@ from pitaevskii.diagnostics import (
 from pitaevskii.grid import make_grid
 from pitaevskii.initial_conditions import plane_wave_state
 from pitaevskii.integrator import StepConfig, run
-from pitaevskii.model import Params, State, coupling_term
+from pitaevskii.model import Params, State, coupling_term, spectra_of
 from pitaevskii.norms import lp_norm
 from pitaevskii.spectral import plan_for
 
@@ -155,6 +155,26 @@ def test_measure_matches_reference_from_public_norms(d, n):
         assert getattr(rec, name) == pytest.approx(expect, rel=1e-12, abs=0), name
     scale = norms.integral(grid, state.rho * np.sqrt(sum(ui ** 2 for ui in state.u)))
     assert np.abs(np.array(rec.momentum) - momentum).max() <= 1e-12 * scale
+
+
+def test_measure_reads_the_spectra_of_its_own_state_only():
+    # measure() without Spectra forms them by spectra_of, so the record is
+    # the one given spectra_of's, bit for bit.  It reads the Spectra it is
+    # given when they are for the very state object measured (a doubled
+    # |psi|^2 psi moves the coupling's dissipation), and forms its own for
+    # Spectra of any other object, a copy of the state included
+    grid = make_grid(2, [16, 16], [2 * np.pi] * 2)
+    plan = plan_for(grid)
+    rng = np.random.default_rng(7)
+    prev = State(0.0, *random_state_fields(grid, rng, amp=0.4), grid)
+    state = State(2.0 ** -9, *random_state_fields(grid, rng, amp=0.4), grid)
+    own = spectra_of(plan, state)
+    cold = measure(state, PARAMS, prev_state=prev)
+    assert cold == measure(state, PARAMS, prev_state=prev, spectra=own)
+    doubled = own._replace(cubic=2.0 * own.cubic)
+    assert measure(state, PARAMS, prev_state=prev, spectra=doubled).diss_relax != cold.diss_relax
+    for other in (spectra_of(plan, prev), doubled._replace(state=state.copy())):
+        assert measure(state, PARAMS, prev_state=prev, spectra=other) == cold
 
 
 def test_measure_rejects_prev_state_at_the_same_time():

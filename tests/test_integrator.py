@@ -12,7 +12,6 @@ from pitaevskii.initial_conditions import build_initial_state, plane_wave_state,
 from pitaevskii.integrator import (
     StepConfig,
     StepHistory,
-    _psi_and_gradient,
     _wave_propagator,
     _wave_substep,
     adaptive_dt,
@@ -20,7 +19,15 @@ from pitaevskii.integrator import (
     run,
     step,
 )
-from pitaevskii.model import Params, PhysicsEvent, State, cubic_product
+from pitaevskii.model import (
+    Params,
+    PhysicsEvent,
+    Spectra,
+    State,
+    cubic_product,
+    psi_and_gradient,
+    spectra_of,
+)
 from pitaevskii.snapshot_io import record_row
 from pitaevskii.spectral import SpectralPlan, plan_for
 from pitaevskii.stability import reduced_ode_oracle
@@ -479,7 +486,7 @@ def test_carried_spectra_match_the_state_and_feed_measure(grid2d, monkeypatch):
     for carried, field in ((psi_hat, st.psi), (u_hat, st.u)):
         fresh = plan.fft(field)
         assert np.abs(carried - fresh).max() <= 1e-14 * np.abs(fresh).max()
-    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
+    warm = measure(st, PARAMS, prev_state=prev, spectra=history.carried)
     cold = measure(st, PARAMS, prev_state=prev)
     for name in RECORD_SCALARS:
         assert getattr(warm, name) == pytest.approx(getattr(cold, name), rel=1e-12, abs=1e-300)
@@ -503,8 +510,8 @@ def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch)
     # formed in its last inverse transform: the stack of the carried
     # spectrum to the bit, held apart from the state's psi, and beside it
     # the products |u|^2, |psi|^2 psi and u.grad(psi) of that state, to the
-    # bit.  measure() given its grad(psi), and given the products too,
-    # returns the record it forms without them, field for field.  The next
+    # bit.  measure() given the slot returns the record it forms from the
+    # same spectra with fresh products, field for field.  The next
     # step empties the slot; the old stack, |psi|^2 psi and u.grad(psi) are
     # gone by the fluid substep, whose predictor takes the carried |u|^2
     import weakref
@@ -517,16 +524,17 @@ def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch)
     for _ in range(3):
         prev, st = st, step(st, PARAMS, 1e-3, history=history)
     _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = history.carried
-    assert np.array_equal(stack, _psi_and_gradient(plan, psi_hat))
+    assert np.array_equal(stack, psi_and_gradient(plan, psi_hat))
     assert np.array_equal(stack[0], st.psi)
     assert not np.shares_memory(st.psi, stack)
     assert np.array_equal(speed2, pointwise_dot(st.u, st.u))
     assert np.array_equal(cubic, cubic_product(st.psi))
     assert np.array_equal(u_dot_grad, pointwise_dot(st.u, stack[1:]))
-    warm = measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat, grad_psi=stack[1:])
-    assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat)
-    assert warm == measure(st, PARAMS, prev_state=prev, psi_hat=psi_hat, u_hat=u_hat,
-                           grad_psi=stack[1:], speed2=speed2, cubic=cubic, u_dot_grad=u_dot_grad)
+    rebuilt = psi_and_gradient(plan, psi_hat)
+    fresh = Spectra(st, psi_hat, u_hat, rebuilt, pointwise_dot(st.u, st.u), cubic_product(st.psi),
+                    pointwise_dot(st.u, rebuilt[1:]))
+    assert measure(st, PARAMS, prev_state=prev, spectra=history.carried) == \
+        measure(st, PARAMS, prev_state=prev, spectra=fresh)
 
     entered = []
     fluid_substep = integrator._fluid_substep
@@ -545,12 +553,13 @@ def test_carried_stack_is_handed_out_once_and_feeds_measure(grid2d, monkeypatch)
 
 
 def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkeypatch):
-    # every wave substep of a run starts from _psi_and_gradient of its
+    # every wave substep of a run starts from psi_and_gradient of its
     # spectrum to the bit; the first one of each step and each measure()
     # read the very stack that the step before formed (the initial one:
-    # that run() formed after ingest), apart from the state's psi, and
-    # after a step the very |psi|^2 psi it formed, which the initial record
-    # forms itself
+    # that run() formed after ingest), apart from the state's psi, and the
+    # very |psi|^2 psi formed beside it.  Every Spectra handed to measure(),
+    # the initial one included, is for the state measured and holds the
+    # products of its own stack to the bit
     plan = plan_for(grid2d)
     waves, measured = [], []
     wave_substep, measure = integrator._wave_substep, integrator.measure
@@ -559,9 +568,10 @@ def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkey
         waves.append((psi_hat, fields, cubic))
         return wave_substep(plan, psi_hat, fields, cubic, *args)
 
-    def recording_measure(state, params, prev_state=None, **kwargs):
-        measured.append((state, kwargs["psi_hat"], kwargs["grad_psi"], kwargs["cubic"]))
-        return measure(state, params, prev_state, **kwargs)
+    def recording_measure(state, params, prev_state=None, *, spectra):
+        assert spectra.state is state
+        measured.append(spectra)
+        return measure(state, params, prev_state, spectra=spectra)
 
     monkeypatch.setattr(integrator, "_wave_substep", recording_wave)
     monkeypatch.setattr(integrator, "measure", recording_measure)
@@ -569,17 +579,21 @@ def test_run_hands_the_carried_stack_to_measure_and_the_next_step(grid2d, monkey
     traj = run(smooth_2d_state(grid2d), PARAMS, StepConfig(dt_init=dt), 4 * dt)
     assert traj.event is None and len(waves) == 8 and len(measured) == 5
     for psi_hat, fields, _ in waves:
-        assert np.array_equal(fields, _psi_and_gradient(plan, psi_hat))
-    for n, (state, psi_hat, grad_psi, cubic) in enumerate(measured):
-        assert np.array_equal(grad_psi, _psi_and_gradient(plan, psi_hat)[1:])
+        assert np.array_equal(fields, psi_and_gradient(plan, psi_hat))
+    for n, (state, psi_hat, _, stack, speed2, cubic, u_dot_grad) in enumerate(measured):
+        grad_psi = stack[1:]
+        assert np.array_equal(grad_psi, psi_and_gradient(plan, psi_hat)[1:])
         assert not np.shares_memory(state.psi, grad_psi)
-        assert (cubic is None) == (n == 0)
+        assert np.array_equal(speed2, pointwise_dot(state.u, state.u))
+        assert np.array_equal(cubic, cubic_product(stack[0]))
+        assert np.array_equal(u_dot_grad, pointwise_dot(state.u, grad_psi))
         if n < 4:
             first_psi_hat, fields, first_cubic = waves[2 * n]
             assert first_psi_hat is psi_hat and np.shares_memory(fields, grad_psi)
+            # record 0 too reads the slot's own |psi|^2 psi
+            assert first_cubic is cubic
             if n:
                 assert np.array_equal(fields[0], state.psi)
-                assert first_cubic is cubic
 
 
 def test_run_records_equal_measure_of_the_stored_states(grid2d):
@@ -605,7 +619,7 @@ def test_in_place_transforms_leave_borrowed_arrays_as_they_are(grid2d):
     # their caller formed: every array handed to these bodies, the state's
     # fields and the carried spectra, stack and products included, keeps
     # its bits through the call.  The last two steps start from the
-    # carried slot and from the state's own fields (_carry)
+    # carried slot and from the state's own fields (spectra_of)
     from pitaevskii.diagnostics import measure
     from pitaevskii.model import coupling_hat, velocity_rhs_hat, wave_nonlinear_hat
 
@@ -613,22 +627,22 @@ def test_in_place_transforms_leave_borrowed_arrays_as_they_are(grid2d):
     history = StepHistory()
     prev = ingest(smooth_2d_state(grid2d), PARAMS)
     st = step(prev, PARAMS, 1e-3, history=history)
-    _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = history.carried
+    carried = history.carried
+    _, psi_hat, u_hat, stack, speed2, cubic, u_dot_grad = carried
     psi, u, rho, grad_psi = st.psi, st.u, st.rho, stack[1:]
     borrowed = [psi, u, rho, prev.psi, prev.u, prev.rho, psi_hat, u_hat, stack, speed2, cubic,
                 u_dot_grad]
     kept = [a.copy() for a in borrowed]
     calls = {
-        "_psi_and_gradient": lambda: _psi_and_gradient(plan, psi_hat),
+        "psi_and_gradient": lambda: psi_and_gradient(plan, psi_hat),
+        "spectra_of": lambda: spectra_of(plan, st),
         "coupling_hat": lambda: coupling_hat(plan, psi, psi_hat, grad_psi, u, speed2, cubic,
                                              PARAMS, u_dot_grad=u_dot_grad),
         "wave_nonlinear_hat": lambda: wave_nonlinear_hat(plan, psi, grad_psi, cubic, u, speed2,
                                                          PARAMS, u_dot_grad=u_dot_grad),
         "velocity_rhs_hat": lambda: velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic, u,
                                                      u_hat, speed2, rho, PARAMS),
-        "measure": lambda: measure(st, PARAMS, prev, psi_hat=psi_hat, u_hat=u_hat,
-                                   grad_psi=grad_psi, speed2=speed2, cubic=cubic,
-                                   u_dot_grad=u_dot_grad),
+        "measure": lambda: measure(st, PARAMS, prev, spectra=carried),
         "measure, cold": lambda: measure(st, PARAMS, prev),
         "step, carried": lambda: step(st, PARAMS, 1e-3, history=history),
         "step, lone": lambda: step(st, PARAMS, 1e-3),
@@ -654,7 +668,7 @@ def test_wave_substep_is_second_order(grid2d):
         lin = _wave_propagator(plan, psi_hat, params, tau)
         speed2 = pointwise_dot(st.u, st.u)
         for _ in range(round(horizon / tau)):
-            fields = _psi_and_gradient(plan, psi_hat)
+            fields = psi_and_gradient(plan, psi_hat)
             psi_hat = _wave_substep(plan, psi_hat, fields, cubic_product(fields[0]), st.u, speed2,
                                     params, tau, lin)
         return plan.ifft(psi_hat, st.psi)

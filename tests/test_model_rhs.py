@@ -11,6 +11,7 @@ from pitaevskii.model import (
     mass_exchange,
     momentum_source,
     momentum_source_conservative,
+    spectra_of,
     velocity_rhs_hat,
 )
 from pitaevskii.grid import make_grid, pointwise_dot
@@ -314,17 +315,17 @@ def test_velocity_rhs_flux_is_the_truncated_density_flux(d, n):
 @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
 def test_velocity_rhs_exchange_is_the_mass_source(d, n):
     # the step's density source 2 lam exchange and the drag share the one
-    # exchange field velocity_rhs_hat returns; it is mass_exchange's value
-    # bit for bit
+    # exchange field velocity_rhs_hat returns; fed the state's Spectra, it
+    # is mass_exchange's value bit for bit
     grid = make_grid(d, [n] * d, [2 * np.pi] * d)
     plan = plan_for(grid)
     psi, u, rho = random_state_fields(grid, np.random.default_rng(9))
     u, _ = plan.leray_project(u)
-    psi_hat = plan.fft(psi)
-    grad_psi = plan.ifft(plan.grad_hat(psi_hat), psi)
-    _, _, exchange = velocity_rhs_hat(plan, psi, psi_hat, grad_psi, cubic_product(psi), u,
-                                      plan.fft(u), pointwise_dot(u, u), rho, PARAMS)
-    source = mass_exchange(make_state(grid, psi, u, rho), PARAMS)
+    st = make_state(grid, psi, u, rho)
+    _, psi_hat, u_hat, stack, speed2, cubic, _ = spectra_of(plan, st)
+    _, _, exchange = velocity_rhs_hat(plan, st.psi, psi_hat, stack[1:], cubic, u, u_hat, speed2,
+                                      rho, PARAMS)
+    source = mass_exchange(st, PARAMS)
     assert np.array_equal(2.0 * PARAMS.lam * exchange, source)
 
 

@@ -195,18 +195,18 @@ MUTANTS = (
     # E psi_hat, not at psi_hat): the reference runs see the change of scheme
     Mutant("wave-stage-before-lawson", "pitaevskii.integrator:_wave_substep",
            "    mid_hat = lin * (psi_hat + 0.5 * tau * nonlinear_hat(fields, cubic, u_dot_grad))\n"
-           "    mid = _psi_and_gradient(plan, mid_hat)\n"
+           "    mid = psi_and_gradient(plan, mid_hat)\n"
            "    return lin * (lin * psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            "    psi_hat = lin * psi_hat\n"
-           "    first = _psi_and_gradient(plan, psi_hat)\n"
+           "    first = psi_and_gradient(plan, psi_hat)\n"
            "    mid_hat = psi_hat + 0.5 * tau * nonlinear_hat(first, cubic_product(first[0]))\n"
-           "    mid = _psi_and_gradient(plan, mid_hat)\n"
+           "    mid = psi_and_gradient(plan, mid_hat)\n"
            "    return lin * (psi_hat + tau * nonlinear_hat(mid, cubic_product(mid[0])))",
            ("tests/test_reference_runs.py",)),
     # the products a step carries: |u|^2 of the velocity from before the
     # fluid substep carried with the new state (its second wave half-step
     # still forms the new one); the state's psi transformed in place into
-    # the spectrum _carry forms
+    # the spectrum spectra_of forms
     Mutant("stale-end-speed", "pitaevskii.integrator:step",
            "        speed2 = pointwise_dot(u, u)\n"
            "        psi_hat = _wave_substep(plan, psi_hat, fields, cubic, u, speed2, params, tau, "
@@ -215,10 +215,22 @@ MUTANTS = (
            "params, tau, props.lin)",
            ("tests/test_integrator.py::test_carried_stack_is_handed_out_once_and_feeds_measure",
             "tests/test_integrator.py::test_run_records_equal_measure_of_the_stored_states")),
-    Mutant("borrowed-spectrum-in-place", "pitaevskii.integrator:_carry",
+    Mutant("borrowed-spectrum-in-place", "pitaevskii.model:spectra_of",
            "psi_hat = plan.fft(state.psi)", "psi_hat = plan.fft(state.psi, overwrite_x=True)",
            ("tests/test_integrator.py::"
             "test_in_place_transforms_leave_borrowed_arrays_as_they_are",)),
+    # a state's Spectra: |psi|^2 psi formed of the state's psi, not of the
+    # stack's, which differs from it in the last bits unless a step formed
+    # the state from that stack; and measure() forming its own Spectra
+    # where it is given the state's
+    Mutant("spectra-cubic-of-the-state", "pitaevskii.model:spectra_of",
+           "cubic_product(stack[0]), pointwise_dot(u, stack[1:])",
+           "cubic_product(state.psi), pointwise_dot(u, stack[1:])",
+           ("tests/test_integrator.py::"
+            "test_run_hands_the_carried_stack_to_measure_and_the_next_step",)),
+    Mutant("measure-rebuilds-given-spectra", "pitaevskii.diagnostics:measure",
+           "if spectra is None or spectra.state is not state:", "if True:",
+           ("tests/test_diagnostics.py::test_measure_reads_the_spectra_of_its_own_state_only",)),
     # the advection's rotation form with u x curl(u) subtracted (-u x curl(u)
     # added), and a 2/3 truncation in place that leaves the last axis's slab
     Mutant("lamb-cross-sign", "pitaevskii.model:velocity_rhs_hat",
